@@ -706,8 +706,8 @@ class _Commands:
         else:
             lines.append("kernel trace: off (pass trace= to Scheduler to enable)")
         journal = None
-        if self.session._run_recorder is not None:
-            journal = self.session._run_recorder.journal
+        if self.session.tap.recorder is not None:
+            journal = self.session.tap.recorder.journal
         else:
             journal = getattr(self.session.replay, "master", None)
         if journal is not None:

@@ -2,9 +2,11 @@
 
 The recording side (:class:`RunRecorder`) taps three existing mechanisms:
 
-- a ``"*"`` subscription on the framework event bus journals every
-  framework event (and, via ``wants()``, forces event materialisation
-  regardless of the §V capture narrowing — journals are always complete);
+- the session's :class:`~repro.core.tap.EventTap` (its one ``"*"`` bus
+  subscription) hands it every framework event first, so it assigns the
+  event position every other consumer sees (and, via ``wants()``, event
+  materialisation is forced regardless of the §V capture narrowing —
+  journals are always complete);
 - the kernel's post-dispatch hook takes a checkpoint digest every N
   completed dispatches, and a sparse deep
   :class:`~repro.sim.snapshot.MachineState` snapshot every M checkpoints;
@@ -49,17 +51,20 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..dbg.stop import StopEvent, StopKind
 from ..errors import ReplayDivergenceError, ReplayError
-from ..pedf.api import SYM_ACTOR_START, SYM_ACTOR_SYNC, SYM_POP, SYM_PUSH, FrameworkEvent
+from ..pedf.api import SYM_PUSH
 from ..sim.process import Suspend
 from ..sim.replay import (
     DEFAULT_CHECKPOINT_INTERVAL,
     AlterationRecord,
     Checkpoint,
+    EventRecord,
     ReplayJournal,
     StopRecord,
 )
 from ..sim.segments import DEFAULT_SEGMENT_WINDOW
+from ..sim.sharding.merge import stable_value_text
 from ..sim.snapshot import DEFAULT_SNAPSHOT_EVERY, MachineState, capture_machine_state
+from ..sim.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import DataflowSession
@@ -114,43 +119,44 @@ class RunRecorder:
         #: called when a user alteration forks a replayed timeline
         self.fork_hook: Optional[Callable[[], None]] = None
         self._pending = deque(sorted(alterations, key=lambda a: a.index))
-        self._sub = self.dbg.runtime.bus.subscribe("*", self._on_event)
+        session.tap.set_recorder(self)
         self.dbg.scheduler.post_dispatch_hook = self._on_dispatch
         self.dbg.stop_callbacks.append(self._on_stop)
 
     # ------------------------------------------------------------ recording
 
-    def _on_event(self, event: FrameworkEvent) -> Optional[Suspend]:
-        seq = None
-        if event.phase == "exit" and event.symbol in (SYM_PUSH, SYM_POP):
-            seq = getattr(event.retval, "seq", None)
-            self.journal.note_token_link(seq, event.args.get("link"))
-        index = self.journal.add_event(event.time, event.phase, event.symbol, event.actor, seq)
-        # per-event side tables for the runtime-verification deriver
-        if event.symbol in (SYM_PUSH, SYM_POP):
-            self.journal.note_event_link(index, event.args.get("link"))
-            if event.phase == "exit" and event.symbol == SYM_PUSH and event.retval is not None:
-                from ..sim.sharding.merge import stable_value_text
-
-                self.journal.note_event_value(index, stable_value_text(event.retval.value))
-        elif event.symbol in (SYM_ACTOR_START, SYM_ACTOR_SYNC):
-            self.journal.note_event_target(index, event.args.get("actor"))
+    def journal_event(self, ev: EventRecord, retval) -> Tuple[int, Optional[Suspend]]:
+        """Journal one normalised event (called first by the session's
+        event tap); returns its position and any Suspend requested."""
+        journal = self.journal
+        if ev.seq is not None:
+            journal.note_token_link(ev.seq, ev.link)
+        index = journal.add_event(ev.time, ev.phase, ev.symbol, ev.actor, ev.seq)
+        # per-event side tables for the post-hoc derivers
+        if ev.link is not None:
+            journal.note_event_link(index, ev.link)
+        elif ev.target is not None:
+            journal.note_event_target(index, ev.target)
+        if retval is not None and ev.symbol == SYM_PUSH and ev.phase == "exit":
+            journal.note_event_value(index, stable_value_text(retval.value))
 
         ref = self.reference
         if ref is not None and self.divergence is None and index <= ref.total_events:
             expected = ref.record_at(index)
-            got = self.journal.record_at(index)
             if expected is None:
                 self._note_uncovered(index)
-            elif got is not None:
-                if got != expected:
+            else:
+                # the recorded fields of this event, compared without
+                # reading the record back from this run's own journal
+                got = (ev.time, ev.actor, f"{ev.symbol}:{ev.phase}", ev.seq)
+                if got != (expected.time, expected.process, expected.kind, expected.detail):
                     self.divergence = (
                         f"replay diverged at event #{index}: recorded "
                         f"{ReplayJournal.describe_record(expected)}, replayed "
-                        f"{ReplayJournal.describe_record(got)}"
+                        f"{ReplayJournal.describe_record(TraceRecord(*got))}"
                     )
-                    ev = StopEvent(StopKind.REPLAY, message=self.divergence, time=event.time)
-                    return self.dbg.external_suspend(ev)
+                    stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=ev.time)
+                    return index, self.dbg.external_suspend(stop)
                 self.events_compared += 1
 
         # re-apply journaled alterations at their recorded positions, before
@@ -162,15 +168,14 @@ class RunRecorder:
 
         if self.target_index is not None and index >= self.target_index:
             self.target_index = None
-            ev = StopEvent(
+            self.landed = StopEvent(
                 StopKind.REPLAY,
-                message=f"[Replayed to event #{index}, t={event.time}]",
-                actor=event.actor,
-                time=event.time,
+                message=f"[Replayed to event #{index}, t={ev.time}]",
+                actor=ev.actor or None,
+                time=ev.time,
             )
-            self.landed = ev
-            return self.dbg.external_suspend(ev)
-        return None
+            return index, self.dbg.external_suspend(self.landed)
+        return index, None
 
     def _note_uncovered(self, index: int) -> None:
         """The reference journal evicted this event: the self-check has a
@@ -297,14 +302,13 @@ class RunRecorder:
         if self.detached:
             return
         self.detached = True
-        self._sub.unsubscribe()
         self.dbg.scheduler.post_dispatch_hook = None
         try:
             self.dbg.stop_callbacks.remove(self._on_stop)
         except ValueError:
             pass
-        if getattr(self.session, "_run_recorder", None) is self:
-            self.session._run_recorder = None
+        if self.session.tap.recorder is self:
+            self.session.tap.set_recorder(None)
 
 
 @dataclass
@@ -370,8 +374,8 @@ class ReplayManager:
     def notify_alteration(
         self, kind: str, conn_spec: str, value_text: Optional[str], arg_index: Optional[int]
     ) -> None:
-        rec = getattr(self.session, "_run_recorder", None)
-        if rec is not None and not rec.detached:
+        rec = self.session.tap.recorder
+        if rec is not None:
             rec.note_alteration(kind, conn_spec, value_text, arg_index)
 
     # ------------------------------------------------------------ recording
@@ -403,7 +407,6 @@ class ReplayManager:
         self.recorder = RunRecorder(
             self.session, journal, self.interval, snapshot_every=self.snapshot_every
         )
-        self.session._run_recorder = self.recorder
         self.master = journal
         self.mode = "record"
         self._clear_pool()
@@ -622,7 +625,7 @@ class ReplayManager:
     def _replay_recorder(
         self, session: "DataflowSession", master: ReplayJournal
     ) -> RunRecorder:
-        recorder = RunRecorder(
+        return RunRecorder(
             session,
             ReplayJournal(),
             self.interval,
@@ -630,8 +633,6 @@ class ReplayManager:
             alterations=master.alterations,
             snapshot_every=self.snapshot_every,
         )
-        session._run_recorder = recorder
-        return recorder
 
     def _restore(self, resident: ResidentSnapshot, target: int) -> StopEvent:
         """Adopt a parked machine and drive only the tail to ``target``."""
@@ -697,7 +698,7 @@ class ReplayManager:
         parking the abandoned one as a resident snapshot (the original
         live machine — whose journal *is* the master — just detaches)."""
         old = self.session
-        old_rec = getattr(old, "_run_recorder", None)
+        old_rec = old.tap.recorder
         if old_rec is not None and old_rec is not recorder:
             if old_rec.journal is self.master:
                 old_rec.detach()

@@ -40,6 +40,7 @@ from .dot import render_dot
 from .model import DataflowModel, DbgActor, DbgConnection
 from .record import TokenRecorder
 from .replay import ReplayManager
+from .tap import EventTap
 
 BEHAVIORS = ("default", "splitter", "joiner", "map")
 
@@ -58,6 +59,9 @@ class DataflowSession:
         self.model = DataflowModel()
         self.records = TokenRecorder()
         self.alter = Alteration(self)
+        #: the session's one ``"*"`` bus subscription, feeding the
+        #: recorder, telemetry, RV and the event-journal tail
+        self.tap = EventTap(self)
         self.replay = ReplayManager(self)
         from ..obs.telemetry import Telemetry
 
@@ -80,8 +84,6 @@ class DataflowSession:
         #: runtime-verification checks (declarative dataflow properties
         #: with online monitors) — off until the first ``check add``
         self.checks = Checks(self)
-        #: the active RunRecorder journaling this session, if any
-        self._run_recorder = None
         #: the ShardedRun coordinating this session, when execution is
         #: sharded (set by core.shards.ShardedRun); None otherwise
         self.sharding = None
@@ -146,31 +148,28 @@ class DataflowSession:
     def enable_event_journal(self, limit: int = 2000) -> None:
         """Record a chronological journal of framework events (the
         trace-tool complement to interactive stops).  Off by default —
-        it observes *every* event, so it costs like full capture."""
+        it observes *every* event, so it costs like full capture.  The
+        normalised records are kept as-is and rendered only on demand."""
         from collections import deque
 
-        if getattr(self, "_journal_sub", None) is not None:
+        if getattr(self, "_journal_feed", None) is not None:
             return
-        self.journal = deque(maxlen=limit)
-
-        def listener(event):
-            self.journal.append(str(event))
-            return None
-
-        self._journal_sub = self.dbg.runtime.bus.subscribe("*", listener)
+        journal = self.journal = deque(maxlen=limit)
+        self._journal_feed = lambda ev, position: journal.append(ev)
+        self.tap.arm(self._journal_feed)
 
     def disable_event_journal(self) -> None:
-        sub = getattr(self, "_journal_sub", None)
-        if sub is not None:
-            sub.unsubscribe()
-            self._journal_sub = None
+        feed = getattr(self, "_journal_feed", None)
+        if feed is not None:
+            self.tap.disarm(feed)
+            self._journal_feed = None
 
     def journal_tail(self, count: int = 20) -> List[str]:
         journal = getattr(self, "journal", None)
         if journal is None:
             raise DataflowDebugError("event journal is off (dataflow events on)")
         items = list(journal)
-        return items[-count:] if count else items
+        return [ev.describe() for ev in (items[-count:] if count else items)]
 
     # ------------------------------------------------------------ overhead
 

@@ -34,7 +34,6 @@ from .breakpoints import (
     Watchpoint,
 )
 from .eval import EvalError, Evaluator, ValueHistory, format_typed
-from .events import StopFanout
 from .stop import StopEvent, StopKind
 
 
@@ -96,12 +95,6 @@ class Debugger:
         self._finished = False
         #: callbacks run on every stop (the extension API's event registry)
         self.stop_callbacks: List[Callable[[StopEvent], None]] = []
-        #: thread-safe stop distribution for detached observers (wire
-        #: connections, watchdogs): every stop that reaches the stop
-        #: callbacks is also published here, and a broken subscriber can
-        #: never unwind the kernel thread
-        self.fanout = StopFanout()
-        self.stop_callbacks.append(self.fanout.publish)
         #: armed by the telemetry facade: adds CAP_TELEMETRY to the hook
         #: mask so interpreters count flushed cycles (span cost attribution)
         self.telemetry_armed = False

@@ -29,7 +29,7 @@ from .aggregate import (
     aggregate_journal,
     aggregate_sharded,
 )
-from .builder import TelemetryBuilder, TelemetryEvent, from_framework_event, INIT_TRACK
+from .builder import TelemetryBuilder, INIT_TRACK
 from .derive import DerivedTelemetry, derive_telemetry
 from .export import (
     to_chrome_trace,
@@ -62,13 +62,11 @@ __all__ = [
     "SpanSnapshot",
     "Telemetry",
     "TelemetryBuilder",
-    "TelemetryEvent",
     "aggregate_journal",
     "aggregate_sharded",
     "derive_profile",
     "derive_telemetry",
     "flame_svg",
-    "from_framework_event",
     "parse_openmetrics",
     "to_chrome_trace",
     "to_chrome_trace_multi",

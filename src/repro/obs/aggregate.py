@@ -6,11 +6,13 @@ story of the *run* — which actor was busy, how a token travelled across
 a cut link — needs the per-shard streams stitched back together.  This
 module does that deterministically:
 
-- **merge**: every shard's journal events are projected to the same
-  :class:`TelemetryEvent` tuples the single-kernel deriver uses, merged
-  into one global stream ordered by ``(time, shard, event index)`` (a
-  stable total order; per-track nesting is preserved because tracks are
-  shard-disjoint), and fed through a single
+- **merge**: every shard's journal is replayed through
+  :func:`~repro.sim.replay.replay_into` — the same
+  :class:`~repro.sim.replay.EventRecord` stream the single-kernel
+  deriver uses — merged into one global stream ordered by
+  ``(time, shard, event index)`` (a stable total order; per-track
+  nesting is preserved because tracks are shard-disjoint), and fed
+  through a single
   :class:`~repro.obs.builder.TelemetryBuilder`.  Metrics for a cut link
   become *exact* on the merged timeline: pushes observed on the
   producer shard interleave with pops observed on the consumer shard.
@@ -44,10 +46,11 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import DataflowDebugError
+from ..errors import DataflowDebugError, ReplayError
 from ..pedf.api import SYM_POP, SYM_PUSH
+from ..sim.replay import replay_into
 from ..sim.sharding.merge import stream_digest
-from .builder import INIT_TRACK, TelemetryBuilder, TelemetryEvent
+from .builder import INIT_TRACK, TelemetryBuilder
 from .export import to_chrome_trace_multi
 from .metrics import MetricsRegistry
 from .spans import Span, SpanSink
@@ -214,19 +217,19 @@ class AggregateTelemetry:
 # ------------------------------------------------------------ construction
 
 
-def _journal_events(journal, sid: int, init_track: str):
-    """Project one shard journal to ``(time, sid, index, TelemetryEvent)``
-    sort keys — the exact field restriction ``derive_telemetry`` uses."""
-    out = []
-    for index, rec in journal.iter_indexed():
-        symbol, _, phase = rec.kind.rpartition(":")
-        seq = rec.detail
-        link = journal.link_for_event(index) if seq is not None else None
-        actor = rec.process or init_track
-        out.append(
-            (rec.time, sid, index, TelemetryEvent(rec.time, phase, symbol, actor, seq, link))
-        )
-    return out
+class _MergeKey:
+    """A :func:`replay_into` consumer turning each of one shard's events
+    into its ``(time, shard, position, event)`` merge-sort key; events
+    with no acting actor land on the shard's own init track."""
+
+    def __init__(self, sid: int, init_track: str) -> None:
+        self.sid = sid
+        self.init_track = init_track
+
+    def feed(self, ev, position: int) -> tuple:
+        if not ev.actor:
+            ev = ev._replace(actor=self.init_track)
+        return (ev.time, self.sid, position, ev)
 
 
 def _feed_merged(agg: AggregateTelemetry, events: List[tuple]) -> Dict[str, Dict[str, List[Tuple[int, int]]]]:
@@ -267,7 +270,7 @@ def aggregate_sharded(run) -> AggregateTelemetry:
     agg = AggregateTelemetry(n_shards=len(journals), cut_links=set(run.channels))
     events: List[tuple] = []
     for sid, journal in enumerate(journals):
-        events.extend(_journal_events(journal, sid, f"{INIT_TRACK}/shard{sid}"))
+        events.extend(replay_into(journal, _MergeKey(sid, f"{INIT_TRACK}/shard{sid}")))
         if journal.evicted_events:
             agg.complete = False
     sides = _feed_merged(agg, events)
@@ -290,12 +293,13 @@ def aggregate_journal(journal) -> AggregateTelemetry:
     """The single-kernel counterpart: one journal, no cut links — the
     reference view the sharded canonical projection must match."""
     agg = AggregateTelemetry(n_shards=1)
-    events = _journal_events(journal, 0, INIT_TRACK)
-    _feed_merged(agg, events)
+    _feed_merged(agg, replay_into(journal, _MergeKey(0, INIT_TRACK)))
     if journal.evicted_events:
         agg.complete = False
     try:
         agg.streams = journal.link_value_streams()
-    except Exception:
-        agg.streams = {}
+    except ReplayError as exc:
+        # a cap/ring bound evicted events: the value streams are
+        # incomplete, and the view says why they are missing
+        agg.warnings.append(f"warning: {exc}")
     return agg

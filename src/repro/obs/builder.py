@@ -2,12 +2,11 @@
 
 Byte-identity between live collection and replay derivation is achieved
 *by construction*: both feed the same :class:`TelemetryBuilder` with
-:class:`TelemetryEvent` tuples restricted to what a
-:class:`~repro.sim.replay.ReplayJournal` stores — simulated time,
-phase, symbol, acting actor, and (for data-exchange exits) the token
-sequence number plus the link name from the journal's side table.
-Nothing live-only (argument dicts, Python object identities, wall-clock
-anything) may influence the output.
+:class:`~repro.sim.replay.EventRecord` tuples, restricted to what a
+:class:`~repro.sim.replay.ReplayJournal` stores.  The builder reads
+simulated time, phase, symbol, acting actor and — on data-exchange
+exits that carry a token seq, and only there — the seq plus the link
+name.
 
 Span hierarchy per track (one track per actor; elaboration events with
 no actor land on ``pedf.init``)::
@@ -34,10 +33,9 @@ open is dropped rather than corrupting the stack.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..pedf.api import (
-    FrameworkEvent,
     SYM_POP,
     SYM_PUSH,
     SYM_STEP_BEGIN,
@@ -45,6 +43,7 @@ from ..pedf.api import (
     SYM_WORK_ENTER,
     SYM_WORK_EXIT,
 )
+from ..sim.replay import EventRecord
 from .metrics import MetricsRegistry
 from .spans import Span, SpanSink
 
@@ -70,33 +69,6 @@ _LEAF_CATS = {
 }
 
 
-class TelemetryEvent(NamedTuple):
-    """One framework event, reduced to its journal-derivable fields."""
-
-    time: int
-    phase: str  # "entry" | "exit"
-    symbol: str
-    actor: str  # qualified actor name, or "" (elaboration)
-    seq: Optional[int]  # token seq (push/pop exits only)
-    link: Optional[str]  # link name (push/pop exits only, if known)
-
-
-def from_framework_event(event: FrameworkEvent) -> TelemetryEvent:
-    """Reduce a live bus event to the journal-equivalent tuple.
-
-    ``seq``/``link`` are populated only where a replay journal could
-    recover them (data-exchange exits), so live and derived streams
-    match field-for-field.
-    """
-    seq = None
-    link = None
-    if event.phase == "exit" and event.symbol in (SYM_PUSH, SYM_POP):
-        seq = getattr(event.retval, "seq", None)
-        if seq is not None:
-            link = event.args.get("link")
-    return TelemetryEvent(event.time, event.phase, event.symbol, event.actor or "", seq, link)
-
-
 class _Open:
     """A span under construction (mutable; frozen into Span on close)."""
 
@@ -111,7 +83,7 @@ class _Open:
 
 
 class TelemetryBuilder:
-    """Feeds :class:`TelemetryEvent` tuples; emits spans, updates metrics."""
+    """Feeds :class:`EventRecord` tuples; emits spans, updates metrics."""
 
     def __init__(self, sink: SpanSink, metrics: MetricsRegistry):
         self.sink = sink
@@ -154,7 +126,7 @@ class TelemetryBuilder:
 
     # ---------------------------------------------------------------- feed
 
-    def feed(self, te: TelemetryEvent) -> None:
+    def feed(self, te: EventRecord, position: Optional[int] = None) -> None:
         self.events_fed += 1
         metrics = self.metrics
         metrics.note_time(te.time)
@@ -189,9 +161,13 @@ class TelemetryBuilder:
             if phase == "entry":
                 self._open(track, name, _LEAF_CATS.get(name, "other"), t)
             else:
+                # a link counts only on exits carrying a seq: the rule
+                # that keeps live and derived telemetry byte-equal
+                link = None
                 args: Tuple[Tuple[str, Any], ...] = ()
                 if te.seq is not None:
-                    args = (("link", te.link or "?"), ("seq", te.seq))
+                    link = te.link
+                    args = (("link", link or "?"), ("seq", te.seq))
                 stack = self._stacks.get(track)
                 if stack and stack[-1].name == name:
                     stack[-1].args = args
@@ -200,10 +176,10 @@ class TelemetryBuilder:
                 if symbol == SYM_PUSH:
                     if te.actor:
                         metrics.actor(track).produced += 1
-                    if te.link:
-                        metrics.link(te.link).on_push(t, duration)
+                    if link:
+                        metrics.link(link).on_push(t, duration)
                 elif symbol == SYM_POP:
                     if te.actor:
                         metrics.actor(track).consumed += 1
-                    if te.link:
-                        metrics.link(te.link).on_pop(t, duration)
+                    if link:
+                        metrics.link(link).on_pop(t, duration)

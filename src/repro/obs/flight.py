@@ -8,8 +8,8 @@ without anyone having thought to enable tracing first.
 
 Zero-cost discipline (§V) still holds: the recorder itself allocates a
 few bounded buffers and one stop callback.  Span capture rides the
-telemetry tap when telemetry is armed (one extra bounded ring insert per
-event — no second bus subscription, no effect on the telemetry-off
+telemetry feed when telemetry is armed (one extra bounded ring insert
+per event — no tap slot of its own, no effect on the telemetry-off
 fast path, which stays event-free).  Metric deltas are computed only at
 stops, and journal/shard state is referenced, not copied.  When
 telemetry never ran, the bundle says so and still carries the stop log,
@@ -29,7 +29,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from ..dbg.stop import StopEvent, StopKind
-from .builder import TelemetryBuilder, TelemetryEvent
+from .builder import TelemetryBuilder
 from .metrics import MetricsRegistry
 from .spans import SpanSink
 
@@ -75,10 +75,10 @@ class FlightRecorder:
 
     # ------------------------------------------------------------ capture
 
-    def feed(self, te: TelemetryEvent) -> None:
-        """Tap one normalised telemetry event into the ring (called by
-        the telemetry facade while telemetry is armed)."""
-        self.builder.feed(te)
+    def feed(self, ev) -> None:
+        """Tap one normalised event into the ring (called by the
+        telemetry facade while telemetry is armed)."""
+        self.builder.feed(ev)
 
     def _counter_snapshot(self) -> Dict[str, tuple]:
         return {

@@ -2,7 +2,7 @@
 
 Arming does two things, both reversible:
 
-- subscribes a single ``"*"`` listener on the framework event bus (so
+- arms :meth:`Telemetry.feed` on the session's event tap (so
   :meth:`FrameworkAPI.call` materialises events again — when telemetry
   is off and nothing else listens, the §V elision fast path keeps
   framework calls event-free);
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .builder import TelemetryBuilder, from_framework_event
+from .builder import TelemetryBuilder
 from .export import to_chrome_trace
 from .metrics import MetricsRegistry
 from .spans import SpanSink
@@ -36,7 +36,6 @@ class Telemetry:
         self.sink: Optional[SpanSink] = None
         self.metrics: Optional[MetricsRegistry] = None
         self.builder: Optional[TelemetryBuilder] = None
-        self._sub = None
 
     # ------------------------------------------------------------- arming
 
@@ -49,8 +48,8 @@ class Telemetry:
             self.sink = SpanSink(limit=limit, ring=ring)
             self.metrics = MetricsRegistry()
             self.builder = TelemetryBuilder(self.sink, self.metrics)
+        self.session.tap.arm(self.feed)
         dbg = self.session.dbg
-        self._sub = dbg.runtime.bus.subscribe("*", self._on_event)
         dbg.telemetry_armed = True
         dbg._recompute_capabilities()
         self.enabled = True
@@ -59,9 +58,7 @@ class Telemetry:
         """Stop collecting; the data gathered so far stays queryable."""
         if not self.enabled:
             return
-        if self._sub is not None:
-            self._sub.unsubscribe()
-            self._sub = None
+        self.session.tap.disarm(self.feed)
         dbg = self.session.dbg
         dbg.telemetry_armed = False
         dbg._recompute_capabilities()
@@ -73,15 +70,13 @@ class Telemetry:
         self.metrics = None
         self.builder = None
 
-    def _on_event(self, event):
-        te = from_framework_event(event)
-        self.builder.feed(te)
-        # the flight recorder rides the same tap (bounded ring insert) so
-        # it never needs its own bus subscription
+    def feed(self, ev, position) -> None:
+        self.builder.feed(ev)
+        # the flight recorder rides telemetry (bounded ring insert) so
+        # it never needs a tap slot of its own
         flight = getattr(self.session, "flight", None)
         if flight is not None:
-            flight.feed(te)
-        return None
+            flight.feed(ev)
 
     # ------------------------------------------------------------ queries
 

@@ -34,7 +34,6 @@ from .props import (
     progress,
     rate,
 )
-from .events import RvEvent, from_framework_event
 from .monitors import Verdict
 from .compile import GraphView, compile_property
 from .checks import Check, Checks
@@ -50,13 +49,11 @@ __all__ = [
     "ProgressProp",
     "Property",
     "RateProp",
-    "RvEvent",
     "Verdict",
     "bounded",
     "compile_property",
     "deadlock_free",
     "derive_verdicts",
-    "from_framework_event",
     "ordered",
     "parse_property",
     "progress",

@@ -2,7 +2,7 @@
 
 Arming checks mirrors the telemetry facade, and is just as reversible:
 
-- subscribes a single ``"*"`` listener on the framework event bus (so
+- arms :meth:`Checks.feed` on the session's event tap (so
   :meth:`FrameworkAPI.call` materialises events — when no checks and no
   other consumer listen, the §V elision fast path keeps framework calls
   event-free);
@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..dbg.stop import StopEvent, StopKind
 from ..errors import RvError
 from .compile import GraphView, compile_property
-from .events import from_framework_event
 from .monitors import DeadlockMonitor, Monitor, Verdict
 from .props import Property, parse_property
 
@@ -69,7 +68,6 @@ class Checks:
         #: (journal event position, verdict) pairs from ``mark`` checks
         self.marks: List[Tuple[int, Verdict]] = []
         self.armed = False
-        self._sub = None
         self._events_seen = 0
         #: properties queued before the graph exists (``--check`` flag);
         #: compiled at the first stop after the init phase completes
@@ -129,36 +127,32 @@ class Checks:
         return any(c.enabled for c in self.checks.values())
 
     def _rearm(self) -> None:
-        """Reconcile the bus subscription + CAP_RV bit with the registry."""
+        """Reconcile the tap slot + CAP_RV bit with the registry."""
         want = self._want_events()
-        dbg = self.session.dbg
-        if want and not self.armed:
-            self._sub = dbg.runtime.bus.subscribe("*", self._on_event)
-            dbg.rv_armed = True
+        if want != self.armed:
+            if want:
+                self.session.tap.arm(self.feed)
+            else:
+                self.session.tap.disarm(self.feed)
+            dbg = self.session.dbg
+            dbg.rv_armed = self.armed = want
             dbg._recompute_capabilities()
-            self.armed = True
-        elif not want and self.armed:
-            if self._sub is not None:
-                self._sub.unsubscribe()
-                self._sub = None
-            dbg.rv_armed = False
-            dbg._recompute_capabilities()
-            self.armed = False
 
     # ------------------------------------------------------------- judging
 
     def _position(self) -> int:
         """Current event position: the journal index when recording (so
         verdicts are ``replay to``-addressable), else a private count."""
-        recorder = getattr(self.session, "_run_recorder", None)
-        if recorder is not None and not recorder.detached:
+        recorder = self.session.tap.recorder
+        if recorder is not None:
             return recorder.journal.total_events
         return self._events_seen
 
-    def _on_event(self, event):
+    def feed(self, ev, position: Optional[int]):
+        """Judge one normalised event at ``position`` (the journal index
+        while recording; None falls back to the private count)."""
         self._events_seen += 1
-        ev = from_framework_event(event)
-        index = self._position()
+        index = self._events_seen if position is None else position
         suspend = None
         for check in sorted(self.checks.values(), key=lambda c: c.id):
             if not check.enabled or check.tripped:

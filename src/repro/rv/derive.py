@@ -1,13 +1,12 @@
 """Replay-side re-verification: judge a recorded run post-hoc.
 
-The ReplayJournal's event log stores ``(time, actor, "symbol:phase",
-seq)`` per framework event; its side tables recover the link of every
-push/pop event and the target filter of every scheduling event — exactly
-the :class:`~repro.rv.events.RvEvent` fields the monitors consume.
-Feeding the journal through freshly compiled monitors therefore
-reproduces the *same* verdicts a live run would have raised, byte for
-byte; journaled deadlock stops re-trigger the wait-for analysis at the
-same event position.
+:func:`~repro.sim.replay.replay_into` rebuilds from the journal the
+same :class:`~repro.sim.replay.EventRecord` stream the live event tap
+fed the monitors, so freshly compiled monitors reproduce the *same*
+verdicts a live run would have raised, byte for byte; journaled
+deadlock stops re-trigger the wait-for analysis at the same event
+position.  A segment-rotating journal is streamed one segment at a
+time.
 
 This is how a violation found in a long live run is re-localized: derive
 the verdict from the journal, then ``replay to event <verdict.index>``
@@ -16,64 +15,11 @@ lands the rebuilt machine on the exact violating event.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
-from ..sim.replay import ReplayJournal
+from ..sim.replay import ReplayJournal, replay_into
 from .compile import GraphView, compile_property
-from .events import RvEvent
 from .monitors import Monitor, Verdict
-
-
-def journal_events(journal: ReplayJournal) -> Iterable[Tuple[int, RvEvent]]:
-    """Yield ``(position, RvEvent)`` for every available journal record.
-
-    Streams via :meth:`~repro.sim.replay.ReplayJournal.iter_indexed`: a
-    segment-rotating journal is walked one decompressed segment at a
-    time, so deriving verdicts from an arbitrarily long run never
-    materialises the whole event log in memory."""
-    for index, rec in journal.iter_indexed():
-        symbol, _, phase = rec.kind.rpartition(":")
-        yield index, RvEvent(
-            rec.time,
-            phase,
-            symbol,
-            rec.process,
-            rec.detail,
-            journal.link_for_event(index),
-            journal.target_for_event(index),
-        )
-
-
-def run_monitors(journal: ReplayJournal, monitors: Sequence[Monitor]) -> List[Verdict]:
-    """Drive compiled monitors over a journal, replaying deadlock stops
-    at their recorded positions.  Returns verdicts in stream order."""
-    verdicts: List[Verdict] = []
-    stops = sorted(
-        (s for s in journal.stops if s.kind == "deadlock"), key=lambda s: s.index
-    )
-    stop_i = 0
-    position = 0
-    for position, ev in journal_events(journal):
-        for mon in monitors:
-            verdict = mon.feed(ev, position)
-            if verdict is not None:
-                verdicts.append(verdict)
-        while stop_i < len(stops) and stops[stop_i].index <= position:
-            verdicts.extend(_eval_stop(monitors, stops[stop_i]))
-            stop_i += 1
-    while stop_i < len(stops):
-        verdicts.extend(_eval_stop(monitors, stops[stop_i]))
-        stop_i += 1
-    return verdicts
-
-
-def _eval_stop(monitors: Sequence[Monitor], stop) -> List[Verdict]:
-    out = []
-    for mon in monitors:
-        verdict = mon.at_stop("deadlock", stop.time, stop.index)
-        if verdict is not None:
-            out.append(verdict)
-    return out
 
 
 def derive_verdicts(
@@ -96,4 +42,4 @@ def derive_verdicts(
             check_id, prop = next_id, item
         next_id = max(next_id, check_id) + 1
         monitors.append(compile_property(prop, graph, check_id))
-    return run_monitors(journal, monitors)
+    return replay_into(journal, *monitors)

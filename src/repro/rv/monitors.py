@@ -8,7 +8,7 @@ the run may continue (``log``/``mark`` actions) without producing a
 verdict flood, and live/derived verdict streams stay identical.
 
 Determinism contract: a monitor's state is a pure function of the
-:class:`~repro.rv.events.RvEvent` stream plus compile-time graph tables
+:class:`~repro.sim.replay.EventRecord` stream plus compile-time graph tables
 (link endpoints, module membership) — never of live runtime objects.
 Feeding the same journal through freshly compiled monitors therefore
 reproduces the live verdicts byte for byte.
@@ -30,7 +30,7 @@ from ..pedf.api import (
     SYM_WORK_ENTER,
     SYM_WORK_EXIT,
 )
-from .events import RvEvent
+from ..sim.replay import EventRecord
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Monitor:
     def tripped(self) -> bool:
         return self.verdict is not None
 
-    def feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def feed(self, ev: EventRecord, index: int) -> Optional[Verdict]:
         if self.verdict is not None:
             return None
         verdict = self._feed(ev, index)
@@ -90,10 +90,12 @@ class Monitor:
         """Hook for stop-triggered evaluation (deadlock analysis)."""
         return None
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:  # pragma: no cover
+    def _feed(self, ev: EventRecord, index: int) -> Optional[Verdict]:  # pragma: no cover
         raise NotImplementedError
 
-    def _verdict(self, ev: RvEvent, index: int, message: str, actors=(), links=(), witness=()):
+    def _verdict(
+        self, ev: EventRecord, index: int, message: str, actors=(), links=(), witness=()
+    ):
         return Verdict(
             check_id=self.check_id,
             prop=self.prop_text,
@@ -123,7 +125,7 @@ class OccupancyMonitor(Monitor):
         self.dst_actor = dst_actor
         self.occupancy = 0
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: EventRecord, index: int) -> Optional[Verdict]:
         if ev.phase != "exit" or ev.link != self.link:
             return None
         if ev.symbol == SYM_PUSH:
@@ -166,7 +168,7 @@ class RateMonitor(Monitor):
         self.produced = 0
         self.consumed = 0
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: EventRecord, index: int) -> Optional[Verdict]:
         if ev.phase != "exit":
             return None
         counted = False
@@ -212,7 +214,7 @@ class OrderMonitor(Monitor):
         self.before_count = 0
         self.after_count = 0
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: EventRecord, index: int) -> Optional[Verdict]:
         if ev.phase != "exit":
             return None
         if ev.link == self.before_link and ev.symbol == self.before_sym:
@@ -244,7 +246,7 @@ class ProgressMonitor(Monitor):
         self.steps_since_fire = 0
         self.fired_in_window = False
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: EventRecord, index: int) -> Optional[Verdict]:
         if ev.phase != "entry":
             return None
         if ev.symbol == SYM_WORK_ENTER and ev.actor == self.actor:
@@ -304,7 +306,7 @@ class DeadlockMonitor(Monitor):
 
     # ------------------------------------------------------------- feeding
 
-    def _feed(self, ev: RvEvent, index: int) -> Optional[Verdict]:
+    def _feed(self, ev: EventRecord, index: int) -> Optional[Verdict]:
         st = self.state
         self._last_time = ev.time
         if ev.symbol in (SYM_PUSH, SYM_POP):
@@ -364,7 +366,7 @@ class DeadlockMonitor(Monitor):
         blocked = sorted(set(st.pending_io) | set(st.pending_wait))
         edges = {a: self.waits_of(a) for a in blocked}
         if not blocked:
-            fake = RvEvent(time, "exit", "deadlock", "", None, None, None)
+            fake = EventRecord(time, "exit", "deadlock", "", None, None, None)
             self.verdict = self._verdict(
                 fake, index,
                 "platform deadlocked with no actor inside a blocking framework "
@@ -411,7 +413,7 @@ class DeadlockMonitor(Monitor):
         # implicated-entity lists: deterministic, deduplicated, first-seen order
         actors = list(dict.fromkeys(actors))
         links = list(dict.fromkeys(links))
-        fake = RvEvent(time, "exit", "deadlock", "", None, None, None)
+        fake = EventRecord(time, "exit", "deadlock", "", None, None, None)
         self.verdict = self._verdict(fake, index, message, actors, links, witness)
         return self.verdict
 

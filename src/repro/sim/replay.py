@@ -45,8 +45,9 @@ so nothing is ever lost and memory stays bounded on unbounded runs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import ReplayError
 from .segments import DEFAULT_SEGMENT_WINDOW, SegmentStore
@@ -57,6 +58,39 @@ from .trace import TraceRecord, TraceRecorder
 TOKEN_EVENT_KIND = "pedf_rt_push:exit"
 
 DEFAULT_CHECKPOINT_INTERVAL = 64
+
+
+class EventRecord(NamedTuple):
+    """One framework event, reduced to its journal-derivable fields.
+
+    The single normalised event every consumer sees, live (the
+    session's event tap) and post hoc (:func:`replay_into`): simulated
+    time, phase, symbol and acting actor from the event log, the token
+    seq of data-exchange exits, and from the side tables the link of
+    every push/pop event and the target filter of every
+    ``actor_start``/``actor_sync`` event.  Nothing live-only (argument
+    dicts, object identities, wall-clock anything) fits in it, so live
+    and replay-derived consumer output match byte for byte."""
+
+    time: int
+    phase: str  # "entry" | "exit"
+    symbol: str
+    actor: str  # qualified acting actor, or "" (elaboration)
+    seq: Optional[int]  # token seq (push/pop exits only)
+    link: Optional[str]  # link name (push/pop only)
+    target: Optional[str]  # target filter (actor_start/actor_sync only)
+
+    def describe(self) -> str:
+        """Deterministic one-line rendering."""
+        extra = ""
+        if self.link is not None:
+            extra += f" link={self.link}"
+        if self.seq is not None:
+            extra += f" seq={self.seq}"
+        if self.target is not None:
+            extra += f" target={self.target}"
+        who = f" [{self.actor}]" if self.actor else ""
+        return f"t={self.time} {self.symbol}:{self.phase}{who}{extra}"
 
 
 @dataclass(frozen=True)
@@ -462,3 +496,51 @@ class ReplayJournal:
         seq = f" seq={rec.detail}" if rec.detail is not None else ""
         who = f" [{rec.process}]" if rec.process else ""
         return f"{rec.kind}{who} t={rec.time}{seq}"
+
+
+def replay_into(journal: ReplayJournal, *consumers) -> List[Any]:
+    """Stream a recorded run into ``consumers`` — the one replay path.
+
+    One pass over :meth:`ReplayJournal.iter_indexed` (a segment-rotating
+    journal is walked one decompressed segment at a time) rebuilds each
+    :class:`EventRecord` from the log and its side tables and calls
+    ``feed(ev, position)`` on every consumer, exactly as the live event
+    tap does.  Journaled deadlock stops are replayed at their recorded
+    positions, after that position's event, through
+    ``at_stop("deadlock", time, position)`` on the consumers that define
+    it.  Returns the non-None results of those calls in stream order
+    (monitor verdicts, for instance)."""
+    results: List[Any] = []
+    stoppers = [c for c in consumers if hasattr(c, "at_stop")]
+    stops = deque(
+        sorted((s for s in journal.stops if s.kind == "deadlock"), key=lambda s: s.index)
+        if stoppers
+        else ()
+    )
+    for index, rec in journal.iter_indexed():
+        symbol, _, phase = rec.kind.rpartition(":")
+        ev = EventRecord(
+            rec.time,
+            phase,
+            symbol,
+            rec.process,
+            rec.detail,
+            journal.link_for_event(index),
+            journal.target_for_event(index),
+        )
+        for consumer in consumers:
+            out = consumer.feed(ev, index)
+            if out is not None:
+                results.append(out)
+        while stops and stops[0].index <= index:
+            _replay_stop(stops.popleft(), stoppers, results)
+    while stops:
+        _replay_stop(stops.popleft(), stoppers, results)
+    return results
+
+
+def _replay_stop(stop: StopRecord, stoppers: List[Any], results: List[Any]) -> None:
+    for consumer in stoppers:
+        out = consumer.at_stop("deadlock", stop.time, stop.index)
+        if out is not None:
+            results.append(out)

@@ -9,7 +9,6 @@ from repro.pedf.api import (
     SYM_WAIT_SYNC,
     SYM_WORK_ENTER,
 )
-from repro.rv.events import RvEvent
 from repro.rv.monitors import (
     DeadlockMonitor,
     OccupancyMonitor,
@@ -17,24 +16,25 @@ from repro.rv.monitors import (
     ProgressMonitor,
     RateMonitor,
 )
+from repro.sim.replay import EventRecord
 
 L = "a::o->b::i"
 
 
 def push(t, actor="m.a", link=L, phase="exit", seq=None):
-    return RvEvent(t, phase, SYM_PUSH, actor, seq, link, None)
+    return EventRecord(t, phase, SYM_PUSH, actor, seq, link, None)
 
 
 def pop(t, actor="m.b", link=L, phase="exit", seq=None):
-    return RvEvent(t, phase, SYM_POP, actor, seq, link, None)
+    return EventRecord(t, phase, SYM_POP, actor, seq, link, None)
 
 
 def step(t, ctl="m.ctl"):
-    return RvEvent(t, "entry", SYM_STEP_BEGIN, ctl, None, None, None)
+    return EventRecord(t, "entry", SYM_STEP_BEGIN, ctl, None, None, None)
 
 
 def work(t, actor, phase="entry"):
-    return RvEvent(t, phase, SYM_WORK_ENTER, actor, None, None, None)
+    return EventRecord(t, phase, SYM_WORK_ENTER, actor, None, None, None)
 
 
 # ------------------------------------------------------------- occupancy
@@ -173,11 +173,11 @@ def test_deadlock_sees_through_matched_calls():
 
 def test_deadlock_wait_sync_edge():
     mon = deadlock_monitor()
-    start = RvEvent(1, "exit", SYM_ACTOR_START, "m.ctl", None, None, "m.a")
+    start = EventRecord(1, "exit", SYM_ACTOR_START, "m.ctl", None, None, "m.a")
     mon.feed(start, 1)  # ctl started a once
-    sync = RvEvent(2, "exit", SYM_ACTOR_SYNC, "m.ctl", None, None, "m.a")
+    sync = EventRecord(2, "exit", SYM_ACTOR_SYNC, "m.ctl", None, None, "m.a")
     mon.feed(sync, 2)  # ctl requested sync-up to a's 1 start
-    wait = RvEvent(3, "entry", SYM_WAIT_SYNC, "m.ctl", None, None, None)
+    wait = EventRecord(3, "entry", SYM_WAIT_SYNC, "m.ctl", None, None, None)
     mon.feed(wait, 3)  # ctl now waits; a has 0 of 1 works done
     mon.feed(pop(4, actor="m.a", link="c::o->a::i2", phase="entry"), 4)
     v = mon.at_stop("deadlock", 5, 5)
