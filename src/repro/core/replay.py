@@ -47,7 +47,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..dbg.stop import StopEvent, StopKind
 from ..errors import ReplayDivergenceError, ReplayError
@@ -114,6 +114,11 @@ class RunRecorder:
         #: a capped reference used to skip these silently and still report
         #: a clean verify
         self.uncovered: Optional[Tuple[int, int]] = None
+        #: forward reader over the reference (see ReplayJournal.cursor)
+        #: and the position it yields next; it lives on the recorder, so
+        #: a parked resident resumes reading where it stopped
+        self._cursor: Optional[Iterator[Optional[TraceRecord]]] = None
+        self._cursor_next = 0
         self.detached = False
         self._applying = False
         #: called when a user alteration forks a replayed timeline
@@ -142,18 +147,23 @@ class RunRecorder:
 
         ref = self.reference
         if ref is not None and self.divergence is None and index <= ref.total_events:
-            expected = ref.record_at(index)
+            if index != self._cursor_next:
+                # first compared event (or a gap): open the reference
+                # cursor here; in step, it yields record_at(index)
+                self._cursor = ref.cursor(index)
+            self._cursor_next = index + 1
+            expected = next(self._cursor)
             if expected is None:
                 self._note_uncovered(index)
             else:
                 # the recorded fields of this event, compared without
                 # reading the record back from this run's own journal
                 got = (ev.time, ev.actor, f"{ev.symbol}:{ev.phase}", ev.seq)
-                if got != (expected.time, expected.process, expected.kind, expected.detail):
+                if got != expected:
                     self.divergence = (
                         f"replay diverged at event #{index}: recorded "
                         f"{ReplayJournal.describe_record(expected)}, replayed "
-                        f"{ReplayJournal.describe_record(TraceRecord(*got))}"
+                        f"{ReplayJournal.describe_record(TraceRecord._make(got))}"
                     )
                     stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=ev.time)
                     return index, self.dbg.external_suspend(stop)

@@ -20,7 +20,7 @@ event, with the triggering actor's state intact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim.process import Suspend
 
@@ -108,10 +108,18 @@ class FrameworkEventBus:
     Subscription keys: a bare symbol (all actors), an actor-qualified
     symbol ``sym@actor`` (framework-cooperation mode), or ``"*"`` (every
     event).  ``phase`` filters entry/exit (``"both"`` for either).
+
+    Each key's subscribers are held as a tuple that (un)subscribing
+    replaces rather than mutates, so ``emit`` iterates whatever tuple a
+    key held when dispatch reached it without copying it — a listener
+    that (un)subscribes mid-emit affects only later keys and events.
     """
 
     def __init__(self) -> None:
-        self._listeners: Dict[str, List[Subscription]] = {}
+        self._listeners: Dict[str, Tuple[Subscription, ...]] = {}
+        #: live subscriptions under a ``sym@actor`` key; while 0, emit
+        #: and wants() never format or look one up
+        self._qualified = 0
         self.emitted = 0
         self.per_symbol: Dict[str, int] = {}
 
@@ -128,17 +136,23 @@ class FrameworkEventBus:
             raise ValueError(f"bad phase {phase!r}")
         key = f"{symbol}@{actor}" if actor else symbol
         sub = Subscription(self, key, phase, listener)
-        self._listeners.setdefault(key, []).append(sub)
+        self._listeners[key] = self._listeners.get(key, ()) + (sub,)
+        if "@" in key:
+            self._qualified += 1
         return sub
 
     def _remove(self, sub: Subscription) -> None:
-        subs = self._listeners.get(sub.key, [])
+        rest = list(self._listeners.get(sub.key, ()))
         try:
-            subs.remove(sub)
+            rest.remove(sub)
         except ValueError:
-            pass
-        if not subs:
-            self._listeners.pop(sub.key, None)
+            return
+        if rest:
+            self._listeners[sub.key] = tuple(rest)
+        else:
+            del self._listeners[sub.key]
+        if "@" in sub.key:
+            self._qualified -= 1
 
     @property
     def has_listeners(self) -> bool:
@@ -154,7 +168,7 @@ class FrameworkEventBus:
             return False
         if symbol in listeners or "*" in listeners:
             return True
-        return actor is not None and f"{symbol}@{actor}" in listeners
+        return bool(self._qualified) and actor is not None and f"{symbol}@{actor}" in listeners
 
     def count_unobserved(self, symbol: str) -> None:
         """Keep the traffic counters truthful for an elided emit."""
@@ -165,26 +179,23 @@ class FrameworkEventBus:
 
     def emit(self, event: FrameworkEvent) -> Optional[Suspend]:
         """Run every matching listener; the first Suspend requested wins
-        (but all listeners still observe the event)."""
+        (but all listeners still observe the event).  Keys are visited
+        in the order symbol, ``sym@actor``, ``"*"``."""
+        symbol = event.symbol
         self.emitted += 1
-        self.per_symbol[event.symbol] = self.per_symbol.get(event.symbol, 0) + 1
-        if not self._listeners:
+        self.per_symbol[symbol] = self.per_symbol.get(symbol, 0) + 1
+        listeners = self._listeners
+        if not listeners:
             return None
         suspend: Optional[Suspend] = None
-        keys = [event.symbol]
-        if event.actor is not None:
-            keys.append(event.qualified_symbol)
-        keys.append("*")
-        for key in keys:
-            subs = self._listeners.get(key)
-            if not subs:
-                continue
-            for sub in list(subs):
-                if sub.phase != "both" and sub.phase != event.phase:
-                    continue
-                req = sub.listener(event)
-                if req is not None and suspend is None:
-                    suspend = req
+        phase = event.phase
+        qualified = f"{symbol}@{event.actor}" if self._qualified and event.actor else None
+        for key in (symbol, qualified, "*"):
+            for sub in listeners.get(key, ()):
+                if sub.phase == "both" or sub.phase == phase:
+                    req = sub.listener(event)
+                    if req is not None and suspend is None:
+                        suspend = req
         return suspend
 
 

@@ -313,6 +313,31 @@ class ReplayJournal:
             return None
         return events.at(index - 1)
 
+    def cursor(self, start: int = 1) -> Iterator[Optional[TraceRecord]]:
+        """Forward reader over the event log: its n-th item is exactly
+        ``record_at(start + n)``, None where out of range or evicted.
+
+        The sequential twin of :meth:`record_at`, for readers that walk
+        positions in order (the replay self-check).  Rotated positions
+        come straight from one decoded segment at a time — segments are
+        immutable, so holding one across reads is safe.  Positions in
+        the in-memory window go through :meth:`record_at` one by one
+        (never a held deque iterator), so the cursor stays correct when
+        the journal grows, rotates or evicts between reads."""
+        index = start
+        segments = self.segments
+        while True:
+            if segments is not None and 1 <= index <= self._total - len(self.events):
+                seg = segments.segment_for(index)
+                if seg is not None:
+                    records = segments.load(seg).records
+                    for rec in records[index - seg.first :]:
+                        yield rec
+                    index = seg.last + 1
+                    continue
+            yield self.record_at(index)
+            index += 1
+
     def link_for_event(self, index: int) -> Optional[str]:
         """``event_links`` lookup that falls back to segments."""
         link = self.event_links.get(index)

@@ -34,6 +34,8 @@ DEFAULT_SEGMENT_WINDOW = 4096
 
 _FORMAT = 1
 
+_new_tuple = tuple.__new__
+
 
 @dataclass(frozen=True)
 class SegmentInfo:
@@ -59,7 +61,7 @@ class SegmentData:
         self.first: int = payload["first"]
         self.last: int = payload["last"]
         self.records: List[TraceRecord] = [
-            TraceRecord(*fields) for fields in payload["records"]
+            _new_tuple(TraceRecord, fields) for fields in payload["records"]
         ]
         self.event_links: Dict[int, str] = payload["event_links"]
         self.event_targets: Dict[int, str] = payload["event_targets"]

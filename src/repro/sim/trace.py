@@ -17,16 +17,21 @@ strings (``lambda: repr(exc)``) for free on the fast path.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One stored event.  A tuple, so the hot paths (every journaled
+    framework event, every record of a loaded segment) can build it
+    with ``tuple.__new__`` instead of a per-field constructor."""
+
     time: int
     process: str
     kind: str
     detail: Any = None
+
+
+_new_tuple = tuple.__new__
 
 
 class TraceSnapshot(NamedTuple):
@@ -96,7 +101,7 @@ class TraceRecorder:
             self.dropped += 1
         if callable(detail):
             detail = detail()
-        rec = TraceRecord(time, process, kind, detail)
+        rec = _new_tuple(TraceRecord, (time, process, kind, detail))
         self._records.append(rec)
         bucket = self._by_kind.get(kind)
         if bucket is None:

@@ -7,7 +7,8 @@ dataflow stop, alteration re-application, timeline forks, and the CLI
 surface (`record` / `replay` / `info replay`).
 """
 
-import dataclasses
+import pickle
+import zlib
 
 import pytest
 
@@ -141,11 +142,73 @@ def test_divergence_self_check_trips_on_tampered_journal():
     mgr.record_on()
     run_to_exit(session.dbg)
     events = mgr.master.events
-    tampered = dataclasses.replace(events.at(10), time=events.at(10).time + 977)
+    tampered = events.at(10)._replace(time=events.at(10).time + 977)
     # deliberate corruption: there is no public mutator, by design
     events._records[10] = tampered
     with pytest.raises(ReplayDivergenceError, match="diverged at event #11"):
         mgr.replay_to("end")
+
+
+#: a position inside a rotated on-disk segment (window 64 rotates
+#: 32-event segments: 97..128 holds it)
+TAMPERED = 116
+
+
+def segmented_rle_session(seg_dir):
+    """A finished RLE run recorded into rotating segments, plus a list
+    that grows by one entry per replay rebuild."""
+    builds = []
+
+    def fresh():
+        builds.append(1)
+        sched, runtime, sink = build_rle_pipeline((5, 5, 2, 7, 7, 1) * 2)
+        return DataflowSession(Debugger(sched, runtime))
+
+    session = fresh()
+    builds.clear()
+    session.replay.register_builder(fresh)
+    session.replay.record_on(segment_dir=str(seg_dir), window=64)
+    run_to_exit(session.dbg)
+    return session, builds
+
+
+def tamper_segment(journal, index):
+    """Shift the recorded time of event ``index`` inside its on-disk
+    segment (deliberate corruption: segments have no mutator, by design)."""
+    seg = journal.segments.segment_for(index)
+    assert seg is not None and seg.first < index < seg.last
+    with open(seg.path, "rb") as fh:
+        payload = pickle.loads(zlib.decompress(fh.read()))
+    time, process, kind, detail = payload["records"][index - seg.first]
+    payload["records"][index - seg.first] = (time + 977, process, kind, detail)
+    with open(seg.path, "wb") as fh:
+        fh.write(zlib.compress(pickle.dumps(payload)))
+
+
+def test_divergence_in_rotated_segment_trips_on_fresh_rebuild(tmp_path):
+    session, builds = segmented_rle_session(tmp_path)
+    mgr = session.replay
+    tamper_segment(mgr.master, TAMPERED)
+    with pytest.raises(ReplayDivergenceError, match=f"diverged at event #{TAMPERED}:"):
+        mgr.replay_to("end")
+    assert len(builds) == 1
+
+
+def test_divergence_in_rotated_segment_trips_on_resident_restore(tmp_path):
+    """A resident parked below the tampered event, mid-segment, resumes
+    its self-check where it stopped and still catches the divergence."""
+    session, builds = segmented_rle_session(tmp_path)
+    mgr = session.replay
+    tamper_segment(mgr.master, TAMPERED)
+    parked = TAMPERED - 15  # same segment, below the tampered event
+    mgr.replay_to(f"event {parked}")  # rebuild, verified up to `parked`
+    mgr.replay_to("event 60")  # another rebuild; parks the machine at `parked`
+    assert parked in [res.position for res in mgr.pool]
+    rebuilt = len(builds)
+    with pytest.raises(ReplayDivergenceError, match=f"diverged at event #{TAMPERED}:"):
+        mgr.replay_to(f"event {TAMPERED + 5}")
+    assert len(builds) == rebuilt  # the hop restored the resident
+    assert parked not in [res.position for res in mgr.pool]
 
 
 # ----------------------------------------------- debugged run == free run
