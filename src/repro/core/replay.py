@@ -660,6 +660,8 @@ class ReplayManager:
                 message=f"[Replayed to event #{target}, t={resident.state.time}]",
                 time=resident.state.time,
             )
+            # the adopted machine's last stop is this command's stop
+            session.dbg.last_stop = ev
         self._adopt(session, recorder)
         self.position = recorder.journal.total_events
         self.mode = "replay"

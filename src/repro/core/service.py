@@ -14,9 +14,13 @@ is that surface:
   :meth:`variables`, :meth:`breakpoints`, :meth:`evaluate`,
   :meth:`state`) returns plain dicts, which is what a Debug Adapter
   Protocol bridge serialises directly;
-- stop *subscription*: :meth:`subscribe` hooks are invoked for every
-  stop, surviving replay adoption (which swaps the debugger out from
-  under the session — the service re-binds and reconciles);
+- the client event stream: a command that stops the platform publishes
+  exactly one ``stop``/``violation`` event, equal to its
+  ``result.stop``; a command that writes a flight bundle publishes one
+  ``flight-dump`` event.  :meth:`subscribe` hooks receive the wire-shaped
+  ``{"type", "data"}`` dict.  Both are read off the machine *after* the
+  command body, so replay adoption (which swaps the debugger out from
+  under the session) needs no re-binding;
 - it is reentrant (RLock) and single-writer: one service serialises all
   command execution against its machine, which is exactly the unit a
   daemon session multiplexes connections onto.
@@ -28,15 +32,15 @@ when the dataflow extension is installed: it runs the service and prints
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..dbg.eval import EvalError, format_typed
 from ..dbg.output import OutputSink
-from ..dbg.stop import StopEvent
+from ..dbg.stop import StopEvent, StopKind
 from ..errors import ReproError
 
 
@@ -88,17 +92,18 @@ class CommandService:
         #: interactive entry point hands a StdoutSink here)
         self.sink = sink
         self._lock = threading.RLock()
-        self._stop_hooks: Dict[int, Callable[[StopEvent], None]] = {}
-        self._next_hook = 1
-        self._bound_dbg = None
-        #: identities of recently delivered stops, so post-adoption
-        #: reconciliation never emits the same stop twice
-        self._delivered: deque = deque(maxlen=32)
+        #: subscriber handle -> hook, replaced wholesale on every change
+        #: (copy-on-write), so publishing iterates without a lock and a
+        #: subscribe never waits behind a running command
+        self._subscribers: Dict[int, Callable[[Dict[str, Any]], None]] = {}
+        self._registry_lock = threading.Lock()
+        self._sub_ids = itertools.count(1)
         self.commands_run = 0
         self.errors = 0
+        #: events handed to subscribers (hooks that raised not counted)
+        self.events_pushed = 0
         #: cumulative wall-clock spent executing commands (quota input)
         self.wall_ms = 0.0
-        self._bind_stops()
 
     # ----------------------------------------------------------- liveness
 
@@ -115,38 +120,48 @@ class CommandService:
     def dbg(self):
         return self.cli.dbg
 
-    def _bind_stops(self) -> None:
-        """Keep our stop callback attached to the *current* debugger —
-        adoption builds a fresh one with an empty callback list."""
-        dbg = self.dbg
-        if dbg is not self._bound_dbg:
-            if self._on_stop not in dbg.stop_callbacks:
-                dbg.stop_callbacks.append(self._on_stop)
-            self._bound_dbg = dbg
+    # ------------------------------------------------------- event stream
 
-    # ------------------------------------------------------ stop delivery
-
-    def subscribe(self, fn: Callable[[StopEvent], None]) -> int:
-        """Register a stop hook; returns an unsubscribe handle.  Hooks
-        fire in the thread that stopped the platform; exceptions are
-        swallowed (one observer can never break the session)."""
-        with self._lock:
-            handle = self._next_hook
-            self._next_hook += 1
-            self._stop_hooks[handle] = fn
+    def subscribe(self, fn: Callable[[Dict[str, Any]], None]) -> int:
+        """Register an event hook; returns an unsubscribe handle.  Hooks
+        run on the publishing thread (for a command, the one executing
+        it); exceptions are swallowed (one observer can never break the
+        session)."""
+        with self._registry_lock:
+            handle = next(self._sub_ids)
+            self._subscribers = {**self._subscribers, handle: fn}
         return handle
 
     def unsubscribe(self, handle: int) -> None:
-        with self._lock:
-            self._stop_hooks.pop(handle, None)
+        with self._registry_lock:
+            self._subscribers = {
+                h: fn for h, fn in self._subscribers.items() if h != handle
+            }
 
-    def _on_stop(self, ev: StopEvent) -> None:
-        self._delivered.append(id(ev))
-        for fn in list(self._stop_hooks.values()):
+    def unsubscribe_all(self) -> None:
+        with self._registry_lock:
+            self._subscribers = {}
+
+    def publish(self, kind: str, data: Dict[str, Any]) -> None:
+        """Hand one ``{"type": kind, "data": data}`` event to every
+        subscriber."""
+        event = {"type": kind, "data": data}
+        for fn in self._subscribers.values():
             try:
-                fn(ev)
+                fn(event)
+                self.events_pushed += 1
             except Exception:
                 pass
+
+    def publish_stop(self, before: Optional[StopEvent]) -> Optional[Dict[str, Any]]:
+        """Publish the current debugger's last stop unless it is
+        ``before``; returns its wire dict (None when nothing stopped)."""
+        cur = self.dbg.last_stop
+        if cur is None or cur is before:
+            return None
+        data = stop_to_dict(cur)
+        self.publish("violation" if cur.kind is StopKind.VIOLATION else "stop", data)
+        return data
 
     # ----------------------------------------------------------- dispatch
 
@@ -160,7 +175,6 @@ class CommandService:
         modes are unchanged.
         """
         with self._lock:
-            self._bind_stops()
             start = time.perf_counter()
             text = line.strip()
             result = CommandResult(command=text, ok=True)
@@ -185,15 +199,15 @@ class CommandService:
                     result.ok = False
                     result.error = f"{type(exc).__name__}: {exc}"
                     result.lines = [f"internal error: {result.error}"]
-                # adoption may have swapped the debugger mid-command
-                self._bind_stops()
-                cur = self.dbg.last_stop
-                if cur is not None and cur is not prev_stop:
-                    result.stop = stop_to_dict(cur)
-                    if id(cur) not in self._delivered:
-                        # the stop landed in the adoption window, on a
-                        # debugger we were not yet subscribed to
-                        self._on_stop(cur)
+                # read after the body: adoption may have swapped the
+                # debugger and the flight recorder mid-command
+                result.stop = self.publish_stop(prev_stop)
+                flight = getattr(self.session, "flight", None)
+                if flight is not None and flight.last_dump_at >= start:
+                    self.publish(
+                        "flight-dump",
+                        {"path": flight.last_dump, "reason": flight.last_dump_reason},
+                    )
             result.elapsed_ms = (time.perf_counter() - start) * 1000.0
             self.wall_ms += result.elapsed_ms
             if self.sink is not None and result.lines:

@@ -54,7 +54,6 @@ class EventRegistry:
 class _Events:
     def __init__(self) -> None:
         self.stop = EventRegistry()
-        self.cont = EventRegistry()
         self.exited = EventRegistry()
 
 

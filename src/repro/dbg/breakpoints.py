@@ -447,11 +447,3 @@ class BreakpointRegistry:
     def function_bps(self) -> List[FunctionBreakpoint]:
         return [bp for bp in self.all.values()
                 if isinstance(bp, FunctionBreakpoint) and bp.enabled]
-
-    def watchpoints(self) -> List[Watchpoint]:
-        return [bp for bp in self.all.values()
-                if isinstance(bp, Watchpoint) and bp.enabled]
-
-    def finish_bps(self) -> List[FinishBreakpoint]:
-        return [bp for bp in self.all.values()
-                if isinstance(bp, FinishBreakpoint) and bp.enabled]

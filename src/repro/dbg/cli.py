@@ -79,9 +79,6 @@ class CommandCli:
             raise CommandError(f"ambiguous command {name!r}: {names}")
         raise CommandError(f'undefined command: "{name}". Try "help".')
 
-    # kept for extensions written against the old private name
-    _resolve = resolve
-
     # ------------------------------------------------------------- execute
 
     def execute(self, line: str) -> List[str]:
@@ -117,7 +114,7 @@ class CommandCli:
             return [n for n in names if n.startswith(text)]
         name, _, rest = text.partition(" ")
         try:
-            cmd = self._resolve(name.strip())
+            cmd = self.resolve(name.strip())
         except CommandError:
             return []
         if cmd.completer is None:
@@ -475,7 +472,7 @@ class CommandCli:
 
     def _cmd_help(self, arg: str) -> List[str]:
         if arg:
-            cmd = self._resolve(arg)
+            cmd = self.resolve(arg)
             return [cmd.help]
         return [c.help for _, c in sorted(self.commands.items())]
 

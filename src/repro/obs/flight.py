@@ -25,6 +25,7 @@ when the run is sharded.
 from __future__ import annotations
 
 import json
+import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
@@ -65,12 +66,13 @@ class FlightRecorder:
         self._last_counts: Dict[str, tuple] = {}
         self.auto_dump = True
         self.last_dump: Optional[str] = None
+        self.last_dump_reason: Optional[str] = None
+        #: host ``perf_counter`` reading when the last bundle was written:
+        #: the command service reports a dump written during a command
+        #: even when replay adoption swapped recorders mid-command
+        self.last_dump_at = float("-inf")
         self.dumps_written = 0
         self._notice: Optional[str] = None
-        #: hooks fired after every dump with ``(path, reason)`` — the
-        #: serve daemon pushes these to subscribed wire clients; hook
-        #: exceptions are swallowed (observers never break the recorder)
-        self.on_dump: List[Any] = []
         session.dbg.stop_callbacks.append(self._on_stop)
 
     # ------------------------------------------------------------ capture
@@ -205,12 +207,9 @@ class FlightRecorder:
         text = json.dumps(self.bundle(reason), sort_keys=True, indent=2) + "\n"
         write_artifact(path, text, force=force)
         self.last_dump = path
+        self.last_dump_reason = reason
+        self.last_dump_at = time.perf_counter()
         self.dumps_written += 1
-        for hook in list(self.on_dump):
-            try:
-                hook(path, reason)
-            except Exception:
-                pass
         return path
 
     # ------------------------------------------------------------- status

@@ -86,7 +86,7 @@ class Connection:
         self._closed = True
         for sid, sub in list(self.subscriptions.items()):
             try:
-                self.daemon.registry.get(sid).unsubscribe(sub)
+                self.daemon.registry.get(sid).service.unsubscribe(sub)
             except KeyError:
                 pass
         self.subscriptions.clear()
@@ -361,7 +361,7 @@ class DebugDaemon:
             conn.attached.discard(params["session"])
         sub = conn.subscriptions.pop(params["session"], None)
         if sub is not None:
-            handle.unsubscribe(sub)
+            handle.service.unsubscribe(sub)
         return {"detached": True}
 
     async def _rpc_destroy(self, conn, params):
@@ -394,15 +394,15 @@ class DebugDaemon:
 
         old = conn.subscriptions.get(sid)
         if old is not None:
-            handle.unsubscribe(old)
-        conn.subscriptions[sid] = handle.subscribe(forward)
+            handle.service.unsubscribe(old)
+        conn.subscriptions[sid] = handle.service.subscribe(forward)
         return {"subscribed": sid, "events": sorted(accept) if accept else "all"}
 
     async def _rpc_unsubscribe(self, conn, params):
         handle = self._handle(params)
         sub = conn.subscriptions.pop(params["session"], None)
         if sub is not None:
-            handle.unsubscribe(sub)
+            handle.service.unsubscribe(sub)
         return {"unsubscribed": params["session"]}
 
     # -- command execution -------------------------------------------------

@@ -164,7 +164,7 @@ class DapBridge:
         handle.attached += 1
         # pushed stops (from any thread) become DAP "stopped" events; the
         # subscription is dropped with the connection on disconnect
-        sub = handle.subscribe(self._forward_stop)
+        sub = handle.service.subscribe(self._forward_stop)
         self.conn.subscriptions[handle.id] = sub
         self._respond(request, body={"session": handle.id})
 

@@ -14,8 +14,10 @@ needs around it:
   budget is enforced *mid-command* by a watchdog that uses the async-safe
   pause path (`Debugger.request_pause`), so a runaway ``continue`` stops
   at the next dispatch boundary instead of holding its worker forever;
-- **event fan-out** — stops (which include RV violations) and flight-
-  recorder dumps are pushed to every subscribed connection;
+- **event fan-out** — the session's :class:`~repro.core.service.CommandService`
+  holds the one subscriber registry: each stopping command publishes its
+  stop (RV violations included) once, each bundle-writing command one
+  flight-dump event; connections subscribe there directly;
 - **isolation + reaping** — one session's failure never unwinds the
   registry, and sessions idle past the deadline are closed by the
   daemon's reaper.
@@ -28,7 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import ReproError
 from .builders import build_program_cli, build_sharded_cli
@@ -105,7 +107,7 @@ def journal_bytes(session) -> int:
 
 
 class SessionHandle:
-    """One hosted session: machine + service + executor + subscribers."""
+    """One hosted session: machine + service + executor + quotas."""
 
     def __init__(
         self,
@@ -131,17 +133,6 @@ class SessionHandle:
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"session-{session_id}"
         )
-        self._subs: Dict[int, Callable[[Dict[str, Any]], None]] = {}
-        self._subs_lock = threading.Lock()
-        self._sub_ids = itertools.count(1)
-        self.events_pushed = 0
-        # stops (breakpoints, RV violations, deadlocks, replay stops,
-        # barrier pauses) flow through the service's adoption-surviving
-        # subscription; flight dumps through the recorder's hook
-        self.service.subscribe(self._on_stop)
-        flight = getattr(self.session, "flight", None)
-        if flight is not None and hasattr(flight, "on_dump"):
-            flight.on_dump.append(self._on_flight_dump)
 
     # ------------------------------------------------------------- liveness
 
@@ -158,37 +149,6 @@ class SessionHandle:
 
     def idle_seconds(self) -> float:
         return time.monotonic() - self.last_used
-
-    # ------------------------------------------------------------- fan-out
-
-    def subscribe(self, fn: Callable[[Dict[str, Any]], None]) -> int:
-        with self._subs_lock:
-            handle = next(self._sub_ids)
-            self._subs[handle] = fn
-        return handle
-
-    def unsubscribe(self, handle: int) -> None:
-        with self._subs_lock:
-            self._subs.pop(handle, None)
-
-    def _publish(self, event: Dict[str, Any]) -> None:
-        with self._subs_lock:
-            subs = list(self._subs.values())
-        for fn in subs:
-            try:
-                fn(event)
-                self.events_pushed += 1
-            except Exception:
-                pass
-
-    def _on_stop(self, ev) -> None:
-        from ..core.service import stop_to_dict
-
-        kind = "violation" if ev.kind.value == "violation" else "stop"
-        self._publish({"type": kind, "data": stop_to_dict(ev)})
-
-    def _on_flight_dump(self, path: str, reason: str) -> None:
-        self._publish({"type": "flight-dump", "data": {"path": path, "reason": reason}})
 
     # -------------------------------------------------------------- quotas
 
@@ -259,7 +219,9 @@ class SessionHandle:
         if self.sharded is None:
             raise ReproError("session is not sharded (use execute)")
         run = self.sharded
+        before = self.service.dbg.last_stop
         stop = run.run() if not run._loaded else run.cont()
+        self.service.publish_stop(before)
         data: Dict[str, Any] = {"kind": stop.kind, "shard": stop.shard}
         if stop.event is not None:
             data["event"] = stop_to_dict(stop.event)
@@ -289,7 +251,7 @@ class SessionHandle:
             f'repro_serve_session_errors_total{{session="{self.id}"}} {self.service.errors}',
             "# TYPE repro_serve_session_events_pushed counter",
             "# HELP repro_serve_session_events_pushed Events fanned out to subscribers.",
-            f'repro_serve_session_events_pushed_total{{session="{self.id}"}} {self.events_pushed}',
+            f'repro_serve_session_events_pushed_total{{session="{self.id}"}} {self.service.events_pushed}',
             "# TYPE repro_serve_session_wall_ms gauge",
             "# HELP repro_serve_session_wall_ms Cumulative command wall-clock (ms).",
             f'repro_serve_session_wall_ms{{session="{self.id}"}} {self.service.wall_ms:.3f}',
@@ -333,9 +295,8 @@ class SessionHandle:
         if self.closed:
             return
         self.closed = True
-        self._publish({"type": "closed", "data": {"session": self.id}})
-        with self._subs_lock:
-            self._subs.clear()
+        self.service.publish("closed", {"session": self.id})
+        self.service.unsubscribe_all()
         self.executor.shutdown(wait=False)
 
 

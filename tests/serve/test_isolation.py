@@ -85,8 +85,8 @@ def test_errors_do_not_cross_sessions(pair):
 def test_subscribers_are_per_session(pair):
     a, b = pair
     seen_a, seen_b = [], []
-    a.subscribe(seen_a.append)
-    b.subscribe(seen_b.append)
+    a.service.subscribe(seen_a.append)
+    b.service.subscribe(seen_b.append)
     a.execute("run")
     assert [e["type"] for e in seen_a] == ["stop"]
     assert seen_b == []

@@ -65,7 +65,7 @@ def test_stop_subscription_fires_once_per_stop(svc):
     svc.execute("break pack.c:7")
     svc.execute("run")
     svc.execute("continue")
-    kinds = [ev.kind.value for ev in seen]
+    kinds = [ev["data"]["kind"] for ev in seen]
     assert kinds.count("breakpoint") == 1
     svc.unsubscribe(handle)
     svc.execute("continue")
@@ -142,7 +142,7 @@ def test_replay_adoption_survives(svc):
     assert svc.dbg is not old_dbg
     assert "event #5" in result.stop["message"]
     # the replay stop was delivered exactly once despite the swap
-    assert [ev.kind.value for ev in seen].count("replay") == 1
+    assert [ev["data"]["kind"] for ev in seen].count("replay") == 1
     # and the rebuilt machine still takes commands
     assert svc.execute("continue").ok
 
@@ -164,3 +164,132 @@ def test_interrupt_parks_a_running_continue(svc_factory=None):
     assert not svc.state()["finished"]
     # the pause trap is one-shot: the machine resumes afterwards
     assert svc.execute("continue").ok
+
+
+# ---------------------------------------------------------------------------
+# the client event stream: one event per stopping command, equal to its
+# result.stop; one flight-dump event per bundle-writing command
+
+
+def _travel(svc):
+    """RLE, recording, a breakpoint armed, parked at its first hit."""
+    seen = []
+    svc.subscribe(seen.append)
+    for line in ("record on", "break pack.c:7", "run", "continue"):
+        assert svc.execute(line).ok
+    return seen
+
+
+def _hop(svc, seen, line):
+    seen.clear()
+    result = svc.execute(line)
+    assert result.ok, result.error
+    return result
+
+
+def _last_hop(svc):
+    lines = svc.execute("info replay").lines
+    return next(line for line in lines if "last hop:" in line)
+
+
+def test_exact_resident_hit_pushes_its_replay_stop(svc):
+    seen = _travel(svc)
+    _hop(svc, seen, "replay to event 5")  # rebuild
+    _hop(svc, seen, "replay to event 40")  # forward drive
+    _hop(svc, seen, "replay to event 5")  # parks the machine at #40
+    result = _hop(svc, seen, "replay to event 40")
+    assert "restored resident @event 40, 0 event(s) re-executed" in _last_hop(svc)
+    assert result.stop["kind"] == "replay"
+    assert "event #40" in result.stop["message"]
+    assert seen == [{"type": "stop", "data": result.stop}]
+    assert seen[0]["data"] is result.stop  # built once
+
+
+def test_forward_hop_pushes_only_the_replay_stop(svc):
+    seen = _travel(svc)
+    _hop(svc, seen, "replay to event 5")
+    result = _hop(svc, seen, "replay to event 40")
+    assert "drove current machine from event #5" in _last_hop(svc)
+    # the drive crosses the init catchpoint; the driver consumes that stop
+    assert result.stop["kind"] == "replay"
+    assert seen == [{"type": "stop", "data": result.stop}]
+
+
+def test_flight_dump_after_adoption_is_pushed(svc, tmp_path):
+    seen = _travel(svc)
+    _hop(svc, seen, "replay to event 5")
+    target = tmp_path / "after-adoption.json"
+    result = _hop(svc, seen, f"flight dump {target}")
+    assert result.stop is None
+    assert seen == [
+        {"type": "flight-dump", "data": {"path": str(target), "reason": "manual"}}
+    ]
+    assert target.exists()
+
+
+def test_adopting_a_resident_does_not_repush_its_old_dump(svc, tmp_path):
+    seen = _travel(svc)
+    _hop(svc, seen, "replay to event 5")
+    _hop(svc, seen, "replay to event 40")
+    _hop(svc, seen, f"flight dump {tmp_path / 'at-40.json'}")
+    _hop(svc, seen, "replay to event 5")
+    result = _hop(svc, seen, "replay to event 40")
+    # the resident parked at #40 wrote a bundle in an earlier command
+    assert "restored resident @event 40" in _last_hop(svc)
+    assert svc.session.flight.dumps_written == 1
+    assert seen == [{"type": "stop", "data": result.stop}]
+
+
+def test_sharded_run_pushes_one_event_per_coordinator_stop():
+    from repro.serve.sessions import SessionHandle, SessionQuota
+    from repro.serve.builders import build_sharded_cli
+
+    cli, run = build_sharded_cli("rle")
+    handle = SessionHandle("s1", "rle", cli, SessionQuota(), sharded_run=run)
+    seen = []
+    handle.service.subscribe(seen.append)
+    assert handle.execute("break pack.c:7").ok
+    kinds = []
+    while True:
+        stop = handle.run_sharded()
+        kinds.append(stop["kind"])
+        if stop["kind"] != "suspended":
+            break
+    assert kinds == ["suspended"] * 6 + ["exited"]
+    assert [(e["type"], e["data"]["kind"]) for e in seen] == (
+        [("stop", "breakpoint")] * 6 + [("stop", "exited")]
+    )
+    seen.clear()
+    handle.close()
+    assert seen == [{"type": "closed", "data": {"session": "s1"}}]
+    assert handle.service.events_pushed == 8
+
+
+def test_subscribe_does_not_wait_behind_a_running_command(svc):
+    import threading
+
+    entered, release = threading.Event(), threading.Event()
+
+    def block(rest):
+        entered.set()
+        release.wait(10)
+        return []
+
+    svc.cli.commands["block"] = type(svc.cli.commands["run"])(
+        "block", block, "block — hold the service lock"
+    )
+    worker = threading.Thread(target=svc.execute, args=("block",))
+    worker.start()
+    try:
+        assert entered.wait(10)
+        handles = []
+        subscriber = threading.Thread(
+            target=lambda: handles.append(svc.subscribe(lambda event: None))
+        )
+        subscriber.start()
+        subscriber.join(timeout=1.0)
+        assert handles, "subscribe blocked behind the running command"
+        svc.unsubscribe(handles[0])
+    finally:
+        release.set()
+        worker.join(10)
