@@ -112,17 +112,21 @@ RECORDED_SPEEDUP_MARGIN = 2.0
 VM_SPEEDUP_MARGIN = 1.5
 
 
+@pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
 @pytest.mark.parametrize("tier", ["vm", "compiled", "slow"])
 @pytest.mark.parametrize("name,src,expected", [
     ("fib15", FIB_SRC, 610),
     ("loop5k", LOOP_SRC, None),
 ])
-def test_interpreter_throughput(benchmark, name, src, expected, tier):
+def test_interpreter_throughput(benchmark, name, src, expected, tier, timed):
+    """``timed`` rows charge statement cycles as the runtime does for
+    every actor it builds; untimed rows let the closure tier take its
+    synchronous pure mode, which no debug session runs."""
     prog = parse_program(src)
     info = analyze(prog, None, src)
 
     def work():
-        interp = Interpreter(prog, info, env=NullEnvironment(), timed=False)
+        interp = Interpreter(prog, info, env=NullEnvironment(), timed=timed)
         if tier != "compiled":
             interp.tier = tier
         return run_sync(interp.run_function("main")), interp.state.statements_executed

@@ -62,6 +62,8 @@ def _bench_rows(benchmarks):
         }
         if "tier" in params:  # tiered rows are comparable by tier key
             row["tier"] = params["tier"]
+        if "timed" in params:  # ... and by whether cycles are charged
+            row["timed"] = params["timed"]
         by_file.setdefault(stem, []).append(row)
     return by_file
 

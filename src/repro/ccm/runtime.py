@@ -188,7 +188,6 @@ class AssemblyRuntime:
         self._hook = None
         self.bindings: Dict[Tuple[str, str], Tuple[str, str]] = dict(assembly.bindings)
         self.components: Dict[str, ComponentInst] = {}
-        self._external_results: List[Tuple[str, int, List[int]]] = []
 
         self._compile_all()
         assembly.validate()

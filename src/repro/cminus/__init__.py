@@ -57,7 +57,6 @@ from .interp import (
     Frame,
     Interpreter,
     NullEnvironment,
-    PureEvaluator,
     run_sync,
 )
 from .debuginfo import DebugInfo, FunctionSymbol, LineTable, VariableSymbol
@@ -106,7 +105,6 @@ __all__ = [
     "Frame",
     "Interpreter",
     "NullEnvironment",
-    "PureEvaluator",
     "run_sync",
     "DebugInfo",
     "FunctionSymbol",

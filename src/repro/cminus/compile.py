@@ -136,10 +136,7 @@ def _step_stmt(interp, frame, s: _S):
         frame.line = s.line
         interp.state.statements_executed += 1
         if interp.timed:
-            c = interp._stmt_cost_const
-            if c is None:
-                c = interp.cost.stmt_cost(s.node)
-            interp._pending += c
+            interp._pending += interp.cost.default_stmt
     elif not interp._fast_ok:
         return interp._exec_stmt(s.node)
     sf = s.sync
@@ -167,10 +164,7 @@ def _flush_and_run(interp, frame, s: _S):
     frame.line = s.line
     interp.state.statements_executed += 1
     if interp.timed:
-        c = interp._stmt_cost_const
-        if c is None:
-            c = interp.cost.stmt_cost(s.node)
-        interp._pending += c
+        interp._pending += interp.cost.default_stmt
     sf = s.sync
     if sf is not None and (not s.gated or interp._pure_fast):
         r = sf(interp, frame)
@@ -1067,10 +1061,7 @@ def _loop_boundary(interp, frame, node):
     frame.line = node.line
     interp.state.statements_executed += 1
     if interp.timed:
-        c = interp._stmt_cost_const
-        if c is None:
-            c = interp.cost.stmt_cost(node)
-        interp._pending += c
+        interp._pending += interp.cost.default_stmt
 
 
 def _compile_while(stmt: ast.While, ctx: _Ctx) -> _S:

@@ -206,9 +206,6 @@ class CostModel:
     call_overhead: int = 2
     batch_cycles: int = 64
 
-    def stmt_cost(self, stmt: ast.Stmt) -> int:
-        return self.default_stmt
-
 
 #: accepted values of ``Interpreter.tier`` / ``RuntimeConfig.interp_tier``:
 #: "auto" picks the fastest non-observing tier (closure), "vm" runs the
@@ -305,13 +302,6 @@ class Interpreter:
         self._rv_armed = False
         self._isa_armed = False
         self._vm_trace = False
-        # constant per-statement cost when the cost model is not refined;
-        # None forces a stmt_cost() call per boundary
-        self._stmt_cost_const: Optional[int] = (
-            self.cost.default_stmt
-            if type(self.cost).stmt_cost is CostModel.stmt_cost
-            else None
-        )
         self._compiled = None  # lazily built CompiledUnit (fast tier)
         self._compile_failed = False
         self._vm_unit = None  # lazily built VmUnit (bytecode tier)
@@ -557,10 +547,7 @@ class Interpreter:
             if req is not None:
                 yield req
         if timed:
-            c = self._stmt_cost_const
-            if c is None:
-                c = self.cost.stmt_cost(stmt)
-            self._pending += c
+            self._pending += self.cost.default_stmt
 
     def _flush_cost(self):
         """Yield the accumulated statement cost as one kernel request."""
@@ -994,60 +981,3 @@ def run_sync(gen: Generator, allow_delay: bool = True):
                 )
     except StopIteration as stop:
         return stop.value
-
-
-class PureEvaluator:
-    """Side-effect-free expression evaluation against a stopped frame.
-
-    Used by the debugger for ``print``, breakpoint conditions and
-    watchpoints.  Dataflow I/O and intrinsics are forbidden (they would
-    consume tokens or alter scheduling); ``pedf.data`` / ``pedf.attribute``
-    reads are allowed because they are non-destructive.
-    """
-
-    class _PureEnv(Environment):
-        def __init__(self, inner: Environment):
-            self.inner = inner
-
-        def io_read(self, iface, index, ctype):
-            raise CMinusRuntimeError(
-                f"cannot read pedf.io.{iface} in a debugger expression (it would consume a token); "
-                "use the dataflow 'iface' commands to inspect links"
-            )
-            yield  # pragma: no cover
-
-        def io_write(self, iface, index, value, ctype):
-            raise CMinusRuntimeError(
-                f"cannot write pedf.io.{iface} in a debugger expression (it would push a token); "
-                "use 'iface ... insert' to inject tokens"
-            )
-            yield  # pragma: no cover
-
-        def intrinsic(self, name, args):
-            raise CMinusRuntimeError(f"cannot call intrinsic {name}() in a debugger expression")
-            yield  # pragma: no cover
-
-        def data_get(self, name):
-            return self.inner.data_get(name)
-
-        def data_set(self, name, value):
-            raise CMinusRuntimeError(f"cannot write pedf.data.{name} in a pure expression")
-
-        def attr_get(self, name):
-            return self.inner.attr_get(name)
-
-    def __init__(self, interp: Interpreter):
-        self.interp = interp
-
-    def eval(self, expr: ast.Expr) -> Raw:
-        interp = self.interp
-        saved_env, saved_hook, saved_timed = interp.env, interp.hook, interp.timed
-        saved_pending = interp._pending  # a pure eval must not flush the
-        interp.env = self._PureEnv(saved_env)  # stopped run's batched cost
-        interp.hook = None
-        interp.timed = False
-        try:
-            return run_sync(interp._eval(expr))
-        finally:
-            interp.env, interp.hook, interp.timed = saved_env, saved_hook, saved_timed
-            interp._pending = saved_pending

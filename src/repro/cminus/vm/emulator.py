@@ -191,7 +191,6 @@ def _run(interp, act: Activation):
     regs = act.regs
     frame = act.frame
     state = interp.state
-    nodes = vmf.nodes
     types = vmf.types
     pc = 0
     tracing = interp._vm_trace
@@ -231,10 +230,7 @@ def _run(interp, act: Activation):
             frame.line = ins[1]
             state.statements_executed += 1
             if timed:
-                c = interp._stmt_cost_const
-                if c is None:
-                    c = interp.cost.stmt_cost(nodes[ins[2]])
-                interp._pending += c
+                interp._pending += interp.cost.default_stmt
             pc += 1
             continue
         if op <= 12:  # ALU: ADD..XOR reg-reg, ADDK..XORK reg-const

@@ -711,14 +711,13 @@ class _Commands:
         else:
             journal = getattr(self.session.replay, "master", None)
         if journal is not None:
-            snap = journal.events.snapshot()
             lines.append(
-                f"replay journal: {len(snap.records)} event(s) stored "
+                f"replay journal: {len(journal.events)} event(s) stored "
                 f"of {journal.total_events} recorded"
             )
-            if snap.dropped:
+            if journal.evicted_events:
                 lines.append(
-                    f"warning: replay journal dropped {snap.dropped} event(s) "
+                    f"warning: replay journal dropped {journal.evicted_events} event(s) "
                     "— replay-derived telemetry will be incomplete"
                 )
         else:

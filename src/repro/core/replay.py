@@ -57,14 +57,13 @@ from ..sim.replay import (
     DEFAULT_CHECKPOINT_INTERVAL,
     AlterationRecord,
     Checkpoint,
-    EventRecord,
     ReplayJournal,
     StopRecord,
 )
 from ..sim.segments import DEFAULT_SEGMENT_WINDOW
 from ..sim.sharding.merge import stable_value_text
 from ..sim.snapshot import DEFAULT_SNAPSHOT_EVERY, MachineState, capture_machine_state
-from ..sim.trace import TraceRecord
+from ..sim.trace import EventRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import DataflowSession
@@ -78,7 +77,7 @@ DEFAULT_POOL_LIMIT = 4
 
 class ReplayCoverageWarning(RuntimeWarning):
     """The determinism self-check could not cover every event (the
-    recorded journal evicted part of the run under a cap/ring bound)."""
+    recorded journal evicted part of the run under its cap)."""
 
 
 class RunRecorder:
@@ -110,14 +109,13 @@ class RunRecorder:
         self.checkpoints_verified = 0
         self.snapshots_verified = 0
         #: (first, last) positions the self-check could NOT verify because
-        #: the reference journal evicted them (cap/ring bound) — bugfix:
-        #: a capped reference used to skip these silently and still report
-        #: a clean verify
+        #: the reference journal's cap evicted them — reported, so a
+        #: capped reference never passes for a clean verify
         self.uncovered: Optional[Tuple[int, int]] = None
         #: forward reader over the reference (see ReplayJournal.cursor)
         #: and the position it yields next; it lives on the recorder, so
         #: a parked resident resumes reading where it stopped
-        self._cursor: Optional[Iterator[Optional[TraceRecord]]] = None
+        self._cursor: Optional[Iterator[Optional[EventRecord]]] = None
         self._cursor_next = 0
         self.detached = False
         self._applying = False
@@ -134,14 +132,7 @@ class RunRecorder:
         """Journal one normalised event (called first by the session's
         event tap); returns its position and any Suspend requested."""
         journal = self.journal
-        if ev.seq is not None:
-            journal.note_token_link(ev.seq, ev.link)
-        index = journal.add_event(ev.time, ev.phase, ev.symbol, ev.actor, ev.seq)
-        # per-event side tables for the post-hoc derivers
-        if ev.link is not None:
-            journal.note_event_link(index, ev.link)
-        elif ev.target is not None:
-            journal.note_event_target(index, ev.target)
+        index = journal.add_event(ev)
         if retval is not None and ev.symbol == SYM_PUSH and ev.phase == "exit":
             journal.note_event_value(index, stable_value_text(retval.value))
 
@@ -155,18 +146,16 @@ class RunRecorder:
             expected = next(self._cursor)
             if expected is None:
                 self._note_uncovered(index)
+            elif ev != expected:
+                # the whole record: time, phase, symbol, actor, seq, link
+                # and target must all match the recorded event
+                self.divergence = (
+                    f"replay diverged at event #{index}: recorded "
+                    f"{expected.describe()}, replayed {ev.describe()}"
+                )
+                stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=ev.time)
+                return index, self.dbg.external_suspend(stop)
             else:
-                # the recorded fields of this event, compared without
-                # reading the record back from this run's own journal
-                got = (ev.time, ev.actor, f"{ev.symbol}:{ev.phase}", ev.seq)
-                if got != expected:
-                    self.divergence = (
-                        f"replay diverged at event #{index}: recorded "
-                        f"{ReplayJournal.describe_record(expected)}, replayed "
-                        f"{ReplayJournal.describe_record(TraceRecord._make(got))}"
-                    )
-                    stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=ev.time)
-                    return index, self.dbg.external_suspend(stop)
                 self.events_compared += 1
 
         # re-apply journaled alterations at their recorded positions, before
@@ -195,7 +184,7 @@ class RunRecorder:
             warnings.warn(
                 f"determinism self-check has no reference for event #{index} "
                 f"and onward inside the recorded window: the recorded journal's "
-                f"cap/ring bound evicted those events, so verification is "
+                f"cap evicted those events, so verification is "
                 f"partial (record with segments to keep everything)",
                 ReplayCoverageWarning,
                 stacklevel=3,

@@ -7,7 +7,7 @@ subscription and normalising every event its own way, the session owns
 one :class:`EventTap`.  Per bus event it:
 
 1. normalises the event once, into the journal-shaped
-   :class:`~repro.sim.replay.EventRecord`;
+   :class:`~repro.sim.trace.EventRecord`;
 2. has the :class:`~repro.core.replay.RunRecorder` (when recording)
    journal it first — the recorder assigns the event position and may
    suspend (replay target reached, divergence);
@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from ..pedf.api import SYM_ACTOR_START, SYM_ACTOR_SYNC, SYM_POP, SYM_PUSH, FrameworkEvent
 from ..sim.process import Suspend
-from ..sim.replay import EventRecord
+from ..sim.trace import EventRecord
 
 #: symbols whose events carry a link name (push/pop, both phases)
 LINK_SYMBOLS = (SYM_PUSH, SYM_POP)

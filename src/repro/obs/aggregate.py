@@ -8,7 +8,7 @@ module does that deterministically:
 
 - **merge**: every shard's journal is replayed through
   :func:`~repro.sim.replay.replay_into` — the same
-  :class:`~repro.sim.replay.EventRecord` stream the single-kernel
+  :class:`~repro.sim.trace.EventRecord` stream the single-kernel
   deriver uses — merged into one global stream ordered by
   ``(time, shard, event index)`` (a stable total order; per-track
   nesting is preserved because tracks are shard-disjoint), and fed
@@ -299,7 +299,7 @@ def aggregate_journal(journal) -> AggregateTelemetry:
     try:
         agg.streams = journal.link_value_streams()
     except ReplayError as exc:
-        # a cap/ring bound evicted events: the value streams are
+        # the journal cap evicted events: the value streams are
         # incomplete, and the view says why they are missing
         agg.warnings.append(f"warning: {exc}")
     return agg

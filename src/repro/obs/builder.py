@@ -2,7 +2,7 @@
 
 Byte-identity between live collection and replay derivation is achieved
 *by construction*: both feed the same :class:`TelemetryBuilder` with
-:class:`~repro.sim.replay.EventRecord` tuples, restricted to what a
+:class:`~repro.sim.trace.EventRecord` tuples, restricted to what a
 :class:`~repro.sim.replay.ReplayJournal` stores.  The builder reads
 simulated time, phase, symbol, acting actor and — on data-exchange
 exits that carry a token seq, and only there — the seq plus the link
@@ -43,7 +43,7 @@ from ..pedf.api import (
     SYM_WORK_ENTER,
     SYM_WORK_EXIT,
 )
-from ..sim.replay import EventRecord
+from ..sim.trace import EventRecord
 from .metrics import MetricsRegistry
 from .spans import Span, SpanSink
 

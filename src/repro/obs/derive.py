@@ -1,15 +1,15 @@
 """Replay-side telemetry derivation: profile a recorded run post-hoc.
 
-:func:`~repro.sim.replay.replay_into` rebuilds from the journal the
-same :class:`~repro.sim.replay.EventRecord` stream the live event tap
-fed the builder, so a fresh builder reconstructs the *same* spans and
+:func:`~repro.sim.replay.replay_into` replays the journal's stored
+:class:`~repro.sim.trace.EventRecord` stream — the records the live
+event tap fed the builder — so a fresh builder reconstructs the *same* spans and
 metrics a live run would have collected, byte-for-byte (the builder
 never looks at live-only data by design; see :mod:`repro.obs.builder`).
 
 The journal is streamed — a segment-rotating journal is walked one
 decompressed segment at a time, so profiling an arbitrarily long run
 stays within the in-memory window.  Only a journal recorded with a
-lossy cap/ring bound can actually lose events; the derivation is then
+lossy cap can actually lose events; the derivation is then
 a partial profile and says so via ``complete``.
 """
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import DataflowDebugError
+from ..errors import DataflowDebugError, ReplayDivergenceError
 
 #: charge key: (actor qualname, tier, call path outermost-first)
 ProfileKey = Tuple[str, str, Tuple[str, ...]]
@@ -319,18 +319,19 @@ def flame_svg(profile: Profile, width: int = 1200, row_height: int = 16) -> str:
 
 class DerivedProfile:
     """Result of :func:`derive_profile`: the reproduced profile plus the
-    deterministic cross-checks that make it trustworthy."""
+    deterministic cross-check that makes it trustworthy."""
 
     def __init__(
         self,
         profile: Profile,
         opcode_cycles: Dict[str, Dict[str, int]],
-        verified: Optional[bool],
+        verified: bool,
     ) -> None:
         self.profile = profile
         self.opcode_cycles = opcode_cycles
-        #: True when the re-execution's per-link value streams matched
-        #: the source journal's; None when the journal recorded no values
+        #: True when the replay self-check compared every recorded event
+        #: of the re-execution; False when the source journal's cap had
+        #: evicted part of the run, so the check was partial
         self.verified = verified
 
 
@@ -344,13 +345,18 @@ def derive_profile(
 
     ``build`` is a zero-argument factory returning a fresh
     ``DataflowSession`` of the same program (the replay builders'
-    contract).  The rebuilt session records, arms *only* the profiler,
-    runs to completion, and is cross-checked against ``journal`` by
-    per-link value-stream equality — determinism (PR 2/PR 6 contract)
-    then guarantees the same flush sequence, hence the same profile a
-    live profiled run produces.
+    contract).  The rebuilt session arms *only* the profiler and runs to
+    completion under a replay :class:`~repro.core.replay.RunRecorder`
+    with ``journal`` as its reference: the journaled alterations are
+    re-applied at their recorded positions and every event is compared
+    with the recorded one, so the first diverging event raises
+    :class:`~repro.errors.ReplayDivergenceError`.  Determinism then
+    guarantees the same flush sequence, hence the same profile a live
+    profiled run produces.
     """
+    from ..core.replay import RunRecorder
     from ..dbg.stop import StopKind
+    from ..sim.replay import ReplayJournal
 
     session = build()
     if tier is not None:
@@ -360,24 +366,29 @@ def derive_profile(
             interp = getattr(actor, "interp", None)
             if interp is not None:
                 interp.tier = tier
-    session.replay.record_on()
+    recorder = RunRecorder(
+        session, ReplayJournal(), reference=journal, alterations=journal.alterations
+    )
     session.prof.enable()
     dbg = session.dbg
+    ended = (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR)
     ev = dbg.run()
     stops = 0
-    while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
+    while ev.kind not in ended and recorder.divergence is None:
         stops += 1
         if stops > max_stops:
             raise DataflowDebugError(
                 f"derive_profile: run did not finish within {max_stops} stops"
             )
         ev = dbg.cont()
-    verified: Optional[bool] = None
-    try:
-        want = journal.link_value_streams()
-        got = session.replay.master.link_value_streams()
-    except Exception:
-        want = got = None
-    if want:
-        verified = want == got
+    recorder.detach()
+    if recorder.divergence is not None:
+        raise ReplayDivergenceError(recorder.divergence)
+    replayed = recorder.journal.total_events
+    if replayed != journal.total_events:
+        raise ReplayDivergenceError(
+            f"replay diverged: the re-execution emitted {replayed} event(s), "
+            f"the journal recorded {journal.total_events}"
+        )
+    verified = recorder.uncovered is None
     return DerivedProfile(session.prof.profile, session.prof.opcode_cycles(), verified)

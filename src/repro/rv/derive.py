@@ -1,8 +1,8 @@
 """Replay-side re-verification: judge a recorded run post-hoc.
 
-:func:`~repro.sim.replay.replay_into` rebuilds from the journal the
-same :class:`~repro.sim.replay.EventRecord` stream the live event tap
-fed the monitors, so freshly compiled monitors reproduce the *same*
+:func:`~repro.sim.replay.replay_into` replays the journal's stored
+:class:`~repro.sim.trace.EventRecord` stream — the records the live
+event tap fed the monitors — so freshly compiled monitors reproduce the *same*
 verdicts a live run would have raised, byte for byte; journaled
 deadlock stops re-trigger the wait-for analysis at the same event
 position.  A segment-rotating journal is streamed one segment at a

@@ -8,7 +8,7 @@ the run may continue (``log``/``mark`` actions) without producing a
 verdict flood, and live/derived verdict streams stay identical.
 
 Determinism contract: a monitor's state is a pure function of the
-:class:`~repro.sim.replay.EventRecord` stream plus compile-time graph tables
+:class:`~repro.sim.trace.EventRecord` stream plus compile-time graph tables
 (link endpoints, module membership) — never of live runtime objects.
 Feeding the same journal through freshly compiled monitors therefore
 reproduces the live verdicts byte for byte.
@@ -30,7 +30,7 @@ from ..pedf.api import (
     SYM_WORK_ENTER,
     SYM_WORK_EXIT,
 )
-from ..sim.replay import EventRecord
+from ..sim.trace import EventRecord
 
 
 @dataclass(frozen=True)
@@ -244,14 +244,12 @@ class ProgressMonitor(Monitor):
         self.actor = actor
         self.every = every
         self.steps_since_fire = 0
-        self.fired_in_window = False
 
     def _feed(self, ev: EventRecord, index: int) -> Optional[Verdict]:
         if ev.phase != "entry":
             return None
         if ev.symbol == SYM_WORK_ENTER and ev.actor == self.actor:
             self.steps_since_fire = 0
-            self.fired_in_window = True
             return None
         if ev.symbol != SYM_STEP_BEGIN:
             return None

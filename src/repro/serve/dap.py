@@ -21,7 +21,6 @@ Mapping choices (the bridge is deliberately thin):
 
 from __future__ import annotations
 
-import asyncio
 from typing import Any, Dict, List, Optional
 
 from . import protocol as proto
@@ -53,7 +52,6 @@ class DapBridge:
         self.handle = None  # SessionHandle once launched
         self._seq = 0
         self._threads: List[str] = []  # index+1 == DAP threadId
-        self._configured = asyncio.Event()
         self._terminated = False
 
     # ------------------------------------------------------------- plumbing

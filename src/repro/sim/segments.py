@@ -3,12 +3,14 @@
 A :class:`~repro.sim.replay.ReplayJournal` recorded with ``segment_dir``
 keeps only a sliding in-memory window of the event log; once the window
 fills, the oldest half rotates into a **segment** — one zlib-compressed
-pickle holding the rotated records *and* the matching slices of every
-side table (event links/targets/values, token links).  Nothing is lost:
-positions stay 1-based and contiguous, queries fall back to segments
-transparently, and the derivers stream segment by segment so a profile
-or verdict over a multi-million-event run never materialises the whole
-journal in memory.
+pickle holding the rotated :class:`~repro.sim.trace.EventRecord` fields
+*and* the matching slice of the journal's one side table, the pushed
+payload texts (``event_values``).  Loading a segment rebuilds the very
+records the journal stored, so readers cannot tell memory from disk.
+Nothing is lost: positions stay 1-based and contiguous, queries fall
+back to segments transparently, and the derivers stream segment by
+segment so a profile or verdict over a multi-million-event run never
+materialises the whole journal in memory.
 
 Segments are immutable once written and named by their position range
 (``seg-<first>-<last>.bin``), so a directory doubles as a durable,
@@ -27,12 +29,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .trace import TraceRecord
+from .trace import EventRecord
 
 #: in-memory event-log window before rotation kicks in
 DEFAULT_SEGMENT_WINDOW = 4096
 
-_FORMAT = 1
+_FORMAT = 2
 
 _new_tuple = tuple.__new__
 
@@ -52,23 +54,19 @@ class SegmentInfo:
 
 
 class SegmentData:
-    """A decompressed segment: records + side-table slices."""
+    """A decompressed segment: records + their ``event_values`` slice."""
 
-    __slots__ = ("first", "last", "records", "event_links", "event_targets",
-                 "event_values", "token_links")
+    __slots__ = ("first", "last", "records", "event_values")
 
     def __init__(self, payload: Dict[str, Any]):
         self.first: int = payload["first"]
         self.last: int = payload["last"]
-        self.records: List[TraceRecord] = [
-            _new_tuple(TraceRecord, fields) for fields in payload["records"]
+        self.records: List[EventRecord] = [
+            _new_tuple(EventRecord, fields) for fields in payload["records"]
         ]
-        self.event_links: Dict[int, str] = payload["event_links"]
-        self.event_targets: Dict[int, str] = payload["event_targets"]
         self.event_values: Dict[int, str] = payload["event_values"]
-        self.token_links: Dict[int, str] = payload["token_links"]
 
-    def record_at(self, index: int) -> TraceRecord:
+    def record_at(self, index: int) -> EventRecord:
         return self.records[index - self.first]
 
 
@@ -87,15 +85,12 @@ class SegmentStore:
     def rotate(
         self,
         first: int,
-        records: List[TraceRecord],
-        event_links: Dict[int, str],
-        event_targets: Dict[int, str],
+        records: List[EventRecord],
         event_values: Dict[int, str],
-        token_links: Dict[int, str],
     ) -> SegmentInfo:
         """Persist ``records`` (positions ``first..first+len-1``) plus the
-        side-table entries belonging to them.  The caller owns deleting
-        the rotated entries from its in-memory tables."""
+        ``event_values`` entries belonging to them.  The caller owns
+        deleting the rotated entries from its in-memory window."""
         if not records:
             raise ValueError("refusing to write an empty segment")
         last = first + len(records) - 1
@@ -103,11 +98,9 @@ class SegmentStore:
             "format": _FORMAT,
             "first": first,
             "last": last,
-            "records": [(r.time, r.process, r.kind, r.detail) for r in records],
-            "event_links": event_links,
-            "event_targets": event_targets,
+            # plain tuples: unpickling them skips the class lookup
+            "records": [tuple(r) for r in records],
             "event_values": event_values,
-            "token_links": token_links,
         }
         blob = zlib.compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         path = os.path.join(self.directory, f"seg-{first:012d}-{last:012d}.bin")
@@ -156,7 +149,7 @@ class SegmentStore:
             self._cache.popitem(last=False)
         return data
 
-    def iter_records(self) -> Iterator[Tuple[int, TraceRecord]]:
+    def iter_records(self) -> Iterator[Tuple[int, EventRecord]]:
         """Stream ``(position, record)`` over every segment, oldest first,
         one decompressed segment resident at a time."""
         for seg in self.segments:

@@ -1,4 +1,5 @@
-"""Lightweight kernel trace, mainly for tests and the FIG-3 bench.
+"""Lightweight kernel trace, mainly for tests and the FIG-3 bench, and
+:class:`EventRecord`, the one normalised framework-event record.
 
 Two bounded policies (both O(1) per record, with a per-kind index so
 ``of_kind``/``count`` never scan the full record list):
@@ -32,6 +33,41 @@ class TraceRecord(NamedTuple):
 
 
 _new_tuple = tuple.__new__
+
+
+class EventRecord(NamedTuple):
+    """One framework event, reduced to its journal fields.
+
+    The single normalised event every consumer sees: live (the
+    session's event tap builds it once per bus event), in the replay
+    journal (which stores it as built, in memory and in on-disk
+    segments) and post hoc (:func:`~repro.sim.replay.replay_into`
+    hands the stored records back unchanged).  Simulated time, phase,
+    symbol and acting actor; the token seq of data-exchange exits; the
+    link of every push/pop event and the target filter of every
+    ``actor_start``/``actor_sync`` event.  Nothing live-only (argument
+    dicts, object identities, wall-clock anything) fits in it, so live
+    and replay-derived consumer output match byte for byte."""
+
+    time: int
+    phase: str  # "entry" | "exit"
+    symbol: str
+    actor: str  # qualified acting actor, or "" (elaboration)
+    seq: Optional[int]  # token seq (push/pop exits only)
+    link: Optional[str]  # link name (push/pop only)
+    target: Optional[str]  # target filter (actor_start/actor_sync only)
+
+    def describe(self) -> str:
+        """Deterministic one-line rendering."""
+        extra = ""
+        if self.link is not None:
+            extra += f" link={self.link}"
+        if self.seq is not None:
+            extra += f" seq={self.seq}"
+        if self.target is not None:
+            extra += f" target={self.target}"
+        who = f" [{self.actor}]" if self.actor else ""
+        return f"t={self.time} {self.symbol}:{self.phase}{who}{extra}"
 
 
 class TraceSnapshot(NamedTuple):
@@ -107,20 +143,6 @@ class TraceRecorder:
         if bucket is None:
             bucket = self._by_kind[kind] = deque()
         bucket.append(rec)
-
-    def drain_oldest(self, n: int) -> List[TraceRecord]:
-        """Remove and return the ``n`` oldest stored records (in order).
-
-        Unlike ring eviction this is *rotation*, not loss: the caller is
-        expected to persist the drained records elsewhere (see
-        :class:`~repro.sim.segments.SegmentStore`), so ``dropped`` is not
-        incremented and ``kind_counts`` keeps its lifetime totals."""
-        out: List[TraceRecord] = []
-        for _ in range(min(n, len(self._records))):
-            rec = self._records.popleft()
-            self._by_kind[rec.kind].popleft()
-            out.append(rec)
-        return out
 
     def of_kind(self, kind: str) -> List[TraceRecord]:
         """Stored records of one kind — O(matches), not O(all records)."""

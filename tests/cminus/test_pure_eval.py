@@ -1,16 +1,8 @@
-"""PureEvaluator and run_sync safety guarantees."""
+"""run_sync safety guarantees."""
 
 import pytest
 
-from repro.cminus import (
-    Interpreter,
-    NullEnvironment,
-    PureEvaluator,
-    analyze,
-    parse_program,
-    run_sync,
-)
-from repro.cminus.parser import parse_expression
+from repro.cminus import Interpreter, NullEnvironment, analyze, parse_program, run_sync
 from repro.errors import CMinusRuntimeError
 from repro.sim.process import Suspend, WaitEvent
 
@@ -40,42 +32,3 @@ def test_run_sync_rejects_blocking_requests():
 
     with pytest.raises(CMinusRuntimeError):
         run_sync(suspending())
-
-
-def test_pure_evaluator_reads_globals():
-    interp = make_interp("U32 g = 41;\nU32 main() { return g + 1; }")
-    run_sync(interp.run_function("main"))
-    pe = PureEvaluator(interp)
-    expr = parse_expression("g + 1")
-    assert pe.eval(expr) == 42
-
-
-def test_pure_evaluator_restores_interpreter_state():
-    interp = make_interp("U32 g = 1;\nU32 main() { return g; }")
-    run_sync(interp.run_function("main"))
-    saved_env, saved_timed = interp.env, interp.timed
-    pe = PureEvaluator(interp)
-    pe.eval(parse_expression("g"))
-    assert interp.env is saved_env
-    assert interp.timed == saved_timed
-    # even when the expression raises
-    with pytest.raises(Exception):
-        pe.eval(parse_expression("1 / 0"))
-    assert interp.env is saved_env
-
-
-def test_pure_evaluator_forbids_io():
-    from repro.cminus.sema import ActorContext, IfaceSig
-    from repro.cminus.typesys import U32
-
-    ctx = ActorContext(kind="filter")
-    ctx.ifaces["i"] = IfaceSig("i", "input", U32)
-    src = "void work() { U32 v = pedf.io.i[0]; }"
-    prog = parse_program(src)
-    info = analyze(prog, ctx, src)
-    interp = Interpreter(prog, info, env=NullEnvironment(), timed=False)
-    pe = PureEvaluator(interp)
-    with pytest.raises(CMinusRuntimeError) as e:
-        pe.eval(parse_expression("pedf.io.i[0]", structs={}))
-    # needs the io node: reparse with pedf syntax
-    assert "consume a token" in str(e.value) or "not available" in str(e.value)

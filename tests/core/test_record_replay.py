@@ -16,6 +16,7 @@ from repro.apps.rle import build_rle_pipeline
 from repro.core import DataflowSession
 from repro.dbg import CommandCli, Debugger, StopKind
 from repro.errors import ReplayDivergenceError, ReplayError
+from repro.sim.trace import EventRecord
 
 from .util import make_session
 
@@ -142,9 +143,8 @@ def test_divergence_self_check_trips_on_tampered_journal():
     mgr.record_on()
     run_to_exit(session.dbg)
     events = mgr.master.events
-    tampered = events.at(10)._replace(time=events.at(10).time + 977)
     # deliberate corruption: there is no public mutator, by design
-    events._records[10] = tampered
+    events[10] = events[10]._replace(time=events[10].time + 977)
     with pytest.raises(ReplayDivergenceError, match="diverged at event #11"):
         mgr.replay_to("end")
 
@@ -172,24 +172,40 @@ def segmented_rle_session(seg_dir):
     return session, builds
 
 
-def tamper_segment(journal, index):
-    """Shift the recorded time of event ``index`` inside its on-disk
-    segment (deliberate corruption: segments have no mutator, by design)."""
+#: how each tampered field is corrupted
+TAMPERS = {"time": lambda time: time + 977, "link": lambda link: link + "_x"}
+
+
+def tamper_segment(journal, index, field="time"):
+    """Corrupt ``field`` of the first event at or after ``index`` that
+    carries one, inside its on-disk segment (deliberate corruption:
+    segments have no mutator, by design).  Returns that event's
+    position."""
     seg = journal.segments.segment_for(index)
     assert seg is not None and seg.first < index < seg.last
     with open(seg.path, "rb") as fh:
         payload = pickle.loads(zlib.decompress(fh.read()))
-    time, process, kind, detail = payload["records"][index - seg.first]
-    payload["records"][index - seg.first] = (time + 977, process, kind, detail)
+    records = payload["records"]
+    position = next(
+        pos
+        for pos in range(index, seg.last)
+        if getattr(EventRecord._make(records[pos - seg.first]), field) is not None
+    )
+    rec = EventRecord._make(records[position - seg.first])
+    records[position - seg.first] = tuple(
+        rec._replace(**{field: TAMPERS[field](getattr(rec, field))})
+    )
     with open(seg.path, "wb") as fh:
         fh.write(zlib.compress(pickle.dumps(payload)))
+    return position
 
 
-def test_divergence_in_rotated_segment_trips_on_fresh_rebuild(tmp_path):
+@pytest.mark.parametrize("field", sorted(TAMPERS))
+def test_divergence_in_rotated_segment_trips_on_fresh_rebuild(tmp_path, field):
     session, builds = segmented_rle_session(tmp_path)
     mgr = session.replay
-    tamper_segment(mgr.master, TAMPERED)
-    with pytest.raises(ReplayDivergenceError, match=f"diverged at event #{TAMPERED}:"):
+    position = tamper_segment(mgr.master, TAMPERED, field)
+    with pytest.raises(ReplayDivergenceError, match=f"diverged at event #{position}:"):
         mgr.replay_to("end")
     assert len(builds) == 1
 

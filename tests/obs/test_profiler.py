@@ -4,10 +4,11 @@ arming, replay-side derivation equality, and the export formats.
 
 import pytest
 
+from repro.apps.amodule import build_demo
 from repro.apps.rle import build_rle_pipeline
 from repro.cminus.interp import DebugHook
-from repro.core import DataflowSession
-from repro.dbg import Debugger, StopKind
+from repro.core import DataflowSession, install_dataflow_commands
+from repro.dbg import CommandCli, Debugger, StopKind
 from repro.obs import derive_profile, flame_svg
 from repro.obs.prof import Profile
 
@@ -128,6 +129,34 @@ def test_derive_profile_from_unprofiled_recording():
     derived = derive_profile(session.replay.master, rle_session)
     assert derived.verified
     assert derived.profile.total > 0
+
+
+def amodule_session():
+    sched, _platform, runtime, _source, _sink = build_demo()
+    return DataflowSession(Debugger(sched, runtime), stop_on_init=True)
+
+
+def test_derive_profile_reapplies_recorded_alterations():
+    """A token inserted mid-run is journaled; the derivation re-applies
+    it at its recorded position, so the re-execution verifies event for
+    event and reproduces the live profile."""
+    session = amodule_session()
+    cli = CommandCli(session.dbg)
+    install_dataflow_commands(cli, session)
+    session.replay.record_on()
+    session.prof.enable()
+    assert session.dbg.run().kind == StopKind.DATAFLOW  # graph reconstructed
+    session.catch_iface("stim::out", event="push", temporary=True)
+    assert session.dbg.cont().kind == StopKind.DATAFLOW
+    assert "Token inserted" in cli.execute("iface stim::out insert 42")[0]
+    assert run_to_exit(session.dbg).kind == StopKind.EXITED
+    assert session.replay.master.alterations
+    live = session.prof.profile
+
+    derived = derive_profile(session.replay.master, amodule_session)
+    assert derived.verified
+    assert derived.profile.collapsed() == live.collapsed()
+    assert derived.profile.total == live.total
 
 
 # -------------------------------------------------------- profile algebra

@@ -1,10 +1,10 @@
 """Live-collected vs. replay-derived telemetry must be byte-identical.
 
-The ReplayJournal stores only (time, actor, symbol:phase, seq) per
-framework event plus the seq->link side table; the span builder is
-restricted to those fields by design, so deriving telemetry from the
-journal of a recorded run must reproduce the live collection exactly —
-same metrics report, same exported Chrome trace, byte for byte.
+The ReplayJournal stores the EventRecord the live event tap built for
+every framework event; the span builder is restricted to those fields
+by design, so deriving telemetry from the journal of a recorded run
+must reproduce the live collection exactly — same metrics report, same
+exported Chrome trace, byte for byte.
 """
 
 import pytest

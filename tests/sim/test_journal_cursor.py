@@ -2,8 +2,8 @@
 
 The replay self-check reads the reference journal in position order
 through a cursor instead of calling record_at per event.  Whatever the
-storage policy — unbounded in memory, capped, ring, or rotating into
-on-disk segments — a cursor started at any position must yield exactly
+storage policy — unbounded in memory, capped, or rotating into on-disk
+segments — a cursor started at any position must yield exactly
 record_at(i) for every later i (None where a bound evicted it), and it
 must stay exact when the journal grows, rotates or evicts between reads.
 """
@@ -14,15 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.replay import ReplayJournal
+from repro.sim.trace import EventRecord
 
-MODES = ("memory", "cap", "ring", "segments")
+MODES = ("memory", "cap", "segments")
 
 
 def make_journal(mode, bound, seg_dir):
     if mode == "cap":
         return ReplayJournal(limit=bound)
-    if mode == "ring":
-        return ReplayJournal(limit=bound, ring=True)
     if mode == "segments":
         return ReplayJournal(segment_dir=seg_dir, window=bound)
     return ReplayJournal()
@@ -31,9 +30,9 @@ def make_journal(mode, bound, seg_dir):
 def add(journal, k):
     """Append event number k (distinct time/actor/kind/seq per k)."""
     if k % 3:
-        journal.add_event(k, "exit", "pedf_rt_push", f"actor{k % 5}", k)
+        journal.add_event(EventRecord(k, "exit", "pedf_rt_push", f"actor{k % 5}", k, "l", None))
     else:
-        journal.add_event(k, "entry", "pedf_rt_actor_start", "ctl", None)
+        journal.add_event(EventRecord(k, "entry", "pedf_rt_actor_start", "ctl", None, None, "t"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,11 +65,11 @@ def test_cursor_yields_record_at_from_any_start(mode, bound, n, start):
         max_size=25,
     ),
 )
-# the cursor has read into the ring's window when appends evict the
-# positions it reads next
-@example(mode="ring", bound=4, start=1, steps=[(4, 1), (9, 2)])
+# the cursor has read into the in-memory window when appends rotate the
+# positions it reads next into a segment
+@example(mode="segments", bound=4, start=1, steps=[(4, 1), (9, 2)])
 def test_cursor_stays_exact_while_the_journal_grows(mode, bound, start, steps):
-    """Interleave appends (which rotate segments or evict ring/cap
+    """Interleave appends (which rotate segments or evict capped
     records) with reads: every read equals record_at at that moment,
     also for positions appended, rotated or evicted since the cursor
     opened, and for positions not yet recorded (None)."""
@@ -90,14 +89,9 @@ def test_cursor_stays_exact_while_the_journal_grows(mode, bound, start, steps):
 
 def test_cursor_reports_evictions_as_none():
     cap = ReplayJournal(limit=5)
-    ring = ReplayJournal(limit=5, ring=True)
     for k in range(12):
         add(cap, k)
-        add(ring, k)
     cursor = cap.cursor(1)
     capped = [next(cursor) for _ in range(12)]
     assert [r is None for r in capped] == [False] * 5 + [True] * 7
-    cursor = ring.cursor(1)
-    ringed = [next(cursor) for _ in range(12)]
-    assert [r is None for r in ringed] == [True] * 7 + [False] * 5
-    assert ringed[-1] == ring.record_at(12)
+    assert capped[4] == cap.record_at(5)

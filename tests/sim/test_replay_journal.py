@@ -1,7 +1,16 @@
 """Unit tests of the replay journal substrate (event log, checkpoints,
 position queries) independent of the debugger driver."""
 
-from repro.sim.replay import TOKEN_EVENT_KIND, Checkpoint, ReplayJournal
+from repro.sim.replay import Checkpoint, ReplayJournal
+from repro.sim.trace import EventRecord
+
+
+def push(time, actor, seq):
+    return EventRecord(time, "exit", "pedf_rt_push", actor, seq, "l", None)
+
+
+def step(time):
+    return EventRecord(time, "entry", "pedf_rt_step", "ctl", None, None, None)
 
 
 def fill(journal, n=10, t0=0):
@@ -10,21 +19,21 @@ def fill(journal, n=10, t0=0):
     for i in range(n):
         if i % 2 == 0:
             seq += 1
-            journal.add_event(t0 + i, "exit", "pedf_rt_push", f"actor{i % 3}", seq)
+            journal.add_event(push(t0 + i, f"actor{i % 3}", seq))
         else:
-            journal.add_event(t0 + i, "entry", "pedf_rt_step", "ctl", None)
+            journal.add_event(step(t0 + i))
     return seq
 
 
 def test_positions_are_one_based_and_counted():
     j = ReplayJournal()
     assert j.total_events == 0
-    assert j.add_event(0, "exit", "pedf_rt_push", "a", 1) == 1
-    assert j.add_event(5, "entry", "pedf_rt_step", "c", None) == 2
+    assert j.add_event(push(0, "a", 1)) == 1
+    assert j.add_event(step(5)) == 2
     assert j.total_events == 2
-    assert j.record_at(1).detail == 1
-    assert j.record_at(1).kind == TOKEN_EVENT_KIND
-    assert j.record_at(2).detail is None
+    assert j.record_at(1).seq == 1
+    assert j.record_at(1) == push(0, "a", 1)  # the stored record, as appended
+    assert j.record_at(2).seq is None
     assert j.record_at(0) is None and j.record_at(3) is None
 
 
@@ -51,17 +60,6 @@ def test_cap_mode_keeps_first_events():
     assert j.total_events == 10
     assert j.record_at(4) is not None
     assert j.record_at(5) is None  # beyond the cap: dropped at record time
-
-
-def test_ring_mode_keeps_last_events():
-    j = ReplayJournal(limit=4, ring=True)
-    fill(j, 10)
-    assert j.total_events == 10
-    assert j.record_at(6) is None  # evicted
-    assert j.record_at(7) is not None
-    assert j.record_at(10) is not None
-    # position arithmetic survives eviction: seq 5 was pushed at position 9
-    assert j.index_for_seq(5) == 9
 
 
 def test_nearest_checkpoint_and_dispatch_lookup():
