@@ -101,25 +101,30 @@ def test_stop_fanout_cost(benchmark, daemon, subscribers):
     driver.execute(sid, "break pack.c:7")
     assert driver.execute(sid, "run")["ok"]
 
+    continues = 0
+
     def continue_to_break():
+        nonlocal continues
         hit = driver.execute(sid, "continue")
         assert hit["stop"]["kind"] == "breakpoint"
+        continues += 1
 
     benchmark.pedantic(continue_to_break, rounds=ROUNDS, iterations=1)
+    # under --benchmark-disable pedantic calls once: drive the rest so
+    # the listeners are checked against ROUNDS stops in both modes
+    while continues < ROUNDS:
+        continue_to_break()
 
     # every listener saw every pushed stop (none were dropped)
-    deadline_hits = ROUNDS + 1  # pedantic warms up with one extra call
     for listener in listeners:
         stops = 0
-        while True:
+        while stops < continues:
             try:
                 event = listener.next_event(timeout=5)
             except (TimeoutError, OSError):
                 break
             if event["type"] == "stop":
                 stops += 1
-                if stops >= deadline_hits:
-                    break
         assert stops >= ROUNDS, f"listener saw only {stops} stops"
 
     for listener in listeners:

@@ -251,6 +251,69 @@ def test_telemetry_off_overhead_within_noise():
     )
 
 
+def _counted_rle_run(monkeypatch, telemetry):
+    """Run the RLE app end to end, counting tap events, span-builder
+    constructions and feeds, and span-sink inserts."""
+    from repro.apps.rle import build_rle_pipeline
+    from repro.core import DataflowSession
+    from repro.core.tap import EventTap
+    from repro.dbg import Debugger, StopKind
+    from repro.obs.builder import TelemetryBuilder
+    from repro.obs.spans import SpanSink
+
+    counts = {"tap_events": 0, "builders": 0, "feeds": 0, "span_adds": 0}
+
+    def counting(cls, attr, key):
+        inner = getattr(cls, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counting(EventTap, "_on_event", "tap_events")
+    counting(TelemetryBuilder, "__init__", "builders")
+    counting(TelemetryBuilder, "feed", "feeds")
+    counting(SpanSink, "add", "span_adds")
+    sched, runtime, _sink = build_rle_pipeline([5, 5, 5, 2, 7, 7])
+    session = DataflowSession(Debugger(sched, runtime))
+    if telemetry:
+        session.telemetry.enable()
+    ev = session.dbg.run()
+    while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
+        ev = session.dbg.cont()
+    assert ev.kind == StopKind.EXITED
+    return session, counts
+
+
+def test_telemetry_on_feeds_one_builder_once_per_event(monkeypatch):
+    """The exact-count gate (runs under ``--benchmark-disable`` too):
+    with telemetry on, the session holds one span builder, it sees each
+    tap event exactly once, and each span it closes is inserted once
+    into the telemetry sink and once into the flight ring."""
+    session, counts = _counted_rle_run(monkeypatch, telemetry=True)
+    assert counts["tap_events"] > 0
+    assert counts["builders"] == 1
+    assert counts["feeds"] == counts["tap_events"]
+    assert session.telemetry.builder.events_fed == counts["tap_events"]
+    closed = sum(session.telemetry.sink.name_counts.values())
+    assert closed > 0
+    assert session.flight.sink.name_counts == session.telemetry.sink.name_counts
+    assert counts["span_adds"] == 2 * closed
+
+
+def test_telemetry_off_builds_no_span(monkeypatch):
+    """The exact-count gate's off half (runs under
+    ``--benchmark-disable`` too): with telemetry off, no builder exists,
+    no event reaches the tap, no span is built and nothing is inserted
+    into the flight ring."""
+    session, counts = _counted_rle_run(monkeypatch, telemetry=False)
+    assert counts == {"tap_events": 0, "builders": 0, "feeds": 0, "span_adds": 0}
+    assert session.telemetry.builder is None
+    assert len(session.flight.sink) == 0 and not session.flight.sink.name_counts
+
+
 #: profiler-off shares the telemetry-off discipline: the charge callable
 #: lives *inside* the existing cycle-counting branch, so with CAP_PROFILE
 #: clear the flush hot path is bit-for-bit the pre-profiler code; 1.5x

@@ -1,10 +1,10 @@
 """The session's event plane: one bus tap feeding every event consumer.
 
-Journal recording, telemetry (and the flight recorder riding it),
-runtime verification and the event-journal tail all observe the same
-framework events.  Rather than each holding its own ``"*"`` bus
-subscription and normalising every event its own way, the session owns
-one :class:`EventTap`.  Per bus event it:
+Journal recording, telemetry's span builder (which also fills the
+flight recorder's ring), runtime verification and the event-journal
+tail all observe the same framework events.  Rather than each holding
+its own ``"*"`` bus subscription and normalising every event its own
+way, the session owns one :class:`EventTap`.  Per bus event it:
 
 1. normalises the event once, into the journal-shaped
    :class:`~repro.sim.trace.EventRecord`;

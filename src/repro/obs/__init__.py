@@ -19,8 +19,9 @@ The cross-run plane on top (PR 9):
   collapsed-stack/flamegraph export and a replay-side deriver;
 - :mod:`.openmetrics` exposes metric snapshots as scrape-ready
   OpenMetrics text (with an in-tree promtool-style validator);
-- :mod:`.flight` keeps an always-on bounded flight recorder that
-  auto-dumps a post-mortem bundle on violation/error/deadlock stops.
+- :mod:`.flight` keeps an always-on bounded flight recorder (a ring
+  of the spans the telemetry builder closes) that auto-dumps a
+  post-mortem bundle on violation/error/deadlock stops.
 """
 
 from .aggregate import (

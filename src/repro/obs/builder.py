@@ -29,6 +29,10 @@ no actor land on ``pedf.init``)::
 
 The builder is tolerant of a mid-run start: an exit with no matching
 open is dropped rather than corrupting the stack.
+
+A session has one builder.  Live, it adds each span it closes to the
+telemetry sink and to the flight recorder's ring; the post-hoc deriver
+runs the same builder with no ring.
 """
 
 from __future__ import annotations
@@ -69,56 +73,61 @@ _LEAF_CATS = {
 }
 
 
-class _Open:
-    """A span under construction (mutable; frozen into Span on close)."""
+class _LeafTable(dict):
+    """symbol -> (leaf span name, category), each entry built on first
+    sight of its symbol and then only looked up."""
 
-    __slots__ = ("name", "cat", "begin", "args", "child_total")
+    def __missing__(self, symbol: str) -> Tuple[str, str]:
+        name = symbol[len(_SYMBOL_PREFIX):] if symbol.startswith(_SYMBOL_PREFIX) else symbol
+        leaf = self[symbol] = (name, _LEAF_CATS.get(name, "other"))
+        return leaf
 
-    def __init__(self, name: str, cat: str, begin: int, args: Tuple[Tuple[str, Any], ...]):
-        self.name = name
-        self.cat = cat
-        self.begin = begin
-        self.args = args
-        self.child_total = 0
+
+_new_span = tuple.__new__
+
+#: an open span is a list ``[name, cat, begin, args, child_total]``;
+#: closing a child adds its duration to the parent's child_total
+_CHILD_TOTAL = 4
 
 
 class TelemetryBuilder:
-    """Feeds :class:`EventRecord` tuples; emits spans, updates metrics."""
+    """Feeds :class:`EventRecord` tuples; emits spans, updates metrics.
 
-    def __init__(self, sink: SpanSink, metrics: MetricsRegistry):
+    Each closed span goes to ``sink`` and, when given, to ``ring`` too:
+    the session's telemetry passes the flight recorder's ring, so one
+    builder serves both and each store keeps its own cap/ring policy.
+    """
+
+    def __init__(self, sink: SpanSink, metrics: MetricsRegistry, ring: Optional[SpanSink] = None):
         self.sink = sink
         self.metrics = metrics
+        self.ring = ring
         self.events_fed = 0
-        self._stacks: Dict[str, List[_Open]] = {}
+        self._stacks: Dict[str, List[list]] = {}
+        self._leaves = _LeafTable()
 
-    # ------------------------------------------------------------ plumbing
-
-    def _stack(self, track: str) -> List[_Open]:
-        stack = self._stacks.get(track)
-        if stack is None:
-            stack = self._stacks[track] = []
-        return stack
-
-    def _open(self, track: str, name: str, cat: str, begin: int,
-              args: Tuple[Tuple[str, Any], ...] = ()) -> None:
-        self._stack(track).append(_Open(name, cat, begin, args))
-
-    def _close(self, track: str, name: str, end: int) -> Optional[Span]:
-        """Close the top span if it matches ``name``; None otherwise
-        (tolerates telemetry being enabled mid-run)."""
-        stack = self._stacks.get(track)
-        if not stack or stack[-1].name != name:
-            return None
-        top = stack.pop()
-        span = Span(track, top.name, top.cat, top.begin, end, top.args)
+    def _close(self, stack: List[list], track: str, name: str, end: int,
+               args: Optional[Tuple[Tuple[str, Any], ...]] = None) -> int:
+        """Close the top span if it matches ``name`` and return its
+        duration; 0 when nothing matches (tolerates telemetry being
+        enabled mid-run).  ``args``, when given, replaces the open
+        span's args."""
+        if not stack or stack[-1][0] != name:
+            return 0
+        _name, cat, begin, open_args, child_total = stack.pop()
+        duration = end - begin
+        # tuple.__new__ skips the NamedTuple constructor's Python frame
+        span = _new_span(Span, (track, name, cat, begin, end, open_args if args is None else args))
         if stack:
-            stack[-1].child_total += span.duration
-        if top.cat == "filterc":
+            stack[-1][_CHILD_TOTAL] += duration
+        if cat == "filterc":
             m = self.metrics.actor(track)
-            m.busy += span.duration - top.child_total
-            m.blocked += top.child_total
+            m.busy += duration - child_total
+            m.blocked += child_total
         self.sink.add(span)
-        return span
+        if self.ring is not None:
+            self.ring.add(span)
+        return duration
 
     def open_depth(self, track: str) -> int:
         stack = self._stacks.get(track)
@@ -128,58 +137,52 @@ class TelemetryBuilder:
 
     def feed(self, te: EventRecord, position: Optional[int] = None) -> None:
         self.events_fed += 1
+        t, phase, symbol, actor, seq, link, _target = te
         metrics = self.metrics
-        metrics.note_time(te.time)
-        track = te.actor or INIT_TRACK
-        symbol, phase, t = te.symbol, te.phase, te.time
+        if t > metrics.last_time:
+            metrics.last_time = t
+        track = actor or INIT_TRACK
+        stack = self._stacks.get(track)
+        if stack is None:
+            stack = self._stacks[track] = []
+        entry = phase == "entry"
         if symbol == SYM_WORK_ENTER:
-            if phase == "entry":
+            if entry:
                 m = metrics.actor(track)
                 m.firings += 1
-                self._open(track, "firing", "firing", t, (("invocation", m.firings),))
+                stack.append(["firing", "firing", t, (("invocation", m.firings),), 0])
             else:
-                self._open(track, "work", "filterc", t)
+                stack.append(["work", "filterc", t, (), 0])
         elif symbol == SYM_WORK_EXIT:
-            if phase == "entry":
-                self._close(track, "work", t)
-            else:
-                self._close(track, "firing", t)
+            self._close(stack, track, "work" if entry else "firing", t)
         elif symbol == SYM_STEP_BEGIN:
-            if phase == "entry":
+            if entry:
                 m = metrics.actor(track)
                 m.steps += 1
-                self._open(track, "step", "step", t, (("step", m.steps),))
+                stack.append(["step", "step", t, (("step", m.steps),), 0])
             else:
-                self._open(track, "run", "filterc", t)
+                stack.append(["run", "filterc", t, (), 0])
         elif symbol == SYM_STEP_END:
-            if phase == "entry":
-                self._close(track, "run", t)
-            else:
-                self._close(track, "step", t)
+            self._close(stack, track, "run" if entry else "step", t)
+        elif entry:
+            name, cat = self._leaves[symbol]
+            stack.append([name, cat, t, (), 0])
         else:
-            name = symbol[len(_SYMBOL_PREFIX):] if symbol.startswith(_SYMBOL_PREFIX) else symbol
-            if phase == "entry":
-                self._open(track, name, _LEAF_CATS.get(name, "other"), t)
-            else:
-                # a link counts only on exits carrying a seq: the rule
-                # that keeps live and derived telemetry byte-equal
+            # a link counts only on exits carrying a seq: the rule
+            # that keeps live and derived telemetry byte-equal
+            if seq is None:
                 link = None
                 args: Tuple[Tuple[str, Any], ...] = ()
-                if te.seq is not None:
-                    link = te.link
-                    args = (("link", link or "?"), ("seq", te.seq))
-                stack = self._stacks.get(track)
-                if stack and stack[-1].name == name:
-                    stack[-1].args = args
-                span = self._close(track, name, t)
-                duration = span.duration if span is not None else 0
-                if symbol == SYM_PUSH:
-                    if te.actor:
-                        metrics.actor(track).produced += 1
-                    if link:
-                        metrics.link(link).on_push(t, duration)
-                elif symbol == SYM_POP:
-                    if te.actor:
-                        metrics.actor(track).consumed += 1
-                    if link:
-                        metrics.link(link).on_pop(t, duration)
+            else:
+                args = (("link", link or "?"), ("seq", seq))
+            duration = self._close(stack, track, self._leaves[symbol][0], t, args)
+            if symbol == SYM_PUSH:
+                if actor:
+                    metrics.actor(track).produced += 1
+                if link:
+                    metrics.link(link).on_push(t, duration)
+            elif symbol == SYM_POP:
+                if actor:
+                    metrics.actor(track).consumed += 1
+                if link:
+                    metrics.link(link).on_pop(t, duration)

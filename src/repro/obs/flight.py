@@ -7,14 +7,17 @@ a self-contained post-mortem bundle of the recent past can be written
 without anyone having thought to enable tracing first.
 
 Zero-cost discipline (§V) still holds: the recorder itself allocates a
-few bounded buffers and one stop callback.  Span capture rides the
-telemetry feed when telemetry is armed (one extra bounded ring insert
-per event — no tap slot of its own, no effect on the telemetry-off
-fast path, which stays event-free).  Metric deltas are computed only at
-stops, and journal/shard state is referenced, not copied.  When
-telemetry never ran, the bundle says so and still carries the stop log,
-journal tail refs and shard/channel state — always-on means "armed",
-not "observing for free".
+few bounded buffers and one stop callback.  It builds no spans and
+keeps no metrics of its own: while telemetry is armed, the session's
+one span builder adds each span it closes to this recorder's ring as
+well as to the telemetry sink (one bounded ring insert per closed span
+— no tap slot, no effect on the telemetry-off fast path, which stays
+event-free).  Per-stop deltas and the bundle's
+metrics read the telemetry registry; deltas are computed only at stops,
+and journal/shard state is referenced, not copied.  When telemetry never
+ran, the bundle says so and still carries the stop log, journal tail
+refs and shard/channel state — always-on means "armed", not "observing
+for free".
 
 The bundle is deterministic (simulated time only, sorted keys) and
 self-contained JSON: stop history, recent spans, metrics, per-stop
@@ -30,7 +33,6 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from ..dbg.stop import StopEvent, StopKind
-from .builder import TelemetryBuilder
 from .metrics import MetricsRegistry
 from .spans import SpanSink
 
@@ -57,13 +59,16 @@ class FlightRecorder:
         delta_limit: int = DELTA_LIMIT,
     ) -> None:
         self.session = session
+        #: the newest spans the telemetry builder closed (it adds each
+        #: span here as well as to the telemetry sink)
         self.sink = SpanSink(limit=span_limit, ring=True)
-        self.metrics = MetricsRegistry()
-        self.builder = TelemetryBuilder(self.sink, self.metrics)
         #: per-stop counter deltas, oldest evicted first
         self.deltas: deque = deque(maxlen=delta_limit)
         self.stops: deque = deque(maxlen=STOP_LIMIT)
         self._last_counts: Dict[str, tuple] = {}
+        #: the registry ``_last_counts`` was read from (``trace clear``
+        #: swaps in a fresh one, whose counts start again from zero)
+        self._counts_source: Optional[MetricsRegistry] = None
         self.auto_dump = True
         self.last_dump: Optional[str] = None
         self.last_dump_reason: Optional[str] = None
@@ -77,15 +82,22 @@ class FlightRecorder:
 
     # ------------------------------------------------------------ capture
 
-    def feed(self, ev) -> None:
-        """Tap one normalised event into the ring (called by the
-        telemetry facade while telemetry is armed)."""
-        self.builder.feed(ev)
+    @property
+    def metrics(self) -> Optional[MetricsRegistry]:
+        """The telemetry registry (None until telemetry first arms)."""
+        return self.session.telemetry.metrics
 
-    def _counter_snapshot(self) -> Dict[str, tuple]:
+    @property
+    def telemetry_observed(self) -> bool:
+        """Whether the ring ever received a span."""
+        return bool(self.sink.name_counts)
+
+    def _counter_snapshot(self, metrics: Optional[MetricsRegistry]) -> Dict[str, tuple]:
+        if metrics is None:
+            return {}
         return {
             name: (m.firings, m.steps, m.produced, m.consumed, m.busy, m.blocked)
-            for name, m in self.metrics.actors.items()
+            for name, m in metrics.actors.items()
         }
 
     def _on_stop(self, ev: StopEvent) -> None:
@@ -97,7 +109,11 @@ class FlightRecorder:
                 "message": ev.message,
             }
         )
-        now = self._counter_snapshot()
+        metrics = self.metrics
+        if metrics is not self._counts_source:
+            self._last_counts = {}
+            self._counts_source = metrics
+        now = self._counter_snapshot(metrics)
         changed: Dict[str, Dict[str, int]] = {}
         fields = ("firings", "steps", "produced", "consumed", "busy", "blocked")
         for name, counts in now.items():
@@ -166,23 +182,24 @@ class FlightRecorder:
         """The self-contained post-mortem dict (JSON-serialisable,
         deterministic: simulated time only, no wall clock)."""
         snapshot = self.sink.snapshot()
+        metrics = self.metrics
         return {
             "flight": {
                 "version": 1,
                 "reason": reason,
                 "spans_stored": len(snapshot.spans),
                 "spans_evicted": self.sink.dropped,
-                "telemetry_observed": self.builder.events_fed > 0,
+                "telemetry_observed": self.telemetry_observed,
             },
             "stops": list(self.stops),
             "spans": [s.describe() for s in snapshot.spans],
-            "metrics": self.metrics.render() if self.metrics.actors else [],
+            "metrics": metrics.render() if metrics is not None and metrics.actors else [],
             "deltas": list(self.deltas),
             "journal": self._journal_refs(),
             "sharding": self._shard_state(),
             "tokens": self._token_state(),
             "config": {
-                "time": self.metrics.last_time,
+                "time": metrics.last_time if metrics is not None else 0,
                 "interp_tier": getattr(
                     self.session.dbg.runtime.config, "interp_tier", "auto"
                 ),
@@ -225,7 +242,7 @@ class FlightRecorder:
             f"  auto-dump: {'on' if self.auto_dump else 'off'} "
             f"({', '.join(k.value for k in AUTO_DUMP_KINDS)})",
         ]
-        if self.builder.events_fed == 0:
+        if not self.telemetry_observed:
             lines.append(
                 "  (no telemetry observed — enable `trace on` for span capture)"
             )

@@ -4,8 +4,10 @@ A :class:`Span` is one closed interval of simulated time on one *track*
 (an actor's qualified name, or ``pedf.init`` for elaboration-time
 events): a controller step, a filter firing, the Filter-C body inside
 it, or a leaf framework call (push/pop/wait/...).  Spans are immutable
-and carry only journal-derivable fields, so the live collector and the
-replay-side deriver produce byte-identical streams.
+tuples and carry only journal-derivable fields, so the live collector
+and the replay-side deriver produce byte-identical streams.  The
+session's one span builder closes each span once and adds it to the
+telemetry sink and to the flight recorder's ring.
 
 :class:`SpanSink` is the bounded store, mirroring
 :class:`~repro.sim.trace.TraceRecorder`'s two policies (cap keeps the
@@ -17,12 +19,10 @@ even after eviction and warn when ``dropped > 0``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One closed simulated-time interval on one track."""
 
     track: str  # actor qualname, or "pedf.init" for elaboration

@@ -2,7 +2,7 @@
 
 Arming does two things, both reversible:
 
-- arms :meth:`Telemetry.feed` on the session's event tap (so
+- arms the span builder's ``feed`` on the session's event tap (so
   :meth:`FrameworkAPI.call` materialises events again — when telemetry
   is off and nothing else listens, the §V elision fast path keeps
   framework calls event-free);
@@ -11,6 +11,11 @@ Arming does two things, both reversible:
   selection, so the compiled fast tier keeps running compiled — the
   only new work on the hot path is one predicted branch per cost flush
   (one per ~batch_cycles statements).
+
+The session has one span builder, owned here.  It adds each span it
+closes to the telemetry sink and to the flight recorder's bounded ring,
+so the flight recorder builds nothing of its own and reads its metrics
+from this facade's registry.
 
 Collection itself is live-only sugar: the same spans/metrics are
 reproducible after the fact from a ReplayJournal via
@@ -47,8 +52,8 @@ class Telemetry:
         if self.builder is None:
             self.sink = SpanSink(limit=limit, ring=ring)
             self.metrics = MetricsRegistry()
-            self.builder = TelemetryBuilder(self.sink, self.metrics)
-        self.session.tap.arm(self.feed)
+            self.builder = TelemetryBuilder(self.sink, self.metrics, ring=self.session.flight.sink)
+        self.session.tap.arm(self.builder.feed)
         dbg = self.session.dbg
         dbg.telemetry_armed = True
         dbg._recompute_capabilities()
@@ -58,7 +63,7 @@ class Telemetry:
         """Stop collecting; the data gathered so far stays queryable."""
         if not self.enabled:
             return
-        self.session.tap.disarm(self.feed)
+        self.session.tap.disarm(self.builder.feed)
         dbg = self.session.dbg
         dbg.telemetry_armed = False
         dbg._recompute_capabilities()
@@ -69,14 +74,6 @@ class Telemetry:
         self.sink = None
         self.metrics = None
         self.builder = None
-
-    def feed(self, ev, position) -> None:
-        self.builder.feed(ev)
-        # the flight recorder rides telemetry (bounded ring insert) so
-        # it never needs a tap slot of its own
-        flight = getattr(self.session, "flight", None)
-        if flight is not None:
-            flight.feed(ev)
 
     # ------------------------------------------------------------ queries
 

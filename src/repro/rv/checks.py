@@ -68,6 +68,9 @@ class Checks:
         #: (journal event position, verdict) pairs from ``mark`` checks
         self.marks: List[Tuple[int, Verdict]] = []
         self.armed = False
+        #: the enabled checks in id order (``checks`` is insertion-ordered
+        #: and ids only grow), rebuilt by ``_rearm``
+        self._enabled: Tuple[Check, ...] = ()
         self._events_seen = 0
         #: properties queued before the graph exists (``--check`` flag);
         #: compiled at the first stop after the init phase completes
@@ -123,12 +126,10 @@ class Checks:
 
     # -------------------------------------------------------------- arming
 
-    def _want_events(self) -> bool:
-        return any(c.enabled for c in self.checks.values())
-
     def _rearm(self) -> None:
         """Reconcile the tap slot + CAP_RV bit with the registry."""
-        want = self._want_events()
+        self._enabled = tuple(c for c in self.checks.values() if c.enabled)
+        want = bool(self._enabled)
         if want != self.armed:
             if want:
                 self.session.tap.arm(self.feed)
@@ -154,8 +155,8 @@ class Checks:
         self._events_seen += 1
         index = self._events_seen if position is None else position
         suspend = None
-        for check in sorted(self.checks.values(), key=lambda c: c.id):
-            if not check.enabled or check.tripped:
+        for check in self._enabled:
+            if check.tripped:
                 continue
             verdict = check.monitor.feed(ev, index)
             if verdict is None:
@@ -187,8 +188,8 @@ class Checks:
         if ev.kind != StopKind.DEADLOCK:
             return
         index = self._position()
-        for check in sorted(self.checks.values(), key=lambda c: c.id):
-            if not check.enabled or check.tripped:
+        for check in self._enabled:
+            if check.tripped:
                 continue
             if not isinstance(check.monitor, DeadlockMonitor):
                 continue

@@ -17,8 +17,13 @@ from repro.apps.amodule.app import AMODULE_HOSTS, build_amodule_program, build_d
 from repro.apps.rle.app import RLE_HOSTS, build_rle_pipeline, build_rle_program
 from repro.core import DataflowSession
 from repro.core.shards import ShardedRun
-from repro.dbg import Debugger, StopKind
-from repro.obs import aggregate_journal, aggregate_sharded, validate_chrome_trace
+from repro.dbg import CommandCli, Debugger, StopKind
+from repro.obs import (
+    aggregate_journal,
+    aggregate_sharded,
+    derive_telemetry,
+    validate_chrome_trace,
+)
 from repro.sim.sharding import HostSpec, partition_program
 
 VALUES = (1, 1, 2, 3, 3, 3, 3, 9, 9, 4)
@@ -260,3 +265,42 @@ def test_sharded_run_export_trace_writes_file(tmp_path):
     nbytes = run.export_trace(str(target))
     assert target.exists() and nbytes == len(target.read_bytes())
     assert validate_chrome_trace(target.read_text()) == []
+
+
+# ---------------------------------------------------- info aggregate (CLI)
+
+
+def _rle_cli_session():
+    sched, runtime, _sink = build_rle_pipeline(VALUES)
+    dbg = Debugger(sched, runtime)
+    cli = CommandCli(dbg)
+    return DataflowSession(dbg, cli=cli), cli
+
+
+def test_info_aggregate_renders_the_journal_derived_view():
+    session, cli = _rle_cli_session()
+    session.replay.record_on()
+    assert _run_to_exit(session.dbg).kind == StopKind.EXITED
+    master = session.replay.master
+    lines = cli.execute("info aggregate")
+    agg = aggregate_journal(master)
+    assert lines == agg.render()
+    assert lines[0] == (
+        f"aggregate telemetry: 1 shard(s), {len(agg.sink)} span(s), "
+        f"{master.total_events} event(s) fed"
+    )
+    assert lines[1] == f"  fingerprint: {agg.canonical_fingerprint()}"
+    assert not any("warning" in line for line in lines)
+    # the view's spans are the ones the single-kernel deriver builds
+    derived = derive_telemetry(master)
+    assert agg.sink.spans == derived.sink.spans
+    assert all(isinstance(span, tuple) for span in agg.sink.spans)
+    assert cli.execute("info aggregate") == lines  # deterministic
+
+
+def test_info_aggregate_without_a_recording_says_so():
+    session, cli = _rle_cli_session()
+    assert _run_to_exit(session.dbg).kind == StopKind.EXITED
+    assert cli.execute("info aggregate") == [
+        "nothing to aggregate (record the run, or run sharded)"
+    ]

@@ -9,6 +9,7 @@ import pytest
 from repro.apps.rle import build_rle_pipeline
 from repro.core import DataflowSession
 from repro.dbg import CommandCli, Debugger, StopKind
+from repro.obs import derive_telemetry
 from repro.obs.flight import AUTO_DUMP_KINDS, FlightRecorder
 
 
@@ -135,3 +136,73 @@ def test_bundle_carries_journal_refs():
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
     refs = session.flight.bundle("manual")["journal"]
     assert refs is not None and refs["total_events"] > 0
+
+
+# ------------------------------------------- the flight/telemetry contract
+
+
+def test_ring_is_the_tail_of_the_telemetry_span_stream():
+    """One builder feeds both stores: the ring holds exactly the newest
+    spans of an unbounded telemetry sink, and the bundle's metrics are
+    the telemetry registry's."""
+    session, _ = rle_session()
+    session.flight.sink.limit = 8
+    session.telemetry.enable()
+    assert run_to_exit(session.dbg).kind == StopKind.EXITED
+    ring = session.flight.sink.spans
+    full = session.telemetry.sink.spans
+    assert len(ring) == 8 and len(full) > 8
+    assert ring == full[-8:]
+    assert session.flight.sink.total("push") == session.telemetry.sink.total("push")
+    bundle = session.flight.bundle("manual")
+    assert bundle["metrics"] == session.telemetry.metrics.render()
+    assert bundle["config"]["time"] == session.telemetry.metrics.last_time
+
+
+def test_ring_keeps_newest_spans_when_telemetry_caps():
+    """``trace on limit N`` drops the newest spans from the telemetry
+    sink; the ring keeps its own policy and still ends at the run's
+    last span (the full stream is derived from the recorded journal)."""
+    session, cli = rle_session()
+    session.replay.record_on()
+    cli.execute("trace on limit 8")
+    assert run_to_exit(session.dbg).kind == StopKind.EXITED
+    capped = session.telemetry.sink
+    assert len(capped) == 8 and capped.dropped > 0
+    full = derive_telemetry(session.replay.master).sink.spans
+    ring = session.flight.sink.spans
+    assert len(ring) == min(len(full), session.flight.sink.limit)
+    assert ring == full[-len(ring):]
+    assert capped.spans == full[:8]
+
+
+def test_trace_clear_keeps_the_ring_and_restarts_deltas(tmp_path):
+    session, cli = rle_session(stop_on_init=True)
+    cli.execute("trace on")
+    session.dbg.run()  # init stop
+    cli.execute("break pack.c:7")
+    for _ in range(3):  # let the old registry's counters grow
+        assert session.dbg.cont().kind == StopKind.BREAKPOINT
+    old_registry = session.telemetry.metrics
+    ring_before = session.flight.sink.spans
+    assert ring_before
+    assert cli.execute("trace clear") == ["telemetry data cleared"]
+    assert session.flight.sink.spans == ring_before  # the ring is not telemetry's to clear
+    assert session.telemetry.metrics is not old_registry
+    assert session.dbg.cont().kind == StopKind.BREAKPOINT
+    # the delta at the first stop after the clear counts from the fresh
+    # registry's zero, so it equals that registry's counters
+    delta = session.flight.deltas[-1]["actors"]
+    fresh = session.telemetry.metrics.actors
+    assert delta
+    for name, diff in delta.items():
+        assert all(value > 0 for value in diff.values()), (name, diff)
+        counters = fresh[name]
+        assert all(getattr(counters, field) == value for field, value in diff.items())
+    assert len(session.flight.sink.spans) > len(ring_before)
+    target = tmp_path / "after_clear.json"
+    assert cli.execute(f"flight dump {target}") == [f"flight bundle written to {target}"]
+    bundle = json.loads(target.read_text())
+    assert bundle["flight"]["telemetry_observed"] is True
+    assert bundle["spans"] == [s.describe() for s in session.flight.sink.spans]
+    assert bundle["metrics"] == session.telemetry.metrics.render()
