@@ -1,13 +1,11 @@
 """Fast-path micro-benchmarks: the adaptive-instrumentation machinery.
 
-Three hot paths the debugger's §V overhead story rests on:
+Two hot paths the debugger's §V overhead story rests on:
 
 - ``BreakpointRegistry`` lookups — indexed by (file, line)/symbol, so a
   miss costs one dict probe regardless of how many breakpoints exist;
 - hook elision — a hook whose capability mask is zero must make the
-  interpreter behave like an unhooked one;
-- the bounded ``TraceRecorder`` — the full-cap drop path allocates
-  nothing, and ring mode evicts in O(1).
+  interpreter behave like an unhooked one.
 """
 
 import time
@@ -16,7 +14,6 @@ import pytest
 
 from repro.cminus import DebugHook, Interpreter, NullEnvironment, run_sync
 from repro.dbg.breakpoints import BreakpointRegistry, SourceBreakpoint
-from repro.sim.trace import TraceRecorder
 
 from tests.cminus.util import compile_program
 
@@ -155,44 +152,3 @@ def test_hook_elision_loop(benchmark, mode):
         assert hook.statements == hook.calls == hook.returns == 0
     elif mode == "observing":
         assert hook.statements > 2000
-
-
-# ------------------------------------------------------------------ trace
-
-N_EVENTS = 50_000
-
-
-@pytest.mark.parametrize("mode", ["unbounded", "capped", "ring"])
-def test_trace_recorder_throughput(benchmark, mode):
-    """Record 50k events; the capped drop path must not allocate records."""
-
-    def run():
-        if mode == "unbounded":
-            tr = TraceRecorder()
-        elif mode == "capped":
-            tr = TraceRecorder(limit=1000)
-        else:
-            tr = TraceRecorder(limit=1000, ring=True)
-        for i in range(N_EVENTS):
-            tr.record(i, "p", "tick", None)
-        return tr
-
-    tr = benchmark(run)
-    assert tr.total("tick") == N_EVENTS
-    if mode == "unbounded":
-        assert len(tr.records) == N_EVENTS and tr.dropped == 0
-    else:
-        assert len(tr.records) == 1000 and tr.dropped == N_EVENTS - 1000
-        # capped keeps the first 1000, ring keeps the last 1000
-        first = tr.records[0].time
-        assert first == (0 if mode == "capped" else N_EVENTS - 1000)
-
-
-def test_trace_lazy_detail_not_rendered_when_dropped():
-    tr = TraceRecorder(limit=1)
-    rendered = []
-    tr.record(0, "p", "k", lambda: rendered.append("stored") or "stored")
-    tr.record(1, "p", "k", lambda: rendered.append("dropped") or "dropped")
-    assert rendered == ["stored"]
-    assert tr.records[0].detail == "stored"
-    assert tr.dropped == 1

@@ -34,7 +34,8 @@ U32 serve_accumulate(U32 x) {
 """
 
 
-def main() -> None:
+def build_assembly():
+    """The calculator assembly, elaborated: ``(scheduler, runtime)``."""
     asm = AssemblyDecl(name="calc")
     asm.add_component(ComponentDecl(name="storage", source=STORAGE, provides=["get", "set"]))
     asm.add_component(ComponentDecl(
@@ -48,6 +49,11 @@ def main() -> None:
     sched = Scheduler()
     platform = P2012Platform(sched, PlatformConfig(n_clusters=1, pes_per_cluster=8))
     runtime = AssemblyRuntime(sched, platform, asm)
+    return sched, runtime
+
+
+def main() -> None:
+    sched, runtime = build_assembly()
     dbg = Debugger(sched, runtime)
     cli = CommandCli(dbg)
     session = ComponentSession(dbg, cli=cli, stop_on_init=True)

@@ -60,7 +60,6 @@ from .interp import (
     run_sync,
 )
 from .debuginfo import DebugInfo, FunctionSymbol, LineTable, VariableSymbol
-from .compile import CompiledUnit, compiled_unit
 from .frontend import FrontendCache, frontend_cache
 
 __all__ = [
@@ -110,8 +109,6 @@ __all__ = [
     "FunctionSymbol",
     "LineTable",
     "VariableSymbol",
-    "CompiledUnit",
-    "compiled_unit",
     "FrontendCache",
     "frontend_cache",
 ]

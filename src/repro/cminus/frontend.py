@@ -24,8 +24,8 @@ Cached entries hold the *analyzed* program and its
 :class:`~repro.cminus.debuginfo.DebugInfo`.  Both are treated as
 immutable after sema (interpreters copy global values at init and never
 mutate the AST), so a hit can be shared across actors and replay
-re-executions — which also lets them share the closure-compiled unit
-memoized on the Program (see :mod:`repro.cminus.compile`).
+re-executions — which also lets them share the bytecode unit memoized
+on the Program (see :func:`repro.cminus.vm.compiler.vm_unit`).
 """
 
 from __future__ import annotations

@@ -137,12 +137,12 @@ class DebugHook:
     #: telemetry rides the same mask but is NOT part of CAP_ALL and is
     #: ignored by tier selection: it only asks the interpreter to count
     #: the simulated cycles it flushes (span cost attribution), which the
-    #: compiled tier can honour without deoptimizing
+    #: VM tier can honour without deoptimizing
     CAP_TELEMETRY = 0x10
     #: runtime-verification monitors armed (``repro.rv``).  Like
     #: CAP_TELEMETRY, outside CAP_ALL and ignored by tier selection: the
     #: monitors consume framework events, not statement callbacks, so the
-    #: compiled tier keeps running compiled and the monitors-off cost on
+    #: VM tier keeps running bytecode and the monitors-off cost on
     #: the statement path stays a single predicted branch
     CAP_RV = 0x20
     #: per-instruction observation on the VM tier (ISA breakpoints,
@@ -208,8 +208,9 @@ class CostModel:
 
 
 #: accepted values of ``Interpreter.tier`` / ``RuntimeConfig.interp_tier``:
-#: "auto" picks the fastest non-observing tier (closure), "vm" runs the
-#: register-machine bytecode tier, "slow" always tree-walks
+#: "auto" runs the register-machine bytecode tier whenever no
+#: statement/call/return hook could fire ("vm" is an alias of it, kept for
+#: wire clients and scripts), "slow" always tree-walks
 VALID_TIERS = ("auto", "vm", "slow")
 
 
@@ -287,8 +288,9 @@ class Interpreter:
         self.globals: Dict[str, Value] = {}
         self.state = CallState()
         self._globals_ready = False
-        #: tier override: "auto" picks the compiled tier whenever no
-        #: statement/call/return hook could fire; "slow" always tree-walks
+        #: tier override: "auto" (or its alias "vm") runs the bytecode tier
+        #: whenever no statement/call/return hook could fire; "slow" always
+        #: tree-walks
         self.tier = "auto"
         # batched-Delay accumulator (cycles charged but not yet yielded)
         self._pending = 0
@@ -302,10 +304,7 @@ class Interpreter:
         self._rv_armed = False
         self._isa_armed = False
         self._vm_trace = False
-        self._compiled = None  # lazily built CompiledUnit (fast tier)
-        self._compile_failed = False
         self._vm_unit = None  # lazily built VmUnit (bytecode tier)
-        self._vm_failed = False
         #: simulated cycles attributed per executed VM opcode (keyed by
         #: opcode number), counted only while CAP_TELEMETRY is armed —
         #: never added to ``_pending``, so Delay streams stay tier-exact
@@ -316,19 +315,18 @@ class Interpreter:
         self._want_call = True
         self._want_ret = True
         self._fast_ok = False
-        self._pure_fast = False
         self.refresh_hook_caps()
 
     def refresh_hook_caps(self) -> None:
         """Re-cache the hook's capability mask (call after changing either
         ``self.hook`` or ``hook.capabilities``).
 
-        Also recomputes the tier-selection flags: ``_fast_ok`` is the
-        compiled tier's green light and doubles as its **deoptimization
-        flag** — arming a statement/call/return capability while compiled
-        activations are live drops it to False, and every compiled block
-        driver checks it at each statement boundary, falling back into
-        this tree-walking interpreter mid-function.
+        Also recomputes the tier-selection flag: ``_fast_ok`` is the VM
+        tier's green light and doubles as its **deoptimization flag** —
+        arming a statement/call/return capability while VM activations are
+        live drops it to False, and the dispatch loop checks it at each
+        statement boundary, falling back into this tree-walking
+        interpreter mid-function.
         """
         caps = DebugHook.CAP_ALL if self.hook is None else self.hook.capabilities
         self._want_stmt = bool(caps & DebugHook.CAP_STATEMENTS)
@@ -365,9 +363,6 @@ class Interpreter:
         # cycle attribution
         self._isa_armed = bool(caps & DebugHook.CAP_ISA)
         self._vm_trace = self._isa_armed or self._count_cycles
-        # fully-synchronous execution is only safe when nothing can observe
-        # or suspend mid-region: no hook at all and untimed simulation
-        self._pure_fast = self.hook is None and not self.timed
 
     # ------------------------------------------------------------- queries
 
@@ -384,7 +379,9 @@ class Interpreter:
         snapshot.  Execution *position* lives in Python generator frames
         and cannot be pickled; this captures the observable summary used
         to fingerprint a parked resident machine.  Tier-variant: the
-        compiled tier maintains no frames and returns ``()``."""
+        tiers update a frame's line at different points of a statement
+        boundary, so a summary taken mid-boundary can differ between
+        them."""
         return tuple((f.name, f.line) for f in self.frames)
 
     # --------------------------------------------------------------- entry
@@ -401,15 +398,10 @@ class Interpreter:
             raise CMinusRuntimeError(f"no function {name!r} in {self.program.filename}")
         if not self._globals_ready:
             yield from self._init_globals()
-        self._pure_fast = self.hook is None and not self.timed
         if self._use_vm(func.name):
             from .vm.emulator import call_vm
 
             ret = yield from call_vm(self, func.name, list(args))
-        elif self._use_fast(func.name):
-            from .compile import call_compiled
-
-            ret = yield from call_compiled(self, func.name, list(args))
         else:
             ret = yield from self._call_user(func, list(args), call_line=0)
         if self._pending:
@@ -417,41 +409,17 @@ class Interpreter:
         return ret
 
     def _use_vm(self, name: str) -> bool:
-        """Bytecode-tier selection: only when explicitly requested
-        (``tier == "vm"``) and no statement/call/return hook is armed —
-        entry-time descent falls through to ``_use_fast`` otherwise."""
-        if self.tier != "vm" or not self._fast_ok:
+        """Tier selection: the bytecode tier unless the tier is forced
+        slow, a statement/call/return hook is armed, or the function is
+        one the compiler could not lower (listed in ``VmUnit.failed``)."""
+        if self.tier == "slow" or not self._fast_ok:
             return False
         vu = self._vm_unit
         if vu is None:
-            if self._vm_failed:
-                return False
-            try:
-                from .vm.compiler import vm_unit
+            from .vm.compiler import vm_unit
 
-                vu = self._vm_unit = vm_unit(self.program)
-            except Exception:  # compiler trouble must never break execution
-                self._vm_failed = True
-                return False
+            vu = self._vm_unit = vm_unit(self.program)
         return vu.supports(name)
-
-    def _use_fast(self, name: str) -> bool:
-        """Tier selection: compiled unless a statement/call/return hook is
-        armed, the tier is forced slow, or the function failed to compile."""
-        if not self._fast_ok or self.tier == "slow":
-            return False
-        cu = self._compiled
-        if cu is None:
-            if self._compile_failed:
-                return False
-            try:
-                from .compile import compiled_unit
-
-                cu = self._compiled = compiled_unit(self.program)
-            except Exception:  # compiler trouble must never break execution
-                self._compile_failed = True
-                return False
-        return cu.supports(name)
 
     def _init_globals(self):
         self._globals_ready = True
@@ -653,9 +621,9 @@ class Interpreter:
         raise CMinusRuntimeError(f"unknown statement {type(stmt).__name__}")  # pragma: no cover
 
     # Loop bodies from their per-iteration boundary.  These are both the
-    # slow tier's implementation and the compiled tier's deoptimization
-    # continuations: a compiled loop driver that finds hooks armed at an
-    # iteration header delegates the rest of the loop here, mid-function.
+    # slow tier's implementation and the VM tier's deoptimization
+    # continuations: a VM loop-header boundary that finds hooks armed
+    # delegates the rest of the loop here, mid-function.
 
     def _while_from_header(self, stmt: ast.While):
         while True:

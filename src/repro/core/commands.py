@@ -581,7 +581,7 @@ class _Commands:
         """Per-opcode cycle attribution from the bytecode tier."""
         cycles = self.session.telemetry.opcode_cycles()
         if not cycles:
-            return ["no opcode cycles counted (needs `trace on` and the vm tier)"]
+            return ["no opcode cycles counted (needs `trace on`; the slow tier runs no bytecode)"]
         out = [f"{'opcode':<10} {'cycles':>12}"]
         for name, cyc in sorted(cycles.items(), key=lambda kv: (-kv[1], kv[0])):
             out.append(f"{name:<10} {cyc:>12}")
@@ -691,21 +691,6 @@ class _Commands:
 
     def cmd_info_trace(self, arg: str) -> List[str]:
         lines: List[str] = []
-        trace = getattr(self.dbg.scheduler, "trace", None)
-        if trace is not None:
-            snap = trace.snapshot()
-            lifetime = sum(snap.kind_counts.values())
-            lines.append(
-                f"kernel trace: {len(snap.records)} record(s) stored, {lifetime} lifetime"
-            )
-            if snap.dropped:
-                lines.append(
-                    f"warning: kernel trace dropped {snap.dropped} record(s) "
-                    "— data is incomplete"
-                )
-        else:
-            lines.append("kernel trace: off (pass trace= to Scheduler to enable)")
-        journal = None
         if self.session.tap.recorder is not None:
             journal = self.session.tap.recorder.journal
         else:

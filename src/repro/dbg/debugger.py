@@ -100,7 +100,7 @@ class Debugger:
         self.telemetry_armed = False
         #: armed by the runtime-verification facade: adds CAP_RV to the
         #: hook mask (monitors ride the framework event bus; the bit never
-        #: deoptimizes the compiled tier)
+        #: deoptimizes the VM tier)
         self.rv_armed = False
         #: armed by the profiler facade: adds CAP_PROFILE to the hook mask
         #: so interpreters attribute flushed cycles through
@@ -138,11 +138,11 @@ class Debugger:
             caps |= DebugHook.CAP_DATA
         if self.telemetry_armed:
             # telemetry rides the same mask but NOT the tier-selection bits:
-            # the compiled fast tier stays compiled, it just counts cycles
+            # the VM tier keeps running bytecode, it just counts cycles
             caps |= DebugHook.CAP_TELEMETRY
         if self.rv_armed:
             # likewise outside CAP_ALL: property monitors consume framework
-            # events, so arming them must not drop the compiled tier
+            # events, so arming them must not drop the VM tier
             caps |= DebugHook.CAP_RV
         if self.profiler_armed:
             # attributed profiling: outside CAP_ALL, implies cycle counting
@@ -807,7 +807,7 @@ class Debugger:
 
     def vm_activation(self, frame: Optional[Frame] = None):
         """The VM :class:`~repro.cminus.vm.emulator.Activation` behind a
-        frame, or None when the frame runs on an AST tier (after tier
+        frame, or None when the frame runs on the tree tier (after tier
         descent the attribute is cleared, so mixed stacks resolve
         per-frame)."""
         if frame is None:

@@ -9,11 +9,12 @@ and the replay-side deriver produce byte-identical streams.  The
 session's one span builder closes each span once and adds it to the
 telemetry sink and to the flight recorder's ring.
 
-:class:`SpanSink` is the bounded store, mirroring
-:class:`~repro.sim.trace.TraceRecorder`'s two policies (cap keeps the
-first ``limit`` spans, ring the last) with the same O(1) bookkeeping
-and a lifetime per-name counter, so ``info spans`` can report totals
-even after eviction and warn when ``dropped > 0``.
+:class:`SpanSink` is the bounded store with two O(1) policies: cap mode
+keeps the first ``limit`` spans and drops the newest, ring mode keeps
+the last ``limit`` and evicts the oldest.  Either way ``dropped`` counts
+what the bound discarded and a lifetime per-name counter survives, so
+``info spans`` can report totals even after eviction and warn when
+``dropped > 0``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class Span(NamedTuple):
 
 
 class SpanSnapshot(NamedTuple):
-    """Atomic copy of a sink's state (see TraceSnapshot)."""
+    """Atomic copy of a sink's state: stored spans, lifetime per-name
+    counts and the drop count, all taken at the same moment."""
 
     spans: List[Span]
     name_counts: Dict[str, int]

@@ -8,7 +8,7 @@ Arming does two things, both reversible:
   framework calls event-free);
 - raises ``CAP_TELEMETRY`` in the debugger's hook-capability mask so
   interpreters count the cycles they flush.  The bit is ignored by tier
-  selection, so the compiled fast tier keeps running compiled — the
+  selection, so the VM tier keeps running bytecode — the
   only new work on the hot path is one predicted branch per cost flush
   (one per ~batch_cycles statements).
 
@@ -46,7 +46,8 @@ class Telemetry:
 
     def enable(self, limit: Optional[int] = None, ring: bool = False) -> None:
         """Start collecting (idempotent).  ``limit``/``ring`` bound the
-        span sink with TraceRecorder's cap/ring policies."""
+        span sink: cap mode keeps the first ``limit`` spans, ring mode
+        the last (see :class:`~repro.obs.spans.SpanSink`)."""
         if self.enabled:
             return
         if self.builder is None:

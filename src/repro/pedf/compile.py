@@ -113,16 +113,11 @@ def _rename_functions(program: cast.Program, mapping: Dict[str, str]) -> None:
         walk_expr(g.init)
 
 
-def compile_actor(
-    decl: ActorDeclBase, module: ModuleDecl, structs=None, tier: str = "auto"
-) -> None:
+def compile_actor(decl: ActorDeclBase, module: ModuleDecl, structs=None) -> None:
     """Parse, mangle and type-check one actor's Filter-C source.
 
     Fills ``decl.cprogram``, ``decl.debug_info`` and ``decl.work_symbol``.
-    ``structs`` are shared application-level struct types.  ``tier`` is
-    the execution tier the program is destined for — part of the cache
-    salt, since the returned Program object accretes tier-specific
-    compilation caches (closure / bytecode units).  Idempotent:
+    ``structs`` are shared application-level struct types.  Idempotent:
     recompiling an already-compiled declaration is a no-op.
     """
     if decl.cprogram is not None:
@@ -139,7 +134,7 @@ def compile_actor(
 
     ctx = _actor_context(decl, module, structs)
     key = frontend_cache.digest(
-        decl.source, filename, *_context_salt(ctx, work_symbol, prefix, tier)
+        decl.source, filename, *_context_salt(ctx, work_symbol, prefix)
     )
     cached = frontend_cache.get(key)
     if cached is not None:
@@ -162,14 +157,10 @@ def compile_actor(
     frontend_cache.put(key, (program, decl.debug_info, work_symbol))
 
 
-def _context_salt(
-    ctx: ActorContext, work_symbol: str, prefix: str, tier: str = "auto"
-) -> list:
+def _context_salt(ctx: ActorContext, work_symbol: str, prefix: str) -> list:
     """Everything beyond the source text that can change the front end's
-    output: the mangling plan, the full compilation context, and the
-    execution tier (cached Program objects carry tier-specific unit
-    caches, so runs on different tiers must not share them)."""
-    salt = [ctx.kind, work_symbol, prefix, f"tier:{tier}"]
+    output: the mangling plan and the full compilation context."""
+    salt = [ctx.kind, work_symbol, prefix]
     salt.extend(
         f"iface:{s.name}:{s.direction}:{type_signature(s.ctype)}"
         for s in sorted(ctx.ifaces.values(), key=lambda s: s.name)
@@ -202,13 +193,13 @@ def _actor_context(decl: ActorDeclBase, module: ModuleDecl, structs=None) -> Act
     return ctx
 
 
-def compile_program(program: "ProgramDecl", tier: str = "auto") -> None:
-    """Compile every actor in a program declaration for ``tier``."""
+def compile_program(program: "ProgramDecl") -> None:
+    """Compile every actor in a program declaration."""
     from .decls import ProgramDecl  # local import to avoid a cycle at import time
 
     assert isinstance(program, ProgramDecl)
     for module in program.modules.values():
         if module.controller is not None:
-            compile_actor(module.controller, module, program.structs, tier)
+            compile_actor(module.controller, module, program.structs)
         for filt in module.filters.values():
-            compile_actor(filt, module, program.structs, tier)
+            compile_actor(filt, module, program.structs)

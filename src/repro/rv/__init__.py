@@ -16,7 +16,7 @@ byte-identical to the live run (the telemetry subsystem's identity trick,
 applied to correctness instead of cost).
 
 Arming monitors raises ``DebugHook.CAP_RV`` — a capability bit outside
-``CAP_ALL`` — so the compiled Filter-C tier stays compiled and the
+``CAP_ALL`` — so the Filter-C VM tier keeps running bytecode and the
 monitors-off cost is a predicted branch.
 """
 

@@ -7,8 +7,8 @@ Arming checks mirrors the telemetry facade, and is just as reversible:
   other consumer listen, the §V elision fast path keeps framework calls
   event-free);
 - raises ``CAP_RV`` in the debugger's hook-capability mask.  The bit is
-  outside ``CAP_ALL`` and ignored by tier selection, so the compiled
-  Filter-C tier keeps running compiled — with monitors off, the only
+  outside ``CAP_ALL`` and ignored by tier selection, so the Filter-C VM
+  tier keeps running bytecode — with monitors off, the only
   statement-path cost is a predicted branch.
 
 A violation freezes the check into its :class:`~repro.rv.monitors.Verdict`

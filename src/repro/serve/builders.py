@@ -21,9 +21,9 @@ KNOWN_PROGRAMS = ("amodule", "rle", "h264")
 
 def apply_tier(session, tier: str) -> None:
     """Force every live interpreter onto ``tier`` ("auto" is the default:
-    compiled closures with debugger-triggered deoptimization; "vm" is the
-    register-machine bytecode tier; "slow" is the per-statement resumable
-    tier, useful as a differential oracle)."""
+    the register-machine bytecode tier with debugger-triggered
+    deoptimization; "vm" is an alias of it; "slow" is the per-statement
+    resumable tier, useful as a differential oracle)."""
     from ..cminus.interp import VALID_TIERS
 
     if tier not in VALID_TIERS:

@@ -23,7 +23,6 @@ from .kernel import Scheduler, StopReason, StopKind
 from .process import Process, ProcessState, Delay, WaitEvent, Suspend, Yield
 from .events import Event
 from .channels import Fifo
-from .trace import TraceRecorder, TraceRecord, TraceSnapshot
 from .replay import AlterationRecord, Checkpoint, ReplayJournal, StopRecord
 
 __all__ = [
@@ -38,9 +37,6 @@ __all__ = [
     "Yield",
     "Event",
     "Fifo",
-    "TraceRecorder",
-    "TraceRecord",
-    "TraceSnapshot",
     "ReplayJournal",
     "Checkpoint",
     "StopRecord",

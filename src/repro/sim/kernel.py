@@ -50,7 +50,6 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 from ..errors import DeadlockError, SimulationError
 from .events import Event
 from .process import Delay, Process, ProcessState, Suspend, WaitEvent, Yield
-from .trace import TraceRecorder
 
 
 class StopKind(enum.Enum):
@@ -81,14 +80,13 @@ class StopReason:
 class Scheduler:
     """Event-driven kernel with simulated cycle time."""
 
-    def __init__(self, trace: Optional[TraceRecorder] = None):
+    def __init__(self):
         self.now: int = 0
         self._ready: Deque[Process] = deque()
         self._timed: List[Tuple[int, int, Process]] = []
         self._seq = 0
         self._next_pid = 0
         self.processes: List[Process] = []
-        self.trace = trace
         self._dispatch_count = 0
         # Hook invoked before each process resume; may return a Suspend to
         # force a stop (used by debugger features that must preempt a
@@ -148,8 +146,6 @@ class Scheduler:
         self._next_pid += 1
         self.processes.append(proc)
         self._make_ready(proc)
-        if self.trace is not None:
-            self.trace.record(self.now, proc.name, "spawn")
         return proc
 
     def event(self, name: str = "") -> Event:
@@ -171,8 +167,6 @@ class Scheduler:
             except ValueError:
                 pass
             proc.state = ProcessState.FROZEN
-        if self.trace is not None:
-            self.trace.record(self.now, proc.name, "freeze")
 
     def thaw(self, proc: Process) -> None:
         """Release a frozen process back into the scheduler."""
@@ -181,8 +175,6 @@ class Scheduler:
         proc.frozen = False
         if proc.state == ProcessState.FROZEN:
             self._make_ready(proc)
-        if self.trace is not None:
-            self.trace.record(self.now, proc.name, "thaw")
 
     def kill(self, proc: Process) -> None:
         """Terminate a process immediately (it never runs again)."""
@@ -192,8 +184,6 @@ class Scheduler:
             proc.waiting_on.remove_waiter(proc)
         proc.state = ProcessState.TERMINATED
         proc.gen.close()
-        if self.trace is not None:
-            self.trace.record(self.now, proc.name, "kill")
 
     # -------------------------------------------------------------- queries
 
@@ -256,8 +246,6 @@ class Scheduler:
         if proc.state != ProcessState.WAITING:
             raise SimulationError(f"cannot wake {proc}: not waiting")
         self._make_ready(proc)
-        if self.trace is not None:
-            self.trace.record(self.now, proc.name, "wake")
 
     def _schedule_at(self, time: int, proc: Process) -> None:
         proc.state = ProcessState.TIMED
@@ -351,18 +339,12 @@ class Scheduler:
         except StopIteration as stop:
             proc.state = ProcessState.TERMINATED
             proc.result = stop.value
-            if self.trace is not None:
-                self.trace.record(self.now, proc.name, "terminate")
             if self._post_dispatch_armed:
                 self._post_dispatch_hook(self._dispatch_count)
             return None
         except Exception as exc:  # noqa: BLE001 - surfaced to the caller
             proc.state = ProcessState.FAILED
             proc.exception = exc
-            if self.trace is not None:
-                # lazy detail: the repr is only rendered if the recorder
-                # actually stores the record (not when it is full)
-                self.trace.record(self.now, proc.name, "fail", lambda: repr(exc))
             return StopReason(StopKind.PROCESS_ERROR, self.now, proc, exc)
 
         if isinstance(request, Delay):
@@ -382,8 +364,6 @@ class Scheduler:
             # stays invariant under interactive stops (see dispatch_count).
             self._dispatch_count -= 1
             self._make_ready_front(proc)
-            if self.trace is not None:
-                self.trace.record(self.now, proc.name, "suspend", request.reason)
             return StopReason(StopKind.SUSPENDED, self.now, proc, request.reason)
         else:
             proc.state = ProcessState.FAILED

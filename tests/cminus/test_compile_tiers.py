@@ -1,7 +1,8 @@
-"""Differential tests: compiled closure tier vs resumable interpreter.
+"""Differential tests: bytecode (VM) tier vs resumable interpreter.
 
-The compiled tier (repro.cminus.compile) must be observationally
-indistinguishable from the slow tier: same results, same printed output,
+The default tier (the register VM, repro.cminus.vm) must be
+observationally indistinguishable from the slow tier: same results, same
+printed output,
 same execution counters, and — crucially for record/replay — the very
 same kernel-request stream in timed mode (batched ``Delay`` flushes are
 structural, not tier- or debugger-dependent).
@@ -18,7 +19,6 @@ from repro.cminus import (
     parse_program,
     run_sync,
 )
-from repro.cminus.compile import compiled_unit
 from repro.cminus.sema import ActorContext, IfaceSig
 from repro.cminus.typesys import U32
 from repro.errors import CMinusRuntimeError
@@ -41,13 +41,13 @@ def run_tier(source, tier, fn="main", args=(), **kwargs):
     return value, interp
 
 
-#: every execution tier, differentially compared against the tree oracle
-TIERS = ("auto", "vm", "slow")
+#: both execution tiers, differentially compared against the tree oracle
+TIERS = ("auto", "slow")
 
 
 def assert_tiers_agree(source, fn="main", args=(), context=None):
-    """All three tiers produce the same value/printed output/counters —
-    or raise the very same runtime error."""
+    """Both tiers produce the same value/printed output/counters — or
+    raise the very same runtime error."""
     results = {}
     for tier in TIERS:
         env = NullEnvironment()
@@ -65,7 +65,6 @@ def assert_tiers_agree(source, fn="main", args=(), context=None):
         except CMinusRuntimeError as exc:
             results[tier] = ("error", str(exc))
     assert results["auto"] == results["slow"], results
-    assert results["vm"] == results["slow"], results
     return results["auto"]
 
 
@@ -115,22 +114,15 @@ def test_comprehensive_program_identical_across_tiers():
     assert printed  # print() went through the environment on both tiers
 
 
-def test_compiled_tier_actually_engaged():
-    value, interp = run_tier(COMPREHENSIVE, "auto")
-    assert interp._compiled is not None, "fast tier never engaged"
-    assert interp._compiled.supports("main")
-    value_slow, interp_slow = run_tier(COMPREHENSIVE, "slow")
-    assert interp_slow._compiled is None, "slow tier must not compile"
-    assert value == value_slow
-
-
 def test_vm_tier_actually_engaged():
-    value, interp = run_tier(COMPREHENSIVE, "vm")
-    assert interp._vm_unit is not None, "vm tier never engaged"
-    assert interp._vm_unit.supports("main")
     value_slow, interp_slow = run_tier(COMPREHENSIVE, "slow")
     assert interp_slow._vm_unit is None, "slow tier must not compile bytecode"
-    assert value == value_slow
+    # "auto" is the VM; "vm" stays accepted as its alias
+    for tier in ("auto", "vm"):
+        value, interp = run_tier(COMPREHENSIVE, tier)
+        assert interp._vm_unit is not None, f"{tier}: vm tier never engaged"
+        assert interp._vm_unit.supports("main")
+        assert value == value_slow
 
 
 def test_runtime_error_parity_division_by_zero():
@@ -180,24 +172,23 @@ def drain_requests(interp, fn="main"):
 
 
 def test_timed_kernel_request_streams_identical():
-    f_reqs, f_ret = drain_requests(build(COMPREHENSIVE, "auto", timed=True))
+    v_reqs, v_ret = drain_requests(build(COMPREHENSIVE, "auto", timed=True))
     s_reqs, s_ret = drain_requests(build(COMPREHENSIVE, "slow", timed=True))
-    v_reqs, v_ret = drain_requests(build(COMPREHENSIVE, "vm", timed=True))
-    assert f_ret == s_ret == v_ret
-    assert f_reqs == s_reqs == v_reqs
-    assert f_reqs, "timed run yielded no kernel requests"
-    assert all(kind == "Delay" for kind, _ in f_reqs)
+    assert v_ret == s_ret
+    assert v_reqs == s_reqs
+    assert v_reqs, "timed run yielded no kernel requests"
+    assert all(kind == "Delay" for kind, _ in v_reqs)
 
 
 def test_timed_total_cycles_preserved_by_batching():
     """Batched Delays aggregate cost but must not change its total."""
     per_stmt = CostModel(batch_cycles=1)
-    f_reqs, _ = drain_requests(build(COMPREHENSIVE, "auto", timed=True))
+    v_reqs, _ = drain_requests(build(COMPREHENSIVE, "auto", timed=True))
     u_reqs, _ = drain_requests(
         build(COMPREHENSIVE, "slow", timed=True, cost=per_stmt)
     )
-    assert len(f_reqs) < len(u_reqs), "batching did not reduce requests"
-    assert sum(c for _, c in f_reqs) == sum(c for _, c in u_reqs)
+    assert len(v_reqs) < len(u_reqs), "batching did not reduce requests"
+    assert sum(c for _, c in v_reqs) == sum(c for _, c in u_reqs)
 
 
 # ------------------------------------- satellite: slow-tier coalescing
@@ -219,21 +210,20 @@ def sched_run(source, tier, cost=None):
 def test_slow_tier_coalesces_delays_keeping_sim_time():
     """Satellite: the slow tier batches consecutive Delay(stmt_cost)
     yields too — same final sim time as per-statement yielding, same
-    dispatch count as the compiled tier."""
+    dispatch count as the VM tier."""
     v_batched, sched_batched = sched_run(COMPREHENSIVE, "slow")
     v_perstmt, sched_perstmt = sched_run(
         COMPREHENSIVE, "slow", cost=CostModel(batch_cycles=1)
     )
-    v_fast, sched_fast = sched_run(COMPREHENSIVE, "auto")
-    v_vm, sched_vm = sched_run(COMPREHENSIVE, "vm")
+    v_vm, sched_vm = sched_run(COMPREHENSIVE, "auto")
 
-    assert v_batched == v_perstmt == v_fast == v_vm
+    assert v_batched == v_perstmt == v_vm
     # sim-time totals identical no matter the batching or the tier
-    assert sched_batched.now == sched_perstmt.now == sched_fast.now == sched_vm.now
+    assert sched_batched.now == sched_perstmt.now == sched_vm.now
     # batching really reduced kernel round-trips in the slow tier
     assert sched_batched.dispatch_count < sched_perstmt.dispatch_count
     # dispatch counting is tier-invariant (the replay journal relies on it)
-    assert sched_batched.dispatch_count == sched_fast.dispatch_count == sched_vm.dispatch_count
+    assert sched_batched.dispatch_count == sched_vm.dispatch_count
 
 
 # --------------------------------------------------- io / blocking parity
@@ -241,7 +231,7 @@ def test_slow_tier_coalesces_delays_keeping_sim_time():
 
 class ScriptedIo(NullEnvironment):
     """An environment whose reads block on the kernel (Delay) first —
-    exercising resume-into-compiled-code paths."""
+    exercising resume-into-bytecode paths."""
 
     def __init__(self, values):
         super().__init__()
@@ -283,7 +273,6 @@ def test_blocking_io_identical_across_tiers():
         reqs, _ = drain_requests(interp, fn="work")
         streams[tier] = (reqs, env.written, interp.state.statements_executed)
     assert streams["auto"] == streams["slow"]
-    assert streams["vm"] == streams["slow"]
     assert streams["auto"][1][0][1] == 7 * 9 * 4 + 0 + 1 + 2 + 3
 
 
@@ -362,7 +351,6 @@ def test_property_random_programs_tier_equivalent(source):
     outcome = assert_tiers_agree(source)
     if outcome[0] == "ok":
         # timed mode: the kernel request streams must also be identical
-        f_reqs, f_ret = drain_requests(build(source, "auto", timed=True))
+        v_reqs, v_ret = drain_requests(build(source, "auto", timed=True))
         s_reqs, s_ret = drain_requests(build(source, "slow", timed=True))
-        v_reqs, v_ret = drain_requests(build(source, "vm", timed=True))
-        assert (f_reqs, f_ret) == (s_reqs, s_ret) == (v_reqs, v_ret)
+        assert (v_reqs, v_ret) == (s_reqs, s_ret)

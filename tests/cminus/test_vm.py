@@ -1,6 +1,6 @@
 """The register-machine bytecode tier: compiler, assembler, emulator.
 
-Complements the three-way differential suite in test_compile_tiers.py
+Complements the two-way differential suite in test_compile_tiers.py
 with ISA-level checks: assembler/disassembler round-trips, the ``brk``
 break instruction, per-opcode cycle telemetry and the register-state
 debugging surface.
@@ -75,6 +75,46 @@ def test_unsupported_function_fails_gracefully():
     vu = vm_unit(prog)
     assert vu.supports("user")
     assert run(interp, "user", (9,)) == run(build(src, "slow")[1], "user", (9,))
+
+
+def _shipped_programs():
+    """Every Filter-C program the shipped builders construct: the
+    amodule, rle and h264 applications and the component (ccm) example."""
+    import importlib.util
+    from pathlib import Path
+
+    from repro.apps.amodule import build_demo
+    from repro.apps.h264.app import build_decoder
+    from repro.apps.rle import build_rle_pipeline
+
+    example = Path(__file__).resolve().parents[2] / "examples" / "component_debugging.py"
+    spec = importlib.util.spec_from_file_location("component_debugging", example)
+    ccm = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ccm)
+
+    runtimes = [
+        build_demo()[2],
+        build_rle_pipeline([1, 2])[1],
+        build_decoder(n_mbs=2)[2],
+        ccm.build_assembly()[1],
+    ]
+    programs = {}
+    for runtime in runtimes:
+        for actor in runtime.all_actors():
+            interp = getattr(actor, "interp", None)
+            if interp is not None:
+                programs[actor.qualname] = interp.program
+    return programs
+
+
+def test_every_shipped_program_lowers_completely():
+    """A lowering gap must fail here, not quietly demote a function to
+    the tree walker: ``VmUnit.failed`` is empty for every shipped
+    program."""
+    programs = _shipped_programs()
+    assert len(programs) == 19
+    failed = {name: vm_unit(p).failed for name, p in programs.items()}
+    assert failed == {name: {} for name in programs}
 
 
 # --------------------------------------------------------- asm round-trip

@@ -1,12 +1,10 @@
-"""Small-unit coverage: stop rendering, DOT options, trace limits,
-token formatting."""
+"""Small-unit coverage: stop rendering, DOT options, token formatting."""
 
 from repro.cminus.typesys import U16, U32
 from repro.core.dot import render_dot
 from repro.core.model import DataflowModel, DbgActor, DbgConnection, DbgLink, DbgToken
 from repro.dbg.stop import StopEvent, StopKind
 from repro.pedf.tokens import Token
-from repro.sim import TraceRecorder
 
 
 def test_stop_event_descriptions():
@@ -76,13 +74,3 @@ def test_runtime_token_str():
     tok = Token(value=7, ctype=U16, seq=2, src_iface="a::o", dst_iface="b::i")
     assert str(tok) == "#2 (U16) 7"
 
-
-def test_trace_recorder_limit():
-    tr = TraceRecorder(limit=2)
-    for i in range(5):
-        tr.record(i, "p", "k")
-    assert len(tr.records) == 2
-    assert tr.dropped == 3
-    assert len(tr.of_kind("k")) == 2
-    tr.clear()
-    assert tr.records == [] and tr.dropped == 0

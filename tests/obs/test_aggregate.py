@@ -120,10 +120,10 @@ def test_amodule_canonical_matches_single_kernel(tier, n_shards):
 
 def test_canonical_projection_is_tier_invariant():
     """The projection only contains order-determined quantities, so the
-    closure and bytecode tiers must agree line for line too."""
+    bytecode and tree tiers must agree line for line too."""
     assert (
         aggregate_journal(_single_rle("auto").replay.master).canonical_lines()
-        == aggregate_journal(_single_rle("vm").replay.master).canonical_lines()
+        == aggregate_journal(_single_rle("slow").replay.master).canonical_lines()
     )
 
 

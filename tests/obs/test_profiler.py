@@ -78,7 +78,7 @@ def test_profile_total_equals_flushed_cycles(tier):
 
 
 @pytest.mark.parametrize(
-    "tier,label", [("auto", "compiled"), ("vm", "vm"), ("slow", "tree")]
+    "tier,label", [("auto", "vm"), ("vm", "vm"), ("slow", "tree")]
 )
 def test_tier_attribution_labels(tier, label):
     session = rle_session(tier=tier)

@@ -200,6 +200,35 @@ def test_trace_command_lifecycle(tmp_path):
     assert cli.execute("info metrics")
 
 
+def test_info_opcodes_on_the_default_tier():
+    """``info opcodes`` tabulates the VM's per-opcode cycle attribution:
+    nothing before telemetry is armed, then one row per executed opcode
+    (each a whole number of that opcode's ISA cost) and their total."""
+    from repro.cminus.vm import isa
+
+    session, cli, _ = rle_session()
+    assert cli.execute("info opcodes")[0].startswith("no opcode cycles counted")
+
+    cli.execute("trace on")
+    assert run_to_exit(session.dbg).kind == StopKind.EXITED
+    out = cli.execute("info opcodes")
+    assert out[0].split() == ["opcode", "cycles"]
+    rows = dict((name, int(cyc)) for name, cyc in (line.split() for line in out[1:]))
+    total = rows.pop("total")
+    assert rows == session.telemetry.opcode_cycles()
+    assert {"ior", "iow"} <= set(rows), rows
+    assert total == sum(rows.values()) > 0
+    for name, cycles in rows.items():
+        assert cycles % isa.COST[isa.BY_NAME[name]] == 0, name
+    # rows are ordered by cycles, heaviest first
+    assert list(rows.values()) == sorted(rows.values(), reverse=True)
+
+    slow, slow_cli, _ = rle_session(tier="slow")
+    slow_cli.execute("trace on")
+    assert run_to_exit(slow.dbg).kind == StopKind.EXITED
+    assert slow_cli.execute("info opcodes")[0].startswith("no opcode cycles counted")
+
+
 def test_drop_warning_surfaces_on_bounded_sink():
     session, cli, _ = rle_session()
     cli.execute("trace on limit 5 ring")

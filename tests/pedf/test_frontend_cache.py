@@ -2,8 +2,8 @@
 
 Replay re-executions and timeline forks rebuild the whole application
 from scratch — the cache makes the second and every later rebuild reuse
-the analyzed program, and lets identical sources share one closure-
-compiled unit (memoized per Program object).
+the analyzed program, and lets identical sources share one bytecode
+unit (memoized per Program object).
 """
 
 import pytest

@@ -11,7 +11,6 @@ from repro.sim import (
     Scheduler,
     StopKind,
     Suspend,
-    TraceRecorder,
     WaitEvent,
     Yield,
 )
@@ -320,19 +319,6 @@ def test_nested_generators_forward_requests():
     sched.spawn(proc(), "p")
     sched.run()
     assert log == [("inner", 3)]
-
-
-def test_trace_records_lifecycle():
-    trace = TraceRecorder()
-    sched = Scheduler(trace=trace)
-
-    def proc():
-        yield Delay(1)
-
-    sched.spawn(proc(), "p")
-    sched.run()
-    kinds = [r.kind for r in trace.records]
-    assert kinds == ["spawn", "terminate"]
 
 
 def test_pre_dispatch_hook_can_force_suspend():
