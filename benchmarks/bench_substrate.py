@@ -251,6 +251,17 @@ def test_telemetry_off_overhead_within_noise():
     )
 
 
+def _count_calls(monkeypatch, counts, cls, attr, key):
+    """Patch ``cls.attr`` to bump ``counts[key]`` on every call."""
+    inner = getattr(cls, attr)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cls, attr, wrapper)
+
+
 def _counted_rle_run(monkeypatch, telemetry):
     """Run the RLE app end to end, counting tap events, span-builder
     constructions and feeds, and span-sink inserts."""
@@ -262,20 +273,10 @@ def _counted_rle_run(monkeypatch, telemetry):
     from repro.obs.spans import SpanSink
 
     counts = {"tap_events": 0, "builders": 0, "feeds": 0, "span_adds": 0}
-
-    def counting(cls, attr, key):
-        inner = getattr(cls, attr)
-
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(cls, attr, wrapper)
-
-    counting(EventTap, "_on_event", "tap_events")
-    counting(TelemetryBuilder, "__init__", "builders")
-    counting(TelemetryBuilder, "feed", "feeds")
-    counting(SpanSink, "add", "span_adds")
+    _count_calls(monkeypatch, counts, EventTap, "_on_event", "tap_events")
+    _count_calls(monkeypatch, counts, TelemetryBuilder, "__init__", "builders")
+    _count_calls(monkeypatch, counts, TelemetryBuilder, "feed", "feeds")
+    _count_calls(monkeypatch, counts, SpanSink, "add", "span_adds")
     sched, runtime, _sink = build_rle_pipeline([5, 5, 5, 2, 7, 7])
     session = DataflowSession(Debugger(sched, runtime))
     if telemetry:
@@ -367,6 +368,52 @@ def test_profiler_off_overhead_within_noise():
     )
 
 
+def _counted_profiler_run(monkeypatch, profiler):
+    """Run the RLE app end to end, counting profile-sink calls (one per
+    attributed cost flush) and profile inserts."""
+    from repro.apps.rle import build_rle_pipeline
+    from repro.core import DataflowSession
+    from repro.dbg import Debugger, StopKind
+    from repro.obs.prof import Profile, Profiler
+
+    counts = {"sink_calls": 0, "profile_adds": 0}
+    _count_calls(monkeypatch, counts, Profiler, "_charge", "sink_calls")
+    _count_calls(monkeypatch, counts, Profile, "add", "profile_adds")
+    sched, runtime, _sink = build_rle_pipeline([5, 5, 5, 2, 7, 7])
+    session = DataflowSession(Debugger(sched, runtime))
+    if profiler:
+        session.prof.enable()
+    ev = session.dbg.run()
+    while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
+        ev = session.dbg.cont()
+    assert ev.kind == StopKind.EXITED
+    interps = [a.interp for a in runtime.all_actors() if getattr(a, "interp", None)]
+    assert interps
+    return session, interps, counts
+
+
+def test_profiler_on_charges_once_per_flush(monkeypatch):
+    """The exact-count gate (runs under ``--benchmark-disable`` too):
+    with the profiler on, every interpreter holds the sink and each
+    cost flush reaches it exactly once, as one profile insert."""
+    session, interps, counts = _counted_profiler_run(monkeypatch, profiler=True)
+    assert all(interp._profile is not None for interp in interps)
+    assert counts["sink_calls"] > 0
+    assert counts["sink_calls"] == counts["profile_adds"] == session.prof.profile.flushes
+
+
+def test_profiler_off_calls_no_profile_sink(monkeypatch):
+    """The exact-count gate's off half (runs under
+    ``--benchmark-disable`` too): with the profiler off, no interpreter
+    holds a sink and no cost flush is charged anywhere.  It counts sink
+    work, not the interpreter's cycle counting, so the wall gate above
+    stays."""
+    session, interps, counts = _counted_profiler_run(monkeypatch, profiler=False)
+    assert counts == {"sink_calls": 0, "profile_adds": 0}
+    assert all(interp._profile is None for interp in interps)
+    assert session.dbg.hook.profile_sink is None and session.prof.profile is None
+
+
 #: monitors-off must stay within noise of a check-free run: with no
 #: checks armed there is no "*" bus listener (framework calls stay
 #: event-free via §V elision) and CAP_RV is clear, so the only residual
@@ -442,6 +489,40 @@ def test_rv_monitors_off_overhead_within_noise():
         f"{RV_OFF_NOISE_MARGIN}x noise margin "
         f"(check-free {baseline:.4f}s, monitors-off {off:.4f}s)"
     )
+
+
+def test_rv_removed_monitor_is_fed_nothing(monkeypatch):
+    """The exact-count gate (runs under ``--benchmark-disable`` too):
+    a check armed mid-run feeds its monitor; once removed, the rest of
+    the run feeds it nothing, the tap holds no consumer and its ``"*"``
+    bus subscription is gone.  It counts monitor work, not the
+    interpreter's cycle counting, so the wall gate above stays."""
+    from repro.apps.rle import build_rle_pipeline
+    from repro.core import DataflowSession
+    from repro.dbg import Debugger, StopKind
+    from repro.rv.monitors import Monitor
+
+    counts = {"feeds": 0}
+    _count_calls(monkeypatch, counts, Monitor, "feed", "feeds")
+    sched, runtime, _sink = build_rle_pipeline([5, 5, 5, 2, 7, 7])
+    session = DataflowSession(Debugger(sched, runtime), stop_on_init=True)
+    dbg, tap = session.dbg, session.tap
+    assert dbg.run().kind == StopKind.DATAFLOW  # graph reconstructed
+    check = session.checks.add("occupancy pack::o->expand::i <= 999999", action="log")
+    assert tap.consumers and tap._sub is not None
+    session.catch_iface("pack::o", event="push", temporary=True)
+    assert dbg.cont().kind == StopKind.DATAFLOW
+    assert counts["feeds"] > 0  # armed: the monitor judged the events so far
+
+    session.checks.remove(check.id)
+    counts["feeds"] = 0
+    ev = dbg.cont()
+    while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
+        ev = dbg.cont()
+    assert ev.kind == StopKind.EXITED
+    assert counts["feeds"] == 0
+    assert tap.consumers == () and tap._sub is None
+    assert not dbg.hook.capabilities & DebugHook.CAP_RV
 
 
 def test_event_bus_emission(benchmark):

@@ -74,7 +74,7 @@ def install_dataflow_commands(cli: CommandCli, session: DataflowSession) -> None
     ))
     cli.register(Command(
         "record", handler.cmd_record,
-        "record on [every N] [limit N] [segments DIR] [window N] [snapshot M] "
+        "record on [every N] [segments DIR] [window N] [snapshot M] "
         "| record off — journal the execution for deterministic replay "
         "(must precede run); segments rotate the log to disk, snapshot M "
         "takes a deep state snapshot every M checkpoints",
@@ -399,13 +399,12 @@ class _Commands:
         if verb == "on":
             opts = parse_keyword_options(
                 rest,
-                "record on [every N] [limit N] [segments DIR] [window N] [snapshot M]",
-                int_keys=("every", "limit", "window", "snapshot"),
+                "record on [every N] [segments DIR] [window N] [snapshot M]",
+                int_keys=("every", "window", "snapshot"),
                 str_keys=("segments",),
             )
             return mgr.record_on(
                 interval=opts.get("every"),
-                limit=opts.get("limit"),
                 segment_dir=opts.get("segments"),
                 window=opts.get("window"),
                 snapshot_every=opts.get("snapshot"),
@@ -629,7 +628,9 @@ class _Commands:
         if verb in ("status", ""):
             return prof.status_lines()
         if verb == "top":
-            n = int(rest) if rest.lstrip("-").isdigit() else 10
+            if rest and not rest.lstrip("-").isdigit():
+                raise CommandError("usage: prof top [N]")
+            n = int(rest) if rest else 10
             rows = prof._require().top(n)
             out = [f"{'self':>10} {'incl':>10}  actor function"]
             out.extend(
@@ -697,14 +698,9 @@ class _Commands:
             journal = getattr(self.session.replay, "master", None)
         if journal is not None:
             lines.append(
-                f"replay journal: {len(journal.events)} event(s) stored "
+                f"replay journal: {len(journal.events)} event(s) in memory "
                 f"of {journal.total_events} recorded"
             )
-            if journal.evicted_events:
-                lines.append(
-                    f"warning: replay journal dropped {journal.evicted_events} event(s) "
-                    "— replay-derived telemetry will be incomplete"
-                )
         else:
             lines.append("replay journal: none (use `record on` before run)")
         lines.extend(self.session.telemetry.status_lines())

@@ -44,7 +44,6 @@ report the first mismatch instead of silently rebuilding a different run.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Tuple
@@ -75,11 +74,6 @@ _MAX_DRIVE_STOPS = 100_000
 DEFAULT_POOL_LIMIT = 4
 
 
-class ReplayCoverageWarning(RuntimeWarning):
-    """The determinism self-check could not cover every event (the
-    recorded journal evicted part of the run under its cap)."""
-
-
 class RunRecorder:
     """Journals one execution; in replay mode also verifies and steers it."""
 
@@ -108,10 +102,6 @@ class RunRecorder:
         self.events_compared = 0
         self.checkpoints_verified = 0
         self.snapshots_verified = 0
-        #: (first, last) positions the self-check could NOT verify because
-        #: the reference journal's cap evicted them — reported, so a
-        #: capped reference never passes for a clean verify
-        self.uncovered: Optional[Tuple[int, int]] = None
         #: forward reader over the reference (see ReplayJournal.cursor)
         #: and the position it yields next; it lives on the recorder, so
         #: a parked resident resumes reading where it stopped
@@ -144,9 +134,7 @@ class RunRecorder:
                 self._cursor = ref.cursor(index)
             self._cursor_next = index + 1
             expected = next(self._cursor)
-            if expected is None:
-                self._note_uncovered(index)
-            elif ev != expected:
+            if ev != expected:
                 # the whole record: time, phase, symbol, actor, seq, link
                 # and target must all match the recorded event
                 self.divergence = (
@@ -175,23 +163,6 @@ class RunRecorder:
             )
             return index, self.dbg.external_suspend(self.landed)
         return index, None
-
-    def _note_uncovered(self, index: int) -> None:
-        """The reference journal evicted this event: the self-check has a
-        hole.  Warn once, keep extending the range."""
-        if self.uncovered is None:
-            self.uncovered = (index, index)
-            warnings.warn(
-                f"determinism self-check has no reference for event #{index} "
-                f"and onward inside the recorded window: the recorded journal's "
-                f"cap evicted those events, so verification is "
-                f"partial (record with segments to keep everything)",
-                ReplayCoverageWarning,
-                stacklevel=3,
-            )
-        else:
-            lo, hi = self.uncovered
-            self.uncovered = (min(lo, index), max(hi, index))
 
     def _on_dispatch(self, count: int) -> None:
         if count % self.interval:
@@ -382,7 +353,6 @@ class ReplayManager:
     def record_on(
         self,
         interval: Optional[int] = None,
-        limit: Optional[int] = None,
         segment_dir: Optional[str] = None,
         window: Optional[int] = None,
         snapshot_every: Optional[int] = None,
@@ -399,7 +369,6 @@ class ReplayManager:
         if snapshot_every is not None:
             self.snapshot_every = max(0, snapshot_every)
         journal = ReplayJournal(
-            limit=limit,
             segment_dir=segment_dir,
             window=window if window is not None else DEFAULT_SEGMENT_WINDOW,
         )
@@ -415,8 +384,6 @@ class ReplayManager:
         bound = ""
         if segment_dir is not None:
             bound = f", segments in {segment_dir} (window {journal.window})"
-        elif limit:
-            bound = f", event log capped at {limit}"
         return [f"Recording on (checkpoint every {self.interval} dispatches{bound})."]
 
     def record_off(self) -> List[str]:
@@ -513,29 +480,15 @@ class ReplayManager:
         kind, _, value = text.partition(" ")
         value = value.strip()
         if kind == "seq" and value.isdigit():
-            status, index = master.seq_status(int(value))
-            if status == "found":
-                return index
-            if status == "evicted":
-                lo, hi = master.stored_range()
-                raise ReplayError(
-                    f"token seq {value} was recorded but evicted by the journal "
-                    f"bound (only events {lo}..{hi} of {master.total_events} are "
-                    f"still stored); re-record with segments to keep everything"
-                )
-            raise ReplayError(f"no recorded token with sequence number {value}")
+            index = master.index_for_seq(int(value))
+            if index is None:
+                raise ReplayError(f"no recorded token with sequence number {value}")
+            return index
         if kind == "time" and value.isdigit():
-            status, index = master.time_status(int(value))
-            if status == "found":
-                return index
-            if status == "evicted":
-                lo, hi = master.stored_range()
-                raise ReplayError(
-                    f"events around t={value} were evicted by the journal bound "
-                    f"(only events {lo}..{hi} of {master.total_events} are still "
-                    f"stored); re-record with segments to keep everything"
-                )
-            raise ReplayError(f"no recorded event at or after t={value}")
+            index = master.index_for_time(int(value))
+            if index is None:
+                raise ReplayError(f"no recorded event at or after t={value}")
+            return index
         if kind == "event" and value.isdigit():
             index = int(value)
         elif text.isdigit():
@@ -750,12 +703,6 @@ class ReplayManager:
         )
         if master.segments is not None:
             lines.append(f"  segments: {master.segments.describe()}")
-        elif master.evicted_events:
-            lo, hi = master.stored_range()
-            lines.append(
-                f"  journal bound evicted {master.evicted_events} event(s) "
-                f"(stored window {lo}..{hi})"
-            )
         if self.snapshot_every:
             lines.append(
                 f"  deep snapshots: {len(master.state_snapshots)} recorded "
@@ -796,11 +743,4 @@ class ReplayManager:
                 f"{rec.checkpoints_verified} checkpoint(s) and "
                 f"{rec.snapshots_verified} deep snapshot(s) verified identical"
             )
-            if rec.uncovered is not None:
-                lo, hi = rec.uncovered
-                lines.append(
-                    f"  self-check WARNING: events {lo}..{hi} had no recorded "
-                    f"reference (evicted by the journal bound) — verification "
-                    f"is partial"
-                )
         return lines

@@ -87,7 +87,7 @@ def parse_keyword_options(
     flags: Sequence[str] = (),
 ) -> Dict[str, object]:
     """Walk a ``key value key value flag …`` option list (the shape of
-    ``record on every 8 limit 100 segments DIR``, ``trace on limit N
+    ``record on every 8 segments DIR``, ``trace on limit N
     ring``).  Integer-valued keys insist on digits; unknown words raise
     the caller's ``usage:`` line.  Returns only the keys present."""
     out: Dict[str, object] = {}

@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import DataflowDebugError, ReplayError
+from ..errors import DataflowDebugError
 from ..pedf.api import SYM_POP, SYM_PUSH
 from ..sim.replay import replay_into
 from ..sim.sharding.merge import stream_digest
@@ -91,7 +91,6 @@ class AggregateTelemetry:
         self.edges: List[CrossShardEdge] = []
         #: per-link merged value streams (producer-order token values)
         self.streams: Dict[str, List[str]] = {}
-        self.complete = True
         self.warnings: List[str] = []
 
     # -------------------------------------------------------- projection
@@ -153,8 +152,6 @@ class AggregateTelemetry:
             f"aggregate telemetry: {self.n_shards} shard(s), "
             f"{len(self.sink)} span(s), {self.builder.events_fed} event(s) fed"
         ]
-        if not self.complete:
-            lines.append("  warning: a shard journal dropped events — view is partial")
         lines.append(f"  fingerprint: {self.canonical_fingerprint()}")
         if self.cut_links:
             lines.append(
@@ -271,8 +268,6 @@ def aggregate_sharded(run) -> AggregateTelemetry:
     events: List[tuple] = []
     for sid, journal in enumerate(journals):
         events.extend(replay_into(journal, _MergeKey(sid, f"{INIT_TRACK}/shard{sid}")))
-        if journal.evicted_events:
-            agg.complete = False
     sides = _feed_merged(agg, events)
     for link in sorted(agg.cut_links):
         pushes = sides[link]["push"]
@@ -294,12 +289,5 @@ def aggregate_journal(journal) -> AggregateTelemetry:
     reference view the sharded canonical projection must match."""
     agg = AggregateTelemetry(n_shards=1)
     _feed_merged(agg, replay_into(journal, _MergeKey(0, INIT_TRACK)))
-    if journal.evicted_events:
-        agg.complete = False
-    try:
-        agg.streams = journal.link_value_streams()
-    except ReplayError as exc:
-        # the journal cap evicted events: the value streams are
-        # incomplete, and the view says why they are missing
-        agg.warnings.append(f"warning: {exc}")
+    agg.streams = journal.link_value_streams()
     return agg

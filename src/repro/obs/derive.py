@@ -8,9 +8,8 @@ never looks at live-only data by design; see :mod:`repro.obs.builder`).
 
 The journal is streamed — a segment-rotating journal is walked one
 decompressed segment at a time, so profiling an arbitrarily long run
-stays within the in-memory window.  Only a journal recorded with a
-lossy cap can actually lose events; the derivation is then
-a partial profile and says so via ``complete``.
+stays within the in-memory window.  A journal keeps every event, so
+the derivation always covers the whole run.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ class DerivedTelemetry(NamedTuple):
     sink: SpanSink
     metrics: MetricsRegistry
     events_fed: int
-    complete: bool  # False when the journal's event log dropped records
 
 
 def derive_telemetry(
@@ -40,4 +38,4 @@ def derive_telemetry(
     metrics = MetricsRegistry()
     builder = TelemetryBuilder(sink, metrics)
     replay_into(journal, builder)
-    return DerivedTelemetry(sink, metrics, builder.events_fed, journal.evicted_events == 0)
+    return DerivedTelemetry(sink, metrics, builder.events_fed)

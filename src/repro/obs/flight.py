@@ -149,12 +149,7 @@ class FlightRecorder:
         master = self.session.replay.master
         if master is None:
             return None
-        lo, hi = master.stored_range()
-        return {
-            "total_events": master.total_events,
-            "stored_range": [lo, hi],
-            "evicted_events": master.evicted_events,
-        }
+        return {"total_events": master.total_events}
 
     def _shard_state(self) -> Optional[List[str]]:
         sharding = self.session.sharding

@@ -25,7 +25,7 @@ profile exactly — the replay-side deriver, same contract as
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import DataflowDebugError, ReplayDivergenceError
 
@@ -312,22 +312,12 @@ def flame_svg(profile: Profile, width: int = 1200, row_height: int = 16) -> str:
 # ------------------------------------------------------------ derivation
 
 
-class DerivedProfile:
-    """Result of :func:`derive_profile`: the reproduced profile plus the
-    deterministic cross-check that makes it trustworthy."""
+class DerivedProfile(NamedTuple):
+    """Result of :func:`derive_profile`: the reproduced profile, whose
+    re-execution the replay self-check compared event by event."""
 
-    def __init__(
-        self,
-        profile: Profile,
-        opcode_cycles: Dict[str, Dict[str, int]],
-        verified: bool,
-    ) -> None:
-        self.profile = profile
-        self.opcode_cycles = opcode_cycles
-        #: True when the replay self-check compared every recorded event
-        #: of the re-execution; False when the source journal's cap had
-        #: evicted part of the run, so the check was partial
-        self.verified = verified
+    profile: Profile
+    opcode_cycles: Dict[str, Dict[str, int]]
 
 
 def derive_profile(
@@ -385,5 +375,4 @@ def derive_profile(
             f"replay diverged: the re-execution emitted {replayed} event(s), "
             f"the journal recorded {journal.total_events}"
         )
-    verified = recorder.uncovered is None
-    return DerivedProfile(session.prof.profile, session.prof.opcode_cycles(), verified)
+    return DerivedProfile(session.prof.profile, session.prof.opcode_cycles())

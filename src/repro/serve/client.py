@@ -147,6 +147,9 @@ class DebugClient:
             return self.call("subscribe", session=session)
         return self.call("subscribe", session=session, events=events)
 
+    def unsubscribe(self, session: str) -> Dict[str, Any]:
+        return self.call("unsubscribe", session=session)
+
     def interrupt(self, session: str) -> Dict[str, Any]:
         return self.call("interrupt", session=session)
 

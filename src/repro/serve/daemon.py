@@ -323,25 +323,30 @@ class DebugDaemon:
         program = params.get("program")
         if not isinstance(program, str):
             raise _InvalidParams("missing program")
-        quota = SessionQuota.from_params(params.get("quota"))
+        quota = SessionQuota.from_params(_param(params, "quota", dict))
         values = params.get("values")
         if values is not None and (
             not isinstance(values, list) or not all(isinstance(v, int) for v in values)
         ):
             raise _InvalidParams("values must be a list of integers")
+        tier = _param(params, "tier", str, "auto")
+        sharded = _param(params, "sharded", bool, False)
+        shards = _param(params, "shards", int, 2)
+        name = _param(params, "name", str)
+        bug = _param(params, "bug", str)
         # machine elaboration is CPU work: keep it off the event loop
         assert self.loop is not None
         handle = await self.loop.run_in_executor(
             None,
             lambda: self.registry.create(
                 program,
-                bug=params.get("bug"),
-                tier=params.get("tier", "auto"),
+                bug=bug,
+                tier=tier,
                 values=values,
-                sharded=bool(params.get("sharded", False)),
-                shards=int(params.get("shards", 2)),
+                sharded=sharded,
+                shards=shards,
                 quota=quota,
-                name=params.get("name"),
+                name=name,
             ),
         )
         return {"session": handle.id, **handle.describe()}
@@ -453,7 +458,7 @@ class DebugDaemon:
 
     async def _rpc_frames(self, conn, params):
         handle = self._handle(params)
-        actor = params.get("actor")
+        actor = _param(params, "actor", str)
         return {
             "frames": await self._on_executor(handle, handle.service.frames, actor)
         }
@@ -464,8 +469,8 @@ class DebugDaemon:
             "variables": await self._on_executor(
                 handle,
                 handle.service.variables,
-                params.get("actor"),
-                int(params.get("frame", 0)),
+                _param(params, "actor", str),
+                _param(params, "frame", int, 0),
             )
         }
 
@@ -575,6 +580,20 @@ class _MethodNotFound(Exception):
 
 class _InvalidParams(Exception):
     pass
+
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string", dict: "an object"}
+
+
+def _param(params: Dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
+    """``params[key]`` checked against its JSON type (a boolean is not
+    an integer); ``default`` when absent or null."""
+    value = params.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise _InvalidParams(f"{key} must be {_TYPE_NAMES[kind]}")
+    return value
 
 
 class _ShuttingDown(Exception):

@@ -37,14 +37,15 @@ events), not dispatch counts or timestamps: the event stream is invariant
 under interactive stops, and an index names an exact mid-dispatch machine
 state (the moment just after that event's listeners ran).
 
-Storage is a plain deque of records.  ``limit`` caps it: events past
-the cap are counted but not stored (``evicted_events``).  With
-``segment_dir`` set, the journal instead keeps a sliding in-memory
-window and rotates older records — with their ``event_values`` entries
-— into compressed on-disk :mod:`segments <repro.sim.segments>`; every
-query and the streaming :meth:`ReplayJournal.iter_indexed` fall back to
-segments transparently, so nothing is ever lost and memory stays
-bounded on unbounded runs.
+A journal keeps every event: the whole run is the journal, so every
+reader (the self-check, derived telemetry and verdicts, the sharded
+projection) sees the complete stream.  Storage is a plain deque of
+records.  With ``segment_dir`` set, the journal keeps a sliding
+in-memory window and rotates older records — with their
+``event_values`` entries — into compressed on-disk :mod:`segments
+<repro.sim.segments>`; every query and the streaming
+:meth:`ReplayJournal.iter_indexed` fall back to segments transparently,
+so memory stays bounded on unbounded runs.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
-from ..errors import ReplayError
 from .segments import DEFAULT_SEGMENT_WINDOW, SegmentStore
 from .trace import EventRecord
 
@@ -110,16 +110,12 @@ class ReplayJournal:
 
     def __init__(
         self,
-        limit: Optional[int] = None,
         segment_dir: Optional[str] = None,
         window: int = DEFAULT_SEGMENT_WINDOW,
     ):
         #: the in-memory event log, oldest first: positions 1..len, or the
         #: newest window when rotating into segments
         self.events: Deque[EventRecord] = deque()
-        # segment rotation bounds memory without losing anything, so the
-        # lossy cap is mutually exclusive with it
-        self.limit = limit if segment_dir is None else None
         self.segments: Optional[SegmentStore] = (
             SegmentStore(segment_dir) if segment_dir is not None else None
         )
@@ -142,8 +138,6 @@ class ReplayJournal:
         self.state_snapshots: Dict[int, Any] = {}
         self._snapshot_order: List[int] = []
         self._total = 0
-        self._evicted = 0
-        self._max_seq: Optional[int] = None
         self._cp_by_dispatch: Dict[int, Checkpoint] = {}
 
     # ------------------------------------------------------------ recording
@@ -153,31 +147,13 @@ class ReplayJournal:
         """Lifetime event count (positions run 1..total_events)."""
         return self._total
 
-    @property
-    def max_seq_recorded(self) -> Optional[int]:
-        """Largest token seq the event log ever carried (even if the
-        carrying record was later evicted); None if no token yet."""
-        return self._max_seq
-
-    @property
-    def evicted_events(self) -> int:
-        """Events irrecoverably discarded by the ``limit`` cap.  Always 0
-        for segment-rotating journals — rotation is not loss."""
-        return self._evicted
-
     def add_event(self, ev: EventRecord) -> int:
         """Append one framework event; returns its 1-based position."""
         self._total += 1
-        seq = ev.seq
-        if seq is not None and (self._max_seq is None or seq > self._max_seq):
-            self._max_seq = seq
         events = self.events
-        if self.limit is not None and len(events) >= self.limit:
-            self._evicted += 1
-        else:
-            events.append(ev)
-            if self.segments is not None and len(events) >= self.window:
-                self._rotate()
+        events.append(ev)
+        if self.segments is not None and len(events) >= self.window:
+            self._rotate()
         return self._total
 
     def _rotate(self) -> None:
@@ -221,21 +197,20 @@ class ReplayJournal:
     # -------------------------------------------------------------- queries
 
     def record_at(self, index: int) -> Optional[EventRecord]:
-        """The stored event at 1-based ``index``; None if out of range or
-        evicted by the cap.  Falls back to on-disk segments when the
-        journal rotates."""
+        """The event at 1-based ``index``; None past the end.  Falls back
+        to on-disk segments when the journal rotates."""
         if not 1 <= index <= self._total:
             return None
         offset = index - self._stored_base() - 1
         if offset >= 0:
-            return self.events[offset] if offset < len(self.events) else None
+            return self.events[offset]
         # below the in-memory window: the position rotated into a segment
         seg = self.segments.segment_for(index)
         return self.segments.load(seg).record_at(index) if seg is not None else None
 
     def cursor(self, start: int = 1) -> Iterator[Optional[EventRecord]]:
         """Forward reader over the event log: its n-th item is exactly
-        ``record_at(start + n)``, None where out of range or evicted.
+        ``record_at(start + n)``, None past the end.
 
         The sequential twin of :meth:`record_at`, for readers that walk
         positions in order (the replay self-check).  Rotated positions
@@ -243,7 +218,7 @@ class ReplayJournal:
         immutable, so holding one across reads is safe.  Positions in
         the in-memory window go through :meth:`record_at` one by one
         (never a held deque iterator), so the cursor stays correct when
-        the journal grows, rotates or evicts between reads."""
+        the journal grows or rotates between reads."""
         index = start
         segments = self.segments
         while True:
@@ -281,8 +256,8 @@ class ReplayJournal:
         return best
 
     def iter_indexed(self) -> Iterator[Tuple[int, EventRecord]]:
-        """Stream ``(position, record)`` over everything still available —
-        on-disk segments first (one resident at a time), then the
+        """Stream ``(position, record)`` over the whole run — on-disk
+        segments first (one resident at a time), then the
         in-memory window — without materialising the whole journal."""
         if self.segments is not None:
             yield from self.segments.iter_records()
@@ -301,27 +276,14 @@ class ReplayJournal:
         order — the run's determinism fingerprint."""
         return [rec.seq for _, rec in self._productions()]
 
-    def link_value_streams(self, partial: bool = False) -> Dict[str, List[str]]:
+    def link_value_streams(self) -> Dict[str, List[str]]:
         """Per-link ordered token payload streams (canonical texts).
 
         Reads each production's link from its record and its payload
         text from ``event_values`` (populated by
         :class:`~repro.core.replay.RunRecorder`).  This is the
         shard-invariant projection of the journal: merging each shard's
-        streams reproduces the single-kernel streams exactly.
-
-        A capped journal that actually evicted events cannot
-        produce complete streams; that raises unless ``partial=True``
-        explicitly asks for the surviving window (a segment-rotating
-        journal never evicts and always streams everything)."""
-        if self.evicted_events and not partial:
-            lo, hi = self.stored_range()
-            raise ReplayError(
-                f"link value streams are incomplete: the journal bound evicted "
-                f"{self.evicted_events} of {self._total} event(s) (stored window "
-                f"{lo}..{hi}); record with segment_dir=... to keep everything, "
-                f"or pass partial=True for the surviving window"
-            )
+        streams reproduces the single-kernel streams exactly."""
         streams: Dict[str, List[str]] = {}
         for i, rec in self._productions():
             value = self.value_for_event(i)
@@ -332,65 +294,23 @@ class ReplayJournal:
 
     def _stored_base(self) -> int:
         """Position of the oldest in-memory event, minus one."""
-        if self.segments is not None:
-            return self._total - len(self.events)
-        return 0
-
-    def stored_range(self) -> Tuple[int, int]:
-        """The contiguous position range still *available* (in memory or
-        in segments): positions outside it were irrecoverably evicted."""
-        if self._total == 0:
-            return (0, 0)
-        if self.segments is not None:
-            return (1, self._total)
-        return (1, len(self.events))
+        return self._total - len(self.events)
 
     def index_for_seq(self, seq: int) -> Optional[int]:
         """Event position at which token ``seq`` was produced, or None if
-        that position is not available (see :meth:`seq_status` for the
-        evicted / never-recorded distinction)."""
+        no such token was recorded."""
         for i, rec in self._productions():
             if rec.seq == seq:
                 return i
         return None
 
-    def seq_status(self, seq: int) -> Tuple[str, Optional[int]]:
-        """Resolve a token seq to ``(status, index)``:
-
-        - ``("found", index)`` — the production event is available;
-        - ``("evicted", None)`` — it *was* recorded, but the journal
-          bound discarded it (seq <= the largest seq ever logged and
-          events were evicted);
-        - ``("unknown", None)`` — no such token was ever recorded."""
-        index = self.index_for_seq(seq)
-        if index is not None:
-            return ("found", index)
-        if (
-            self.evicted_events
-            and self._max_seq is not None
-            and 0 <= seq <= self._max_seq
-        ):
-            return ("evicted", None)
-        return ("unknown", None)
-
     def index_for_time(self, time: int) -> Optional[int]:
-        """First available event position at simulated time >= ``time``."""
+        """First event position at simulated time >= ``time``, or None if
+        the run never reached ``time``."""
         for i, rec in self.iter_indexed():
             if rec.time >= time:
                 return i
         return None
-
-    def time_status(self, time: int) -> Tuple[str, Optional[int]]:
-        """Resolve a timestamp to ``(status, index)``: ``found`` when the
-        first event at/after ``time`` is available, ``evicted`` when the
-        cap dropped the events that could hold the answer, ``unknown``
-        when the run never reached ``time``."""
-        index = self.index_for_time(time)
-        if index is None:
-            # the cap drops the *newest* events: no stored match says
-            # nothing about the dropped tail
-            return ("evicted", None) if self.evicted_events else ("unknown", None)
-        return ("found", index)
 
 
 def replay_into(journal: ReplayJournal, *consumers) -> List[Any]:

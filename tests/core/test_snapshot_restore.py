@@ -15,13 +15,13 @@ import pytest
 from repro.apps.amodule import build_demo
 from repro.apps.rle import build_rle_pipeline
 from repro.apps.rle.app import RLE_HOSTS, build_rle_program
-from repro.core import DataflowSession
-from repro.core.replay import ReplayCoverageWarning
+from repro.core import DataflowSession, install_dataflow_commands
 from repro.core.shards import ShardedRun
-from repro.dbg import Debugger, StopKind
+from repro.dbg import CommandCli, Debugger, StopKind
 from repro.errors import ReplayError
 from repro.obs import derive_telemetry, to_chrome_trace
 from repro.rv import GraphView, derive_verdicts, parse_property
+from repro.sim.replay import ReplayJournal
 from repro.sim.sharding import HostSpec, partition_program
 
 from .util import make_session
@@ -130,6 +130,40 @@ def test_info_reports_pool_and_last_hop():
     assert "deep snapshot(s) verified identical" in text
 
 
+def test_shrinking_the_pool_keeps_the_widest_spread_residents():
+    """``replay snapshots N`` below the parked count evicts, one at a
+    time, the resident nearest its predecessor in position order, with
+    position 0 (the free rebuild) as a virtual resident."""
+    session = rle_session()
+    mgr = session.replay
+    cli = CommandCli(session.dbg)
+    install_dataflow_commands(cli, session)
+    cli.execute("record on every 16")
+    run_to_exit(session.dbg)
+    assert mgr.master.total_events == 1410
+    cli.execute("replay snapshots 8")
+    # each backward hop parks the machine it leaves
+    for target in ("end", "event 1000", "event 450", "event 400", "event 100", "event 50"):
+        assert "[Replayed to event" in cli.execute(f"replay to {target}")[0]
+    parked = {r.position: r for r in mgr.pool}
+    assert sorted(parked) == [100, 400, 450, 1000, 1410]
+
+    # gaps 100/300/50/550/410: 450 goes first; then gaps 100/300/600/410,
+    # so 100 goes (its predecessor is the virtual resident at 0)
+    assert cli.execute("replay snapshots 3") == ["Resident snapshot pool: 3 machine(s)."]
+    assert sorted(r.position for r in mgr.pool) == [400, 1000, 1410]
+    assert parked[450].recorder.detached and parked[100].recorder.detached
+    assert not parked[400].recorder.detached
+    # gaps 400/600/410: 400 goes
+    cli.execute("replay snapshots 2")
+    assert sorted(r.position for r in mgr.pool) == [1000, 1410]
+
+    # a survivor still serves hops
+    mgr.replay_to("event 1200")
+    assert mgr.last_restore == (1000, 1200, 200)
+    assert mgr.recorder.divergence is None
+
+
 def test_pool_off_forces_full_rebuild():
     session = rle_session()
     mgr = session.replay
@@ -186,7 +220,6 @@ def test_segmented_recording_round_trip_and_hop(tmp_path):
     master = mgr.master
     assert master.segments is not None and master.segments.segments
     assert len(master.events) < 64  # memory stayed within the window
-    assert master.evicted_events == 0
 
     # identical run on an unbounded journal: every derivable artifact agrees
     twin = rle_session()
@@ -205,7 +238,7 @@ def test_segmented_recording_round_trip_and_hop(tmp_path):
     assert mgr.recorder.divergence is None
 
 
-# ------------------------------------- bounded-journal bugfixes (satellites)
+# ------------------------------------------------------- position parsing
 
 
 def test_negative_positions_are_rejected():
@@ -219,38 +252,6 @@ def test_negative_positions_are_rejected():
         mgr.replay_to("event -3")
     with pytest.raises(ReplayError, match="bad replay position"):
         mgr.replay_to("seq -1")
-
-
-def test_capped_journal_distinguishes_evicted_positions():
-    session = rle_session()
-    mgr = session.replay
-    mgr.record_on(limit=40)
-    run_to_exit(session.dbg)
-    master = mgr.master
-    assert master.evicted_events > 0
-    # this token existed — the cap dropped it; the error must say so
-    with pytest.raises(ReplayError, match="evicted by the journal bound"):
-        mgr.replay_to(f"seq {master.max_seq_recorded}")
-    # a time past the stored prefix is unknowable, not "never happened"
-    with pytest.raises(ReplayError, match="evicted by the journal bound"):
-        mgr.replay_to("time 999999999")
-    # this token never existed — still the old, honest error
-    with pytest.raises(ReplayError, match="no recorded token"):
-        mgr.replay_to("seq 99999999")
-
-
-def test_partial_reference_warns_instead_of_silently_passing():
-    session = rle_session()
-    mgr = session.replay
-    mgr.record_on(limit=40)
-    run_to_exit(session.dbg)
-    total = mgr.master.total_events
-    with pytest.warns(ReplayCoverageWarning, match="no reference for event #41"):
-        mgr.replay_to("end")
-    rec = mgr.recorder
-    assert rec.divergence is None
-    assert rec.uncovered == (41, total)
-    assert any("self-check WARNING" in line for line in mgr.info())
 
 
 # -------------------------------------------------------- fork invalidation
@@ -276,6 +277,18 @@ def test_fork_invalidates_resident_pool():
 
 
 # ---------------------------------------------------------------- CLI layer
+
+
+def test_journal_has_no_lossy_cap():
+    """A journal keeps every event: ``record on`` takes no ``limit``
+    and ``ReplayJournal`` no cap parameter."""
+    session, cli, dbg, *_ = make_session([5, 6], stop_on_init=True)
+    assert cli.execute("record on limit 5") == [
+        "error: usage: record on [every N] [segments DIR] [window N] [snapshot M]"
+    ]
+    assert not session.replay.recording
+    with pytest.raises(TypeError):
+        ReplayJournal(limit=1)
 
 
 def test_cli_segment_and_snapshot_options(tmp_path):

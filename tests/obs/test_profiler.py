@@ -114,7 +114,6 @@ def test_derived_profile_equals_live_profile(tier):
     live = session.prof.profile
 
     derived = derive_profile(session.replay.master, rle_session, tier=tier)
-    assert derived.verified
     assert derived.profile.collapsed() == live.collapsed()
     assert derived.profile.total == live.total
 
@@ -127,7 +126,6 @@ def test_derive_profile_from_unprofiled_recording():
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
     assert not session.prof.enabled
     derived = derive_profile(session.replay.master, rle_session)
-    assert derived.verified
     assert derived.profile.total > 0
 
 
@@ -154,7 +152,6 @@ def test_derive_profile_reapplies_recorded_alterations():
     live = session.prof.profile
 
     derived = derive_profile(session.replay.master, amodule_session)
-    assert derived.verified
     assert derived.profile.collapsed() == live.collapsed()
     assert derived.profile.total == live.total
 
@@ -223,3 +220,49 @@ def test_flame_svg_renders_deterministically(tmp_path):
     stacks = tmp_path / "prof.collapsed"
     session.prof.export_collapsed(str(stacks))
     assert stacks.read_text().splitlines() == session.prof.profile.collapsed()
+
+
+# ------------------------------------------------------------ prof command
+
+
+def test_prof_command_lifecycle_through_the_cli(tmp_path):
+    session = rle_session()
+    cli = CommandCli(session.dbg)
+    install_dataflow_commands(cli, session)
+    assert cli.execute("prof status") == [
+        "profiler: off", "  (nothing collected; use `prof on`)"
+    ]
+    assert cli.execute("prof top") == ["error: no profile collected (use `prof on` first)"]
+
+    assert cli.execute("prof on")[0].startswith("profiler enabled")
+    assert run_to_exit(session.dbg).kind == StopKind.EXITED
+    profile = session.prof.profile
+    status = cli.execute("prof status")
+    assert status[0] == "profiler: on"
+    assert status[1:1 + len(profile.render())] == profile.render()
+
+    # top N renders exactly the profile's top rows; bare top means 10
+    top2 = cli.execute("prof top 2")
+    assert top2[0].split() == ["self", "incl", "actor", "function"]
+    assert [line.split() for line in top2[1:]] == [
+        [str(s), str(i), actor, func] for s, i, actor, func in profile.top(2)
+    ]
+    assert cli.execute("prof top")[1:] == cli.execute("prof top 10")[1:]
+    assert cli.execute("prof top abc") == ["error: usage: prof top [N]"]
+
+    stacks = tmp_path / "prof.collapsed"
+    out = cli.execute(f"prof export {stacks}")
+    assert out == [f"wrote {stacks.stat().st_size} byte(s) of collapsed stacks to {stacks}"]
+    assert stacks.read_text().splitlines() == profile.collapsed()
+    assert cli.execute(f"prof export {stacks}")[0].startswith("error: refusing to overwrite")
+    flame = tmp_path / "flame.svg"
+    assert cli.execute(f"prof flame {flame}")[0].startswith("wrote ")
+    assert flame.read_text() == flame_svg(profile)
+
+    # clear while armed keeps the profiler armed, with an empty profile
+    assert cli.execute("prof clear") == ["profile cleared"]
+    assert session.prof.enabled and session.prof.profile.total == 0
+    assert cli.execute("prof off") == ["profiler disabled (profile retained)"]
+    assert cli.execute("prof status")[0] == "profiler: off"
+    assert not session.dbg.hook.capabilities & DebugHook.CAP_PROFILE
+    assert cli.execute("prof frob")[0].startswith("error: prof: unknown verb 'frob'")

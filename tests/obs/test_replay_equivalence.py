@@ -45,7 +45,6 @@ def test_live_and_derived_telemetry_are_byte_identical(build):
     assert tel.sink.dropped == 0
 
     derived = derive_telemetry(session.replay.master)
-    assert derived.complete
     assert derived.events_fed == tel.builder.events_fed
 
     # spans: identical sequence, field for field
@@ -66,7 +65,6 @@ def test_derivation_alone_profiles_a_plain_recorded_run():
     assert not session.telemetry.enabled
 
     derived = derive_telemetry(session.replay.master)
-    assert derived.complete
     assert len(derived.sink) > 0
     # link attribution came from the journal's side table
     assert derived.metrics.links
@@ -75,11 +73,3 @@ def test_derivation_alone_profiles_a_plain_recorded_run():
     # filters fired; token counters line up with the fingerprint stream
     produced = sum(m.produced for m in derived.metrics.actors.values())
     assert produced == len(session.replay.master.token_stream())
-
-
-def test_derivation_from_bounded_journal_reports_incomplete():
-    session = rle_build()
-    session.replay.record_on(limit=10)
-    run_to_exit(session.dbg)
-    derived = derive_telemetry(session.replay.master)
-    assert not derived.complete

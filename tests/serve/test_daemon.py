@@ -74,6 +74,25 @@ def test_event_filter(client):
     assert client.drain_events() == []  # the stop was filtered out
 
 
+def test_unsubscribe_stops_only_this_connections_events(client, daemon):
+    sid = client.create("rle")["session"]
+    with daemon.connect() as other:
+        client.subscribe(sid)
+        other.subscribe(sid)
+        client.execute(sid, "break pack.c:7")
+        client.execute(sid, "run")
+        client.drain_events()
+        assert other.next_event(timeout=10)["type"] == "stop"
+
+        assert client.unsubscribe(sid) == {"unsubscribed": sid}
+        assert client.execute(sid, "continue")["stop"]["kind"] == "breakpoint"
+        client.ping()  # anything pushed to this connection arrives first
+        assert client.drain_events() == []
+        event = other.next_event(timeout=10)
+        assert event["type"] == "stop" and event["session"] == sid
+        assert event["data"]["kind"] == "breakpoint"
+
+
 def test_flight_dump_event_and_bundle(client, tmp_path):
     sid = client.create("rle")["session"]
     client.subscribe(sid)
@@ -107,6 +126,32 @@ def test_error_codes(client):
         client.create("doom")
     assert exc.value.code == 1003
     assert client.ping()["pong"]
+
+
+@pytest.mark.parametrize(
+    "method, params, named",
+    [
+        ("create", {"program": "rle", "sharded": "false"}, "sharded"),
+        ("create", {"program": "rle", "shards": "x"}, "shards"),
+        ("create", {"program": "rle", "shards": True}, "shards"),
+        ("create", {"program": "rle", "name": 5}, "name"),
+        ("create", {"program": "h264", "bug": ["rate-mismatch"]}, "bug"),
+        ("create", {"program": "rle", "tier": 1}, "tier"),
+        ("create", {"program": "rle", "quota": 100}, "quota"),
+        ("variables", {"frame": "x"}, "frame"),
+        ("variables", {"actor": 3}, "actor"),
+        ("frames", {"actor": ["codec.pack"]}, "actor"),
+    ],
+)
+def test_mistyped_params_are_invalid_params(client, method, params, named):
+    if method != "create":
+        params = {"session": client.create("rle")["session"], **params}
+    with pytest.raises(RpcError) as exc:
+        client.call(method, **params)
+    assert exc.value.code == -32602
+    assert named in exc.value.message
+    # nothing was built from a rejected create
+    assert len(client.sessions()) == (0 if method == "create" else 1)
 
 
 def test_session_failure_is_isolated(client):

@@ -2,10 +2,10 @@
 
 The replay self-check reads the reference journal in position order
 through a cursor instead of calling record_at per event.  Whatever the
-storage policy — unbounded in memory, capped, or rotating into on-disk
+storage policy — unbounded in memory, or rotating into on-disk
 segments — a cursor started at any position must yield exactly
-record_at(i) for every later i (None where a bound evicted it), and it
-must stay exact when the journal grows, rotates or evicts between reads.
+record_at(i) for every later i (None past the end), and it must stay
+exact when the journal grows or rotates between reads.
 """
 
 import tempfile
@@ -16,12 +16,10 @@ from hypothesis import strategies as st
 from repro.sim.replay import ReplayJournal
 from repro.sim.trace import EventRecord
 
-MODES = ("memory", "cap", "segments")
+MODES = ("memory", "segments")
 
 
 def make_journal(mode, bound, seg_dir):
-    if mode == "cap":
-        return ReplayJournal(limit=bound)
     if mode == "segments":
         return ReplayJournal(segment_dir=seg_dir, window=bound)
     return ReplayJournal()
@@ -69,10 +67,10 @@ def test_cursor_yields_record_at_from_any_start(mode, bound, n, start):
 # positions it reads next into a segment
 @example(mode="segments", bound=4, start=1, steps=[(4, 1), (9, 2)])
 def test_cursor_stays_exact_while_the_journal_grows(mode, bound, start, steps):
-    """Interleave appends (which rotate segments or evict capped
-    records) with reads: every read equals record_at at that moment,
-    also for positions appended, rotated or evicted since the cursor
-    opened, and for positions not yet recorded (None)."""
+    """Interleave appends (which rotate segments) with reads: every
+    read equals record_at at that moment, also for positions appended
+    or rotated since the cursor opened, and for positions not yet
+    recorded (None)."""
     with tempfile.TemporaryDirectory() as seg_dir:
         journal = make_journal(mode, bound, seg_dir)
         k = 0
@@ -85,13 +83,3 @@ def test_cursor_stays_exact_while_the_journal_grows(mode, bound, start, steps):
             for _ in range(reads):
                 assert next(cursor) == journal.record_at(position), (mode, position)
                 position += 1
-
-
-def test_cursor_reports_evictions_as_none():
-    cap = ReplayJournal(limit=5)
-    for k in range(12):
-        add(cap, k)
-    cursor = cap.cursor(1)
-    capped = [next(cursor) for _ in range(12)]
-    assert [r is None for r in capped] == [False] * 5 + [True] * 7
-    assert capped[4] == cap.record_at(5)

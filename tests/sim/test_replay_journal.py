@@ -54,14 +54,6 @@ def test_index_for_time_finds_first_event_at_or_after():
     assert j.index_for_time(999) is None
 
 
-def test_cap_mode_keeps_first_events():
-    j = ReplayJournal(limit=4)
-    fill(j, 10)
-    assert j.total_events == 10
-    assert j.record_at(4) is not None
-    assert j.record_at(5) is None  # beyond the cap: dropped at record time
-
-
 def test_nearest_checkpoint_and_dispatch_lookup():
     j = ReplayJournal()
     cp1 = Checkpoint(index=10, dispatch=64, time=5, next_seq=3, occupancy=())

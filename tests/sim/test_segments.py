@@ -2,15 +2,11 @@
 
 A segment-rotating ReplayJournal must behave observably identically to
 an unbounded one — same positions, same records, same payload texts,
-same streams — while keeping only the configured window in memory.  The
-lossy cap, by contrast, must *say* what it lost: evicted-vs-never-
-recorded is distinguishable through seq_status / time_status and
-link_value_streams refuses to pretend a partial stream is complete.
+same streams — while keeping only the configured window in memory.
 """
 
 import pytest
 
-from repro.errors import ReplayError
 from repro.sim.replay import ReplayJournal
 from repro.sim.segments import SegmentStore
 from repro.sim.trace import EventRecord
@@ -63,8 +59,6 @@ def test_segmented_journal_equals_unbounded(tmp_path):
     assert seg.total_events == plain.total_events == 400
     assert len(seg.events) < 64  # in-memory window stayed bounded
     assert len(seg.segments.segments) > 0
-    assert seg.evicted_events == 0
-    assert seg.stored_range() == (1, 400)
 
     # every record reachable at its position, memory or disk
     for idx in (1, 2, 33, 199, 400):
@@ -85,36 +79,3 @@ def test_segmented_journal_equals_unbounded(tmp_path):
     assert seg.link_value_streams() == plain.link_value_streams()
     assert seg.index_for_seq(150) == plain.index_for_seq(150)
     assert seg.index_for_time(1500) == plain.index_for_time(1500)
-
-
-def test_segment_dir_overrides_lossy_bounds(tmp_path):
-    j = ReplayJournal(limit=10, segment_dir=str(tmp_path), window=16)
-    fill(j, 50)
-    assert j.evicted_events == 0
-    assert j.record_at(1) is not None
-
-
-# -------------------------------------- evicted vs never recorded (bugfix)
-
-
-def test_cap_journal_distinguishes_dropped_tail():
-    j = ReplayJournal(limit=10)  # keeps the FIRST 10 events
-    fill(j, 50)
-    assert j.seq_status(2) == ("found", 3)  # seq 2's push sits at position 3
-    # seq 40's push fell past the cap: evicted, not unknown
-    assert j.seq_status(40) == ("evicted", None)
-    assert j.seq_status(999) == ("unknown", None)
-    # a time past the stored prefix cannot be resolved reliably
-    assert j.time_status(400)[0] == "evicted"
-
-
-def test_link_value_streams_refuses_partial_unless_asked():
-    j = ReplayJournal(limit=10)
-    fill(j, 50)
-    with pytest.raises(ReplayError, match="evicted"):
-        j.link_value_streams()
-    partial = j.link_value_streams(partial=True)
-    assert partial  # the surviving window still streams
-    unbounded = ReplayJournal()
-    fill(unbounded, 50)
-    assert unbounded.link_value_streams()  # complete journal: no error
