@@ -196,16 +196,17 @@ def test_vm_tier_margin():
 
 class _CapHook(DebugHook):
     """A hook with a fixed capability mask and no-op callbacks — models a
-    debugger with nothing armed (caps=0) or only telemetry armed."""
+    debugger with nothing armed (caps=0)."""
 
     def __init__(self, caps: int):
         self.capabilities = caps
 
 
-#: telemetry-off must stay within noise of the no-debugger row: the only
-#: added hot-path work is one predicted branch per cost flush (one per
-#: ~batch_cycles statements), far below timer noise; 1.5x absorbs CI jitter
-TELEMETRY_OFF_NOISE_MARGIN = 1.5
+#: a debugger with nothing armed (telemetry, RV and the profiler all off)
+#: must stay within noise of the no-debugger row: the only added hot-path
+#: work is one ``None`` test per cost flush (one per ~batch_cycles
+#: statements), far below timer noise; 1.5x absorbs CI jitter
+NOTHING_ARMED_NOISE_MARGIN = 1.5
 
 
 def _timed_loop_runner(caps):
@@ -223,31 +224,23 @@ def _timed_loop_runner(caps):
     return run
 
 
-def test_telemetry_on_cycle_counting_row(benchmark):
-    """The telemetry-on row: timed VM tier with CAP_TELEMETRY armed
-    (the span builder's cost-attribution counter active)."""
-    run = _timed_loop_runner(DebugHook.CAP_TELEMETRY)
-    interp = benchmark(lambda: _fresh_stack(run))
-    # the bit must not deoptimize, and the counter must actually count
-    assert interp._fast_ok
-    assert interp.cycles_flushed > 0
-
-
-def test_telemetry_off_overhead_within_noise():
-    """The acceptance gate (runs under ``--benchmark-disable`` too):
-    with telemetry off, the timed VM tier costs the same as before
-    the telemetry subsystem existed — within noise of the no-debugger
-    row.  Sanity-checks that caps=0 really counts nothing."""
+def test_telemetry_and_profiler_off_overhead_within_noise():
+    """The nothing-armed acceptance gate (runs under
+    ``--benchmark-disable`` too): with telemetry, RV and the profiler
+    off, the timed VM tier costs the same as with no debugger attached.
+    Sanity-checks that nothing armed runs the VM uninstrumented."""
     baseline_run = _timed_loop_runner(None)  # no debugger at all
     off_run = _timed_loop_runner(0)  # debugger attached, nothing armed
 
-    assert off_run().cycles_flushed == 0
+    interp = off_run()
+    assert interp._profile is None and not interp._vm_trace
+    assert interp.opcode_cycles == {}
     baseline = _fresh_stack(lambda: _best_of(baseline_run))
     off = _fresh_stack(lambda: _best_of(off_run))
-    assert off <= TELEMETRY_OFF_NOISE_MARGIN * baseline, (
-        f"telemetry-off overhead {off / baseline:.2f}x exceeds the "
-        f"{TELEMETRY_OFF_NOISE_MARGIN}x noise margin "
-        f"(no-debugger {baseline:.4f}s, telemetry-off {off:.4f}s)"
+    assert off <= NOTHING_ARMED_NOISE_MARGIN * baseline, (
+        f"nothing-armed overhead {off / baseline:.2f}x exceeds the "
+        f"{NOTHING_ARMED_NOISE_MARGIN}x noise margin "
+        f"(no-debugger {baseline:.4f}s, nothing armed {off:.4f}s)"
     )
 
 
@@ -315,17 +308,10 @@ def test_telemetry_off_builds_no_span(monkeypatch):
     assert len(session.flight.sink) == 0 and not session.flight.sink.name_counts
 
 
-#: profiler-off shares the telemetry-off discipline: the charge callable
-#: lives *inside* the existing cycle-counting branch, so with CAP_PROFILE
-#: clear the flush hot path is bit-for-bit the pre-profiler code; 1.5x
-#: absorbs CI jitter
-PROFILER_OFF_NOISE_MARGIN = 1.5
-
-
 def test_profiler_on_attribution_row(benchmark):
-    """The profiler-on row: timed VM tier with CAP_PROFILE armed
-    and a live charge sink attributing every flushed cycle to an
-    (actor, function, tier) call-tree node."""
+    """The profiler-on row: timed VM tier with a live ``profile_sink``
+    attributing every flushed cycle to an (actor, function, tier)
+    call-tree node."""
     from repro.obs.prof import Profile
 
     prog = parse_program(LOOP_SRC)
@@ -337,40 +323,21 @@ def test_profiler_on_attribution_row(benchmark):
         profile.add("bench", "vm", path, cycles)
 
     def run():
-        hook = _CapHook(DebugHook.CAP_PROFILE)
+        hook = _CapHook(0)
         hook.profile_sink = charge
         interp = Interpreter(prog, info, env=NullEnvironment(), hook=hook, timed=True)
         run_sync(interp.run_function("main"))
         return interp
 
     interp = benchmark(lambda: _fresh_stack(run))
-    assert interp._fast_ok  # CAP_PROFILE never deoptimizes
-    assert interp.cycles_flushed > 0
+    assert interp._fast_ok  # the profile sink never deoptimizes
     assert profile.total > 0  # flushes were actually attributed
 
 
-def test_profiler_off_overhead_within_noise():
-    """The acceptance gate (runs under ``--benchmark-disable`` too):
-    with the profiler off, the timed VM tier costs the same as the
-    no-debugger row — the charge branch only exists inside the
-    cycle-counting path, which caps=0 never enters."""
-    baseline_run = _timed_loop_runner(None)  # no debugger at all
-    off_run = _timed_loop_runner(0)  # debugger attached, nothing armed
-
-    interp = off_run()
-    assert interp._profile is None and interp.cycles_flushed == 0
-    baseline = _fresh_stack(lambda: _best_of(baseline_run))
-    off = _fresh_stack(lambda: _best_of(off_run))
-    assert off <= PROFILER_OFF_NOISE_MARGIN * baseline, (
-        f"profiler-off overhead {off / baseline:.2f}x exceeds the "
-        f"{PROFILER_OFF_NOISE_MARGIN}x noise margin "
-        f"(no-debugger {baseline:.4f}s, profiler-off {off:.4f}s)"
-    )
-
-
-def _counted_profiler_run(monkeypatch, profiler):
+def _counted_profiler_run(monkeypatch, profiler=False, telemetry=False, check=None):
     """Run the RLE app end to end, counting profile-sink calls (one per
-    attributed cost flush) and profile inserts."""
+    attributed cost flush) and profile inserts.  ``telemetry`` and
+    ``check`` arm the other two tap consumers."""
     from repro.apps.rle import build_rle_pipeline
     from repro.core import DataflowSession
     from repro.dbg import Debugger, StopKind
@@ -380,10 +347,14 @@ def _counted_profiler_run(monkeypatch, profiler):
     _count_calls(monkeypatch, counts, Profiler, "_charge", "sink_calls")
     _count_calls(monkeypatch, counts, Profile, "add", "profile_adds")
     sched, runtime, _sink = build_rle_pipeline([5, 5, 5, 2, 7, 7])
-    session = DataflowSession(Debugger(sched, runtime))
+    session = DataflowSession(Debugger(sched, runtime), stop_on_init=True)
+    ev = session.dbg.run()  # stop post-init so checks can resolve the graph
     if profiler:
         session.prof.enable()
-    ev = session.dbg.run()
+    if telemetry:
+        session.telemetry.enable()
+    if check is not None:
+        session.checks.add(check, action="log")
     while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
         ev = session.dbg.cont()
     assert ev.kind == StopKind.EXITED
@@ -405,19 +376,32 @@ def test_profiler_on_charges_once_per_flush(monkeypatch):
 def test_profiler_off_calls_no_profile_sink(monkeypatch):
     """The exact-count gate's off half (runs under
     ``--benchmark-disable`` too): with the profiler off, no interpreter
-    holds a sink and no cost flush is charged anywhere.  It counts sink
-    work, not the interpreter's cycle counting, so the wall gate above
-    stays."""
+    holds a sink and no cost flush is charged anywhere."""
     session, interps, counts = _counted_profiler_run(monkeypatch, profiler=False)
     assert counts == {"sink_calls": 0, "profile_adds": 0}
     assert all(interp._profile is None for interp in interps)
     assert session.dbg.hook.profile_sink is None and session.prof.profile is None
 
 
+def test_telemetry_and_rv_on_call_no_profile_sink(monkeypatch):
+    """The exact-count gate for the pure tap consumers (runs under
+    ``--benchmark-disable`` too): a full run with telemetry and a check
+    armed charges no cost flush and counts no opcode, because neither
+    touches an interpreter."""
+    session, interps, counts = _counted_profiler_run(
+        monkeypatch, telemetry=True, check="occupancy pack::o->expand::i <= 999999"
+    )
+    assert session.telemetry.enabled and session.checks.armed
+    assert session.telemetry.builder.events_fed > 0
+    assert counts == {"sink_calls": 0, "profile_adds": 0}
+    assert all(interp._profile is None and not interp._vm_trace for interp in interps)
+    assert all(interp.opcode_cycles == {} for interp in interps)
+
+
 #: monitors-off must stay within noise of a check-free run: with no
 #: checks armed there is no "*" bus listener (framework calls stay
-#: event-free via §V elision) and CAP_RV is clear, so the only residual
-#: is a predicted branch; 1.5x absorbs CI jitter
+#: event-free via §V elision), so the only residual is a predicted
+#: branch; 1.5x absorbs CI jitter
 RV_OFF_NOISE_MARGIN = 1.5
 
 
@@ -447,17 +431,6 @@ def _rle_session_runner(check=None, lifecycle=False):
     return run
 
 
-def test_rv_cap_bit_keeps_vm_tier(benchmark):
-    """The RV capability bit at the interpreter level: arming CAP_RV must
-    not deoptimize the VM tier, and (unlike CAP_TELEMETRY) counts
-    nothing — its statement-path cost is one predicted branch."""
-    run = _timed_loop_runner(DebugHook.CAP_RV)
-    interp = benchmark(lambda: _fresh_stack(run))
-    assert interp._fast_ok
-    assert interp._rv_armed
-    assert interp.cycles_flushed == 0
-
-
 def test_rv_monitors_on_link_occupancy_row(benchmark):
     """The monitors-on row: a full RLE run with one link-occupancy
     property armed (non-tripping bound — measures steady-state judging,
@@ -481,7 +454,7 @@ def test_rv_monitors_off_overhead_within_noise():
 
     session = off_run()
     assert not session.checks.armed
-    assert not session.dbg.hook.capabilities & DebugHook.CAP_RV  # fully retracted
+    assert session.tap.consumers == ()  # fully retracted
     baseline = _fresh_stack(lambda: _best_of(baseline_run))
     off = _fresh_stack(lambda: _best_of(off_run))
     assert off <= RV_OFF_NOISE_MARGIN * baseline, (
@@ -495,8 +468,7 @@ def test_rv_removed_monitor_is_fed_nothing(monkeypatch):
     """The exact-count gate (runs under ``--benchmark-disable`` too):
     a check armed mid-run feeds its monitor; once removed, the rest of
     the run feeds it nothing, the tap holds no consumer and its ``"*"``
-    bus subscription is gone.  It counts monitor work, not the
-    interpreter's cycle counting, so the wall gate above stays."""
+    bus subscription is gone."""
     from repro.apps.rle import build_rle_pipeline
     from repro.core import DataflowSession
     from repro.dbg import Debugger, StopKind
@@ -522,7 +494,6 @@ def test_rv_removed_monitor_is_fed_nothing(monkeypatch):
     assert ev.kind == StopKind.EXITED
     assert counts["feeds"] == 0
     assert tap.consumers == () and tap._sub is None
-    assert not dbg.hook.capabilities & DebugHook.CAP_RV
 
 
 def test_event_bus_emission(benchmark):

@@ -132,19 +132,7 @@ class DebugHook:
     CAP_STATEMENTS = 0x1
     CAP_CALLS = 0x2
     CAP_RETURNS = 0x4
-    CAP_DATA = 0x8
-    CAP_ALL = 0xF
-    #: telemetry rides the same mask but is NOT part of CAP_ALL and is
-    #: ignored by tier selection: it only asks the interpreter to count
-    #: the simulated cycles it flushes (span cost attribution), which the
-    #: VM tier can honour without deoptimizing
-    CAP_TELEMETRY = 0x10
-    #: runtime-verification monitors armed (``repro.rv``).  Like
-    #: CAP_TELEMETRY, outside CAP_ALL and ignored by tier selection: the
-    #: monitors consume framework events, not statement callbacks, so the
-    #: VM tier keeps running bytecode and the monitors-off cost on
-    #: the statement path stays a single predicted branch
-    CAP_RV = 0x20
+    CAP_ALL = 0x7
     #: per-instruction observation on the VM tier (ISA breakpoints,
     #: register watchpoints, ``stepi``).  Outside CAP_ALL and ignored by
     #: tier selection — arming it never deoptimizes; it flips the VM
@@ -152,19 +140,14 @@ class DebugHook:
     #: :meth:`on_instruction` before every instruction.  The bit is the
     #: ISA-level extension of the hook-elision bitmask: disarmed, the VM
     #: pays one local bool test per instruction
-    CAP_ISA = 0x40
-    #: attributed profiling (``repro.obs.prof``).  Outside CAP_ALL and
-    #: ignored by tier selection — arming it never deoptimizes.  It
-    #: implies cycle counting (the profiler charges the same flushed
-    #: cycles telemetry cross-checks) and routes each flush through
-    #: :attr:`profile_sink` so the cost can be attributed to the live
-    #: (actor, call path, tier) at the moment of the flush
-    CAP_PROFILE = 0x80
+    CAP_ISA = 0x8
 
     capabilities: int = CAP_ALL
-    #: callable ``(interp, cycles)`` invoked at every cost flush while
-    #: CAP_PROFILE is armed (set by the profiler facade; the flush sites
-    #: read the cached :attr:`Interpreter._profile` copy)
+    #: callable ``(interp, cycles)`` invoked at every cost flush, or
+    #: None.  Set by the profiler facade; the flush sites read the cached
+    #: :attr:`Interpreter._profile` copy.  Not a mask bit: attribution
+    #: never deoptimizes, it only routes the VM through its prelude for
+    #: per-opcode cycles
     profile_sink = None
 
     def on_statement(self, interp: "Interpreter", stmt: ast.Stmt) -> Optional[Suspend]:
@@ -295,18 +278,12 @@ class Interpreter:
         # batched-Delay accumulator (cycles charged but not yet yielded)
         self._pending = 0
         self._batch_limit = max(1, self.cost.batch_cycles)
-        #: lifetime simulated cycles this interpreter has flushed to the
-        #: kernel, counted only while CAP_TELEMETRY is armed — the span
-        #: builder's busy-time cross-check
-        self.cycles_flushed = 0
-        self._count_cycles = False
         self._profile = None
-        self._rv_armed = False
         self._isa_armed = False
         self._vm_trace = False
         self._vm_unit = None  # lazily built VmUnit (bytecode tier)
         #: simulated cycles attributed per executed VM opcode (keyed by
-        #: opcode number), counted only while CAP_TELEMETRY is armed —
+        #: opcode number), counted only while the profiler is armed —
         #: never added to ``_pending``, so Delay streams stay tier-exact
         self.opcode_cycles: Dict[int, int] = {}
         # hook-elision fast-path flags, cached from hook.capabilities so the
@@ -318,8 +295,9 @@ class Interpreter:
         self.refresh_hook_caps()
 
     def refresh_hook_caps(self) -> None:
-        """Re-cache the hook's capability mask (call after changing either
-        ``self.hook`` or ``hook.capabilities``).
+        """Re-cache the hook's capability mask and profile sink (call
+        after changing ``self.hook``, ``hook.capabilities`` or
+        ``hook.profile_sink``).
 
         Also recomputes the tier-selection flag: ``_fast_ok`` is the VM
         tier's green light and doubles as its **deoptimization flag** —
@@ -332,37 +310,16 @@ class Interpreter:
         self._want_stmt = bool(caps & DebugHook.CAP_STATEMENTS)
         self._want_call = bool(caps & DebugHook.CAP_CALLS)
         self._want_ret = bool(caps & DebugHook.CAP_RETURNS)
-        if self.hook is None:
-            self._fast_ok = True
-        else:
-            self._fast_ok = not (
-                caps
-                & (DebugHook.CAP_STATEMENTS | DebugHook.CAP_CALLS | DebugHook.CAP_RETURNS)
-            )
-        # cycle counting is off when hook is None (caps defaults to
-        # CAP_ALL, which includes neither the telemetry nor the profile
-        # bit); the profiler needs the same flushed-cycle accounting
-        self._count_cycles = bool(
-            caps & (DebugHook.CAP_TELEMETRY | DebugHook.CAP_PROFILE)
-        )
+        self._fast_ok = self.hook is None or not caps & DebugHook.CAP_ALL
         # attributed-profiling sink, cached so a flush site pays a single
-        # None test when profiling is disarmed (CAP_PROFILE must never
-        # flip _fast_ok)
-        self._profile = (
-            self.hook.profile_sink
-            if self.hook is not None and caps & DebugHook.CAP_PROFILE
-            else None
-        )
-        # RV monitors observe framework events, never statements; the bit
-        # is cached only so tooling can see it rode the same mask without
-        # perturbing tier selection (CAP_RV must never flip _fast_ok)
-        self._rv_armed = bool(caps & DebugHook.CAP_RV)
+        # None test when profiling is disarmed (it must never flip _fast_ok)
+        self._profile = None if self.hook is None else self.hook.profile_sink
         # ISA-level observation flips the VM dispatch loop into its
         # instrumented prelude without deoptimizing (CAP_ISA must never
-        # flip _fast_ok); telemetry rides the same prelude for per-opcode
-        # cycle attribution
+        # flip _fast_ok); the profiler rides the same prelude for
+        # per-opcode cycle attribution
         self._isa_armed = bool(caps & DebugHook.CAP_ISA)
-        self._vm_trace = self._isa_armed or self._count_cycles
+        self._vm_trace = self._isa_armed or self._profile is not None
 
     # ------------------------------------------------------------- queries
 
@@ -504,10 +461,8 @@ class Interpreter:
         if timed and self._pending >= self._batch_limit:
             p = self._pending
             self._pending = 0
-            if self._count_cycles:
-                self.cycles_flushed += p
-                if self._profile is not None:
-                    self._profile(self, p)
+            if self._profile is not None:
+                self._profile(self, p)
             yield Delay(p)
         hook = self.hook
         if hook is not None and self._want_stmt:
@@ -522,10 +477,8 @@ class Interpreter:
         p = self._pending
         if p:
             self._pending = 0
-            if self._count_cycles:
-                self.cycles_flushed += p
-                if self._profile is not None:
-                    self._profile(self, p)
+            if self._profile is not None:
+                self._profile(self, p)
             yield Delay(p)
 
     # Environment access points shared by both tiers: every genuine

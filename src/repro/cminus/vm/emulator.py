@@ -21,9 +21,9 @@ interpreter is the only other one, and the one it deoptimizes into.
   vm → tree the same way.
 
 - **Instruction tracing** — arming ``CAP_ISA`` (ISA breakpoints,
-  register watchpoints, ``stepi``) or ``CAP_TELEMETRY`` (per-opcode
-  cycle attribution) flips the loop into an instrumented prelude without
-  deoptimizing: per-instruction hooks are elided behind one local bool
+  register watchpoints, ``stepi``) or the profiler's ``profile_sink``
+  (per-opcode cycle attribution) flips the loop into an instrumented
+  prelude without deoptimizing: per-instruction hooks are elided behind one local bool
   when disarmed, the ISA-level analogue of the hook capability bitmask.
 """
 
@@ -186,7 +186,7 @@ def _run(interp, act: Activation):
         op = ins[0]
         if tracing:
             act.pc = pc
-            if interp._count_cycles:
+            if interp._profile is not None:
                 c = _ISA_COST[op]
                 if c:
                     oc = interp.opcode_cycles
@@ -204,10 +204,8 @@ def _run(interp, act: Activation):
             if timed and interp._pending >= interp._batch_limit:
                 p = interp._pending
                 interp._pending = 0
-                if interp._count_cycles:
-                    interp.cycles_flushed += p
-                    if interp._profile is not None:
-                        interp._profile(interp, p)
+                if interp._profile is not None:
+                    interp._profile(interp, p)
                 yield Delay(p)
                 tracing = interp._vm_trace
             if not interp._fast_ok:

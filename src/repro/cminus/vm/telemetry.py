@@ -1,13 +1,13 @@
 """Per-opcode cycle accounting helpers for the bytecode tier.
 
-While ``CAP_TELEMETRY`` or ``CAP_PROFILE`` is armed the VM dispatch loop
-runs its instrumented prelude and attributes each executed instruction's
-ISA cost to ``Interpreter.opcode_cycles`` (keyed by opcode number —
-never added to ``_pending``, so Delay streams stay tier-exact).  This
-module is the read side: mnemonic-keyed aggregation shared by the
-telemetry facade (`info opcodes`), the attributed profiler, and the
-replay-side derivers.  Everything here is a pure fold over interpreter
-state, so live and re-executed runs produce identical tables.
+While the profiler's ``profile_sink`` is armed the VM dispatch loop runs
+its instrumented prelude and attributes each executed instruction's ISA
+cost to ``Interpreter.opcode_cycles`` (keyed by opcode number — never
+added to ``_pending``, so Delay streams stay tier-exact).  This module
+is the read side: mnemonic-keyed tables for the attributed profiler
+(``prof`` status, ``info opcodes``) and its replay-side deriver.
+Everything here is a pure fold over interpreter state, so live and
+re-executed runs produce identical tables.
 """
 
 from __future__ import annotations
@@ -24,15 +24,6 @@ def mnemonic_cycles(interp) -> Dict[str, int]:
         name = isa.NAMES[op]
         out[name] = out.get(name, 0) + cyc
     return out
-
-
-def aggregate_opcode_cycles(interps: Iterable) -> Dict[str, int]:
-    """Mnemonic-keyed cycle totals summed over several interpreters."""
-    total: Dict[str, int] = {}
-    for interp in interps:
-        for name, cyc in mnemonic_cycles(interp).items():
-            total[name] = total.get(name, 0) + cyc
-    return total
 
 
 def per_actor_opcode_cycles(actors: Iterable) -> Dict[str, Dict[str, int]]:

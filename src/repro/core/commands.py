@@ -364,7 +364,9 @@ class _Commands:
             if rest == "off":
                 self.session.disable_event_journal()
                 return ["event journal disabled"]
-            count = int(rest) if rest.isdigit() else 20
+            if rest and not rest.isdigit():
+                raise CommandError("usage: dataflow events [on|off|N]")
+            count = int(rest) if rest else 20
             return self.session.journal_tail(count) or ["(journal empty)"]
         if topic == "capture":
             if not rest:
@@ -459,17 +461,19 @@ class _Commands:
                 rest, "trace on [limit N] [ring]",
                 int_keys=("limit",), flags=("ring",),
             )
-            tel.enable(limit=opts.get("limit"), ring=bool(opts.get("ring")))
+            # a bare `trace on` resumes the existing sink with its bound
+            bound = (opts.get("limit"), bool(opts.get("ring"))) if opts else tel.bound
+            tel.enable(*bound)
             return ["telemetry enabled (spans + metrics collecting)"]
         if verb == "off":
             tel.disable()
             return ["telemetry disabled (collected data retained)"]
         if verb == "clear":
-            was_on = tel.enabled
+            was_on, bound = tel.enabled, tel.bound
             tel.disable()
             tel.clear()
             if was_on:
-                tel.enable()
+                tel.enable(*bound)
             return ["telemetry data cleared"]
         if verb in ("status", ""):
             return tel.status_lines()
@@ -578,9 +582,9 @@ class _Commands:
 
     def cmd_info_opcodes(self, arg: str) -> List[str]:
         """Per-opcode cycle attribution from the bytecode tier."""
-        cycles = self.session.telemetry.opcode_cycles()
+        cycles = self.session.prof.opcode_totals()
         if not cycles:
-            return ["no opcode cycles counted (needs `trace on`; the slow tier runs no bytecode)"]
+            return ["no opcode cycles counted (needs `prof on`; the slow tier runs no bytecode)"]
         out = [f"{'opcode':<10} {'cycles':>12}"]
         for name, cyc in sorted(cycles.items(), key=lambda kv: (-kv[1], kv[0])):
             out.append(f"{name:<10} {cyc:>12}")

@@ -42,25 +42,22 @@ from .api import ExtensionAPI
 #: The capability constants are defined in exactly one place —
 #: :class:`repro.cminus.interp.DebugHook` — and re-exported here so
 #: debugger-side code has a single import path for the whole mask
-#: vocabulary.  CAP_ALL covers only the tier-selection/observation bits;
-#: CAP_TELEMETRY and CAP_RV ride the same mask but stay outside it so
-#: arming them never deoptimizes the Filter-C VM tier.
+#: vocabulary.  CAP_ALL covers the tier-selection bits; CAP_ISA rides
+#: the same mask but stays outside it so arming it never deoptimizes the
+#: Filter-C VM tier.  Telemetry, RV and the profiler raise no bit: the
+#: first two consume the event tap, the profiler sets ``profile_sink``.
 CAP_STATEMENTS = DebugHook.CAP_STATEMENTS
 CAP_CALLS = DebugHook.CAP_CALLS
 CAP_RETURNS = DebugHook.CAP_RETURNS
-CAP_DATA = DebugHook.CAP_DATA
 CAP_ALL = DebugHook.CAP_ALL
-CAP_TELEMETRY = DebugHook.CAP_TELEMETRY
-CAP_RV = DebugHook.CAP_RV
+CAP_ISA = DebugHook.CAP_ISA
 
 __all__ = [
     "CAP_ALL",
     "CAP_CALLS",
-    "CAP_DATA",
+    "CAP_ISA",
     "CAP_RETURNS",
-    "CAP_RV",
     "CAP_STATEMENTS",
-    "CAP_TELEMETRY",
     "DebugHook",
     "StopEvent",
     "StopKind",

@@ -95,17 +95,6 @@ class Debugger:
         self._finished = False
         #: callbacks run on every stop (the extension API's event registry)
         self.stop_callbacks: List[Callable[[StopEvent], None]] = []
-        #: armed by the telemetry facade: adds CAP_TELEMETRY to the hook
-        #: mask so interpreters count flushed cycles (span cost attribution)
-        self.telemetry_armed = False
-        #: armed by the runtime-verification facade: adds CAP_RV to the
-        #: hook mask (monitors ride the framework event bus; the bit never
-        #: deoptimizes the VM tier)
-        self.rv_armed = False
-        #: armed by the profiler facade: adds CAP_PROFILE to the hook mask
-        #: so interpreters attribute flushed cycles through
-        #: ``hook.profile_sink`` (never deoptimizes)
-        self.profiler_armed = False
         scheduler.pre_dispatch_hook = self._pre_dispatch
         # fast path: keep the kernel's pre-dispatch callback disarmed until
         # a pause is actually pending — zero per-dispatch cost otherwise
@@ -134,20 +123,6 @@ class Debugger:
             caps |= DebugHook.CAP_CALLS
         if reg.armed_count("finish"):
             caps |= DebugHook.CAP_RETURNS
-        if reg.armed_count("api") or reg.armed_count("catch"):
-            caps |= DebugHook.CAP_DATA
-        if self.telemetry_armed:
-            # telemetry rides the same mask but NOT the tier-selection bits:
-            # the VM tier keeps running bytecode, it just counts cycles
-            caps |= DebugHook.CAP_TELEMETRY
-        if self.rv_armed:
-            # likewise outside CAP_ALL: property monitors consume framework
-            # events, so arming them must not drop the VM tier
-            caps |= DebugHook.CAP_RV
-        if self.profiler_armed:
-            # attributed profiling: outside CAP_ALL, implies cycle counting
-            # at the flush sites but never perturbs tier selection
-            caps |= DebugHook.CAP_PROFILE
         if (
             (self._step is not None and self._step.mode == "isi")
             or reg.armed_count("isa")

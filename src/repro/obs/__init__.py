@@ -3,11 +3,11 @@
 The interactive debugger (the paper's contribution) requires stopping
 the machine to learn anything; this package adds the complementary
 *continuous* channel — hierarchical spans, per-actor/per-link metrics
-and a Perfetto-loadable trace export — built on the same hook
-machinery (event-bus elision + the capability bitmask), so the cost
-when disarmed stays ~zero.  Any recorded run can also be profiled
-after the fact: :func:`derive_telemetry` rebuilds identical telemetry
-from a ReplayJournal.
+and a Perfetto-loadable trace export — a pure consumer of the session's
+event tap, so event-bus elision keeps the cost when disarmed ~zero.
+Any recorded run can also be profiled after the fact:
+:func:`derive_telemetry` rebuilds identical telemetry from a
+ReplayJournal.
 
 The cross-run plane on top (PR 9):
 
@@ -15,7 +15,7 @@ The cross-run plane on top (PR 9):
   view with cross-shard causal edges and a timing-invariant canonical
   projection proved byte-identical to single-kernel telemetry;
 - :mod:`.prof` attributes flushed interpreter cycles to an
-  (actor, function, tier) call tree via ``CAP_PROFILE``, with
+  (actor, function, tier) call tree via ``hook.profile_sink``, with
   collapsed-stack/flamegraph export and a replay-side deriver;
 - :mod:`.openmetrics` exposes metric snapshots as scrape-ready
   OpenMetrics text (with an in-tree promtool-style validator);

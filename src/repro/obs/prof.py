@@ -1,17 +1,17 @@
 """Attributed profiler: flushed cycles charged to (actor, call path, tier).
 
 The interpreter already batches statement costs and flushes them to the
-kernel as ``Delay`` requests; while ``CAP_PROFILE`` is armed each flush
-is *attributed* — the flush site calls ``hook.profile_sink(interp, p)``
-and the profiler charges ``p`` cycles to the interpreter's live call
-stack (both tiers maintain real :class:`Frame` objects) under the tier
-that executed it ("vm" or "tree").  The bit rides the hook-capability
-bitmask outside ``CAP_ALL``, so arming it never deoptimizes: the
-bytecode tier keeps running at full speed and the only new work is one
-``None`` test per cost flush (one per ~``batch_cycles`` statements) —
-the same §V elision contract telemetry uses.  On the bytecode tier the
-VM's instrumented prelude additionally attributes per-opcode ISA cycle
-costs, which the profile report folds in via
+kernel as ``Delay`` requests; while ``hook.profile_sink`` is set each
+flush is *attributed* — the flush site calls ``hook.profile_sink(interp,
+p)`` and the profiler charges ``p`` cycles to the interpreter's live
+call stack (both tiers maintain real :class:`Frame` objects) under the
+tier that executed it ("vm" or "tree").  The sink is the whole switch:
+it is not a hook-mask bit, so arming it never deoptimizes, and disarmed
+it costs one ``None`` test per cost flush (one per ~``batch_cycles``
+statements).  The profiler is the only owner of flush-site attribution;
+telemetry's busy time is derived independently from span timestamps.
+On the bytecode tier the VM's instrumented prelude additionally
+attributes per-opcode ISA cycle costs (``info opcodes``), read through
 :mod:`repro.cminus.vm.telemetry`.
 
 Because flush points are structural (batch threshold / pre-I/O / exit)
@@ -138,16 +138,15 @@ class Profiler:
     # ------------------------------------------------------------- arming
 
     def enable(self) -> None:
-        """Arm CAP_PROFILE (idempotent).  Tier selection is untouched —
-        bytecode activations stay resident."""
+        """Set ``hook.profile_sink`` (idempotent).  Tier selection is
+        untouched — bytecode activations stay resident."""
         if self.enabled:
             return
         if self.profile is None:
             self.profile = Profile()
         dbg = self.session.dbg
         dbg.hook.profile_sink = self._charge
-        dbg.profiler_armed = True
-        dbg._recompute_capabilities()
+        dbg._recompute_capabilities()  # re-caches the sink in every interpreter
         self.enabled = True
 
     def disable(self) -> None:
@@ -155,7 +154,6 @@ class Profiler:
         if not self.enabled:
             return
         dbg = self.session.dbg
-        dbg.profiler_armed = False
         dbg.hook.profile_sink = None
         dbg._recompute_capabilities()
         self.enabled = False
@@ -200,18 +198,22 @@ class Profiler:
 
         return per_actor_opcode_cycles(self.session.dbg.runtime.all_actors())
 
+    def opcode_totals(self) -> Dict[str, int]:
+        """:meth:`opcode_cycles` summed over actors, keyed by mnemonic."""
+        total: Dict[str, int] = {}
+        for table in self.opcode_cycles().values():
+            for op, cyc in table.items():
+                total[op] = total.get(op, 0) + cyc
+        return total
+
     def status_lines(self) -> List[str]:
         lines = [f"profiler: {'on' if self.enabled else 'off'}"]
         if self.profile is None:
             lines.append("  (nothing collected; use `prof on`)")
             return lines
         lines.extend(self._require().render())
-        opcodes = self.opcode_cycles()
-        if opcodes:
-            total: Dict[str, int] = {}
-            for table in opcodes.values():
-                for op, cyc in table.items():
-                    total[op] = total.get(op, 0) + cyc
+        total = self.opcode_totals()
+        if total:
             body = " ".join(f"{op}={total[op]}" for op in sorted(total))
             lines.append(f"  vm opcode cycles: {body}")
         return lines

@@ -1,16 +1,14 @@
 """The session-facing telemetry facade: arm, collect, query, export.
 
-Arming does two things, both reversible:
-
-- arms the span builder's ``feed`` on the session's event tap (so
-  :meth:`FrameworkAPI.call` materialises events again — when telemetry
-  is off and nothing else listens, the §V elision fast path keeps
-  framework calls event-free);
-- raises ``CAP_TELEMETRY`` in the debugger's hook-capability mask so
-  interpreters count the cycles they flush.  The bit is ignored by tier
-  selection, so the VM tier keeps running bytecode — the
-  only new work on the hot path is one predicted branch per cost flush
-  (one per ~batch_cycles statements).
+Arming does one reversible thing: it arms the span builder's ``feed``
+on the session's event tap, so :meth:`FrameworkAPI.call` materialises
+events again (when telemetry is off and nothing else listens, the §V
+elision fast path keeps framework calls event-free).  Telemetry is a
+pure tap consumer: it raises no bit in the debugger's hook mask and
+never touches an interpreter, so every execution tier runs exactly as
+it does with telemetry off.  Busy time comes from span timestamps; the
+attributed profiler (:mod:`repro.obs.prof`) is the independent count of
+flushed cycles it is checked against.
 
 The session has one span builder, owned here.  It adds each span it
 closes to the telemetry sink and to the flight recorder's bounded ring,
@@ -24,7 +22,9 @@ reproducible after the fact from a ReplayJournal via
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
+
+from ..errors import CommandError, DataflowDebugError
 
 from .builder import TelemetryBuilder
 from .export import to_chrome_trace
@@ -44,20 +44,30 @@ class Telemetry:
 
     # ------------------------------------------------------------- arming
 
+    @property
+    def bound(self) -> Tuple[Optional[int], bool]:
+        """The ``(limit, ring)`` bound the span sink was built with
+        (unbounded when nothing is collected yet)."""
+        sink = self.sink
+        return (None, False) if sink is None else (sink.limit, sink.ring)
+
     def enable(self, limit: Optional[int] = None, ring: bool = False) -> None:
         """Start collecting (idempotent).  ``limit``/``ring`` bound the
         span sink: cap mode keeps the first ``limit`` spans, ring mode
-        the last (see :class:`~repro.obs.spans.SpanSink`)."""
-        if self.enabled:
-            return
+        the last (see :class:`~repro.obs.spans.SpanSink`).  An existing
+        sink keeps its bound, so asking for another one is an error."""
         if self.builder is None:
             self.sink = SpanSink(limit=limit, ring=ring)
             self.metrics = MetricsRegistry()
             self.builder = TelemetryBuilder(self.sink, self.metrics, ring=self.session.flight.sink)
+        elif (limit, ring) != self.bound:
+            raise CommandError(
+                f"trace: the span sink is already built ({_bound_text(*self.bound)}); "
+                "`trace off` then `trace clear` to collect with another bound"
+            )
+        if self.enabled:
+            return
         self.session.tap.arm(self.builder.feed)
-        dbg = self.session.dbg
-        dbg.telemetry_armed = True
-        dbg._recompute_capabilities()
         self.enabled = True
 
     def disable(self) -> None:
@@ -65,9 +75,6 @@ class Telemetry:
         if not self.enabled:
             return
         self.session.tap.disarm(self.builder.feed)
-        dbg = self.session.dbg
-        dbg.telemetry_armed = False
-        dbg._recompute_capabilities()
         self.enabled = False
 
     def clear(self) -> None:
@@ -96,10 +103,9 @@ class Telemetry:
         if sink is None:
             lines.append("  (nothing collected; use `trace on`)")
             return lines
-        bound = "unbounded" if sink.limit is None else (
-            f"{'ring' if sink.ring else 'cap'} limit={sink.limit}"
+        lines.append(
+            f"  spans: {len(sink)} stored ({_bound_text(*self.bound)}), {sink.dropped} dropped"
         )
-        lines.append(f"  spans: {len(sink)} stored ({bound}), {sink.dropped} dropped")
         if self.builder is not None:
             lines.append(f"  events fed: {self.builder.events_fed}")
         warn = self.drop_warning()
@@ -107,37 +113,10 @@ class Telemetry:
             lines.append(f"  {warn}")
         return lines
 
-    def interp_cycles(self) -> Dict[str, int]:
-        """Per-actor ``cycles_flushed`` from the live interpreters — the
-        ground truth the span builder's busy times are checked against."""
-        cycles: Dict[str, int] = {}
-        for actor in self.session.dbg.runtime.all_actors():
-            interp = getattr(actor, "interp", None)
-            if interp is not None:
-                cycles[actor.qualname] = interp.cycles_flushed
-        return cycles
-
-    def opcode_cycles(self) -> Dict[str, int]:
-        """Aggregated per-opcode cycle counts from every live bytecode-tier
-        interpreter, keyed by mnemonic.  Counted only while telemetry (or
-        the profiler) is armed: either bit flips the VM into its
-        instrumented prelude, which attributes each instruction's ISA
-        cost to its opcode."""
-        from ..cminus.vm.telemetry import aggregate_opcode_cycles
-
-        interps = [
-            interp
-            for actor in self.session.dbg.runtime.all_actors()
-            if (interp := getattr(actor, "interp", None)) is not None
-        ]
-        return aggregate_opcode_cycles(interps)
-
     # ------------------------------------------------------------- export
 
     def export_json(self, process_name: str = "repro") -> str:
         if self.sink is None:
-            from ..errors import DataflowDebugError
-
             raise DataflowDebugError("no telemetry collected (use `trace on` first)")
         return to_chrome_trace(self.sink.snapshot().spans, process_name)
 
@@ -152,3 +131,7 @@ class Telemetry:
         text = self.export_json(process_name)
         nbytes = write_artifact(path, text, force=force)
         return len(self.sink), nbytes
+
+
+def _bound_text(limit: Optional[int], ring: bool) -> str:
+    return "unbounded" if limit is None else f"{'ring' if ring else 'cap'} limit={limit}"

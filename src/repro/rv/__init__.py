@@ -15,9 +15,9 @@ a :class:`~repro.sim.replay.ReplayJournal` and produces verdicts
 byte-identical to the live run (the telemetry subsystem's identity trick,
 applied to correctness instead of cost).
 
-Arming monitors raises ``DebugHook.CAP_RV`` — a capability bit outside
-``CAP_ALL`` — so the Filter-C VM tier keeps running bytecode and the
-monitors-off cost is a predicted branch.
+Monitors are pure consumers of the session's event tap: arming them
+raises no bit in the debugger's hook mask and touches no interpreter,
+so the Filter-C VM tier runs exactly as it does with monitors off.
 """
 
 from .props import (

@@ -1,15 +1,11 @@
 """The session-facing runtime-verification facade: arm, judge, stop.
 
 Arming checks mirrors the telemetry facade, and is just as reversible:
-
-- arms :meth:`Checks.feed` on the session's event tap (so
-  :meth:`FrameworkAPI.call` materialises events — when no checks and no
-  other consumer listen, the §V elision fast path keeps framework calls
-  event-free);
-- raises ``CAP_RV`` in the debugger's hook-capability mask.  The bit is
-  outside ``CAP_ALL`` and ignored by tier selection, so the Filter-C VM
-  tier keeps running bytecode — with monitors off, the only
-  statement-path cost is a predicted branch.
+it arms :meth:`Checks.feed` on the session's event tap (so
+:meth:`FrameworkAPI.call` materialises events — when no checks and no
+other consumer listen, the §V elision fast path keeps framework calls
+event-free).  That is all it does: checks raise no bit in the
+debugger's hook mask and never touch an interpreter.
 
 A violation freezes the check into its :class:`~repro.rv.monitors.Verdict`
 and performs the check's on-violation action:
@@ -127,7 +123,7 @@ class Checks:
     # -------------------------------------------------------------- arming
 
     def _rearm(self) -> None:
-        """Reconcile the tap slot + CAP_RV bit with the registry."""
+        """Reconcile the tap slot with the registry."""
         self._enabled = tuple(c for c in self.checks.values() if c.enabled)
         want = bool(self._enabled)
         if want != self.armed:
@@ -135,9 +131,7 @@ class Checks:
                 self.session.tap.arm(self.feed)
             else:
                 self.session.tap.disarm(self.feed)
-            dbg = self.session.dbg
-            dbg.rv_armed = self.armed = want
-            dbg._recompute_capabilities()
+            self.armed = want
 
     # ------------------------------------------------------------- judging
 

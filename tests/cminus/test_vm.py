@@ -235,10 +235,15 @@ def test_brkc_is_conditional():
 
 
 class CountingHook(DebugHook):
-    capabilities = DebugHook.CAP_TELEMETRY
+    """Arms no mask bit; a profile sink alone switches opcode counting on."""
+
+    capabilities = 0
+
+    def profile_sink(self, interp, cycles):
+        pass
 
 
-def test_opcode_cycles_counted_only_under_telemetry():
+def test_opcode_cycles_counted_only_under_the_profiler():
     _, interp = build(CHECKSUM)
     run(interp, "checksum", (11,))
     assert interp.opcode_cycles == {}
@@ -247,14 +252,14 @@ def test_opcode_cycles_counted_only_under_telemetry():
     counted.hook = CountingHook()
     counted.refresh_hook_caps()
     run(counted, "checksum", (11,))
-    assert counted.opcode_cycles, "telemetry armed but no opcodes counted"
+    assert counted.opcode_cycles, "profiler armed but no opcodes counted"
     # costs follow the ISA cost table; stmt boundaries are free
     assert all(isa.COST[op] > 0 for op in counted.opcode_cycles)
     assert isa.STMT not in counted.opcode_cycles
 
 
 def test_opcode_cycles_do_not_change_timed_stream():
-    """CAP_TELEMETRY's per-opcode attribution must not perturb the
+    """The profiler's per-opcode attribution must not perturb the
     batched Delay flushes (replay fingerprints stay byte-identical)."""
 
     def timed_reqs(hook):

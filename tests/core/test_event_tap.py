@@ -97,7 +97,8 @@ def test_disarming_in_any_order_releases_the_bus(order):
         DISARM[consumer](session)
     assert star_subscriptions(session) == []
     dbg = session.dbg
-    assert not dbg.telemetry_armed and not dbg.rv_armed
+    assert not session.telemetry.enabled and not session.checks.armed
+    assert session.tap.consumers == ()
     bus = dbg.runtime.bus
     unobserved = [sym for sym in ALL_SYMBOLS if sym not in bus._listeners]
     assert unobserved, "capture narrowing left no symbol unobserved"

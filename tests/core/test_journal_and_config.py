@@ -18,6 +18,17 @@ def test_event_journal_via_cli():
     assert cli.execute("dataflow events off") == ["event journal disabled"]
 
 
+@pytest.mark.parametrize("arg", ["abc", "-3", "5 more"])
+def test_event_journal_rejects_a_malformed_count(arg):
+    session, cli, dbg, runtime, sink = make_session([1, 2], stop_on_init=True)
+    dbg.run()
+    cli.execute("dataflow events on")
+    dbg.cont()
+    assert cli.execute(f"dataflow events {arg}") == [
+        "error: usage: dataflow events [on|off|N]"
+    ]
+
+
 def test_journal_off_by_default():
     session, cli, dbg, runtime, sink = make_session([1], stop_on_init=True)
     dbg.run()

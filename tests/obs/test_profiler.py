@@ -6,7 +6,6 @@ import pytest
 
 from repro.apps.amodule import build_demo
 from repro.apps.rle import build_rle_pipeline
-from repro.cminus.interp import DebugHook
 from repro.core import DataflowSession, install_dataflow_commands
 from repro.dbg import CommandCli, Debugger, StopKind
 from repro.obs import derive_profile, flame_svg
@@ -36,45 +35,52 @@ def run_to_exit(dbg):
 def test_profiler_off_by_default_and_armed_on_enable():
     session = rle_session()
     dbg = session.dbg
+    caps = dbg.hook.capabilities
     assert not session.prof.enabled
-    assert not dbg.hook.capabilities & DebugHook.CAP_PROFILE
+    assert dbg.hook.profile_sink is None
     session.prof.enable()
-    assert dbg.hook.capabilities & DebugHook.CAP_PROFILE
-    # CAP_PROFILE must NOT deoptimize: tier selection ignores it, the
-    # only new work is the cycle-flush charge
+    assert dbg.hook.profile_sink is not None
+    # the sink is not a mask bit and must NOT deoptimize: the only new
+    # work is the cycle-flush charge and the VM's per-opcode prelude
+    assert dbg.hook.capabilities == caps
     for actor in dbg.runtime.all_actors():
         interp = getattr(actor, "interp", None)
         if interp is not None:
             assert interp._fast_ok
-            assert interp._count_cycles
             assert interp._profile is not None
+            assert interp._vm_trace
     session.prof.disable()
-    assert not dbg.hook.capabilities & DebugHook.CAP_PROFILE
+    assert dbg.hook.profile_sink is None
     for actor in dbg.runtime.all_actors():
         interp = getattr(actor, "interp", None)
         if interp is not None:
-            assert not interp._count_cycles
             assert interp._profile is None
+            assert not interp._vm_trace
 
 
 # --------------------------------------------------- attribution exactness
 
 
 @pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
-def test_profile_total_equals_flushed_cycles(tier):
+def test_profile_total_equals_span_busy(tier):
+    """Two independent mechanisms agree per actor: the profiler's
+    flush-site charges and telemetry's busy time, which the span builder
+    derives from event timestamps without ever seeing an interpreter."""
     session = rle_session(tier=tier)
+    session.telemetry.enable()
     session.prof.enable()
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
     profile = session.prof.profile
     assert profile.total > 0
-    flushed = sum(
-        actor.interp.cycles_flushed
-        for actor in session.dbg.runtime.all_actors()
-        if getattr(actor, "interp", None) is not None
-    )
     # every flushed cycle is charged to exactly one call-tree node
-    assert profile.total == flushed
-    assert sum(profile.nodes.values()) == flushed
+    assert sum(profile.nodes.values()) == profile.total
+    charged = {}
+    for (actor, _tier, _path), cycles in profile.nodes.items():
+        charged[actor] = charged.get(actor, 0) + cycles
+    busy = {
+        name: m.busy for name, m in session.telemetry.metrics.actors.items() if m.busy
+    }
+    assert charged == busy
 
 
 @pytest.mark.parametrize(
@@ -120,7 +126,7 @@ def test_derived_profile_equals_live_profile(tier):
 
 def test_derive_profile_from_unprofiled_recording():
     """A run recorded *without* the profiler armed is still profilable
-    after the fact — the deriver re-executes with only CAP_PROFILE on."""
+    after the fact — the deriver re-executes with only the profiler on."""
     session = rle_session()
     session.replay.record_on()
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
@@ -264,5 +270,5 @@ def test_prof_command_lifecycle_through_the_cli(tmp_path):
     assert session.prof.enabled and session.prof.profile.total == 0
     assert cli.execute("prof off") == ["profiler disabled (profile retained)"]
     assert cli.execute("prof status")[0] == "profiler: off"
-    assert not session.dbg.hook.capabilities & DebugHook.CAP_PROFILE
+    assert session.dbg.hook.profile_sink is None
     assert cli.execute("prof frob")[0].startswith("error: prof: unknown verb 'frob'")

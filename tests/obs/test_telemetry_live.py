@@ -1,15 +1,12 @@
-"""Live telemetry: counters vs. ground truth, cost attribution, CLI.
+"""Live telemetry: counters vs. ground truth, CLI.
 
-The strongest check here is busy-time exactness: the span builder never
-sees the interpreters, yet the per-actor busy it derives (work-span
-duration minus nested framework-call durations) must equal the cycles
-the interpreter actually flushed — in both execution tiers.
+Busy-time exactness against the profiler's flush-site charges lives in
+``test_profiler.py``; telemetry itself never touches an interpreter.
 """
 
 import pytest
 
 from repro.apps.rle import build_rle_pipeline
-from repro.cminus.interp import DebugHook
 from repro.core import DataflowSession
 from repro.dbg import CommandCli, Debugger, StopKind
 from repro.obs import INIT_TRACK
@@ -40,22 +37,22 @@ def run_to_exit(dbg):
 def test_telemetry_off_by_default_and_armed_on_enable():
     session, _, _ = rle_session()
     dbg = session.dbg
+    caps = dbg.hook.capabilities
     assert not session.telemetry.enabled
-    assert not dbg.hook.capabilities & DebugHook.CAP_TELEMETRY
+    assert session.tap.consumers == ()
     session.telemetry.enable()
-    assert dbg.hook.capabilities & DebugHook.CAP_TELEMETRY
-    # the telemetry bit must NOT deoptimize: tier selection ignores it
+    assert session.telemetry.enabled
+    assert session.tap.consumers == (session.telemetry.builder.feed,)
+    # telemetry is a pure tap consumer: no mask bit, no interpreter change
+    assert dbg.hook.capabilities == caps
     for actor in dbg.runtime.all_actors():
         interp = getattr(actor, "interp", None)
         if interp is not None:
             assert interp._fast_ok
-            assert interp._count_cycles
+            assert not interp._vm_trace
     session.telemetry.disable()
-    assert not dbg.hook.capabilities & DebugHook.CAP_TELEMETRY
-    for actor in dbg.runtime.all_actors():
-        interp = getattr(actor, "interp", None)
-        if interp is not None:
-            assert not interp._count_cycles
+    assert not session.telemetry.enabled
+    assert session.tap.consumers == ()
 
 
 def test_telemetry_adds_exactly_one_wildcard_subscription():
@@ -98,12 +95,6 @@ def test_live_metrics_match_runtime_totals(tier):
             assert m.firings == actor.works_done
         if actor.kind == "controller":
             assert m.steps == session.model.steps.get(actor.qualname)
-
-    # busy-time exactness: derived busy == interpreter-flushed cycles
-    cycles = session.telemetry.interp_cycles()
-    assert cycles and any(cycles.values())
-    for qualname, flushed in cycles.items():
-        assert metrics.actors[qualname].busy == flushed, qualname
 
     # occupancy gauges drained back to zero, high-water saw traffic
     for name, lm in metrics.links.items():
@@ -202,20 +193,22 @@ def test_trace_command_lifecycle(tmp_path):
 
 def test_info_opcodes_on_the_default_tier():
     """``info opcodes`` tabulates the VM's per-opcode cycle attribution:
-    nothing before telemetry is armed, then one row per executed opcode
-    (each a whole number of that opcode's ISA cost) and their total."""
+    nothing before the profiler is armed (telemetry alone counts none),
+    then one row per executed opcode (each a whole number of that
+    opcode's ISA cost) and their total."""
     from repro.cminus.vm import isa
 
     session, cli, _ = rle_session()
     assert cli.execute("info opcodes")[0].startswith("no opcode cycles counted")
 
     cli.execute("trace on")
+    cli.execute("prof on")
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
     out = cli.execute("info opcodes")
     assert out[0].split() == ["opcode", "cycles"]
     rows = dict((name, int(cyc)) for name, cyc in (line.split() for line in out[1:]))
     total = rows.pop("total")
-    assert rows == session.telemetry.opcode_cycles()
+    assert rows == session.prof.opcode_totals()
     assert {"ior", "iow"} <= set(rows), rows
     assert total == sum(rows.values()) > 0
     for name, cycles in rows.items():
@@ -224,7 +217,7 @@ def test_info_opcodes_on_the_default_tier():
     assert list(rows.values()) == sorted(rows.values(), reverse=True)
 
     slow, slow_cli, _ = rle_session(tier="slow")
-    slow_cli.execute("trace on")
+    slow_cli.execute("prof on")
     assert run_to_exit(slow.dbg).kind == StopKind.EXITED
     assert slow_cli.execute("info opcodes")[0].startswith("no opcode cycles counted")
 
@@ -247,3 +240,34 @@ def test_trace_clear_resets_collection():
     cli.execute("trace clear")
     assert session.telemetry.enabled
     assert len(session.telemetry.sink) == 0
+
+
+def test_trace_clear_keeps_the_span_bound():
+    """``trace clear`` re-arms with the bound the sink was built with, and
+    ``trace on`` with a different bound is refused, never ignored."""
+    session, cli, _ = rle_session()
+
+    def spans_line():
+        return next(l for l in cli.execute("trace status") if "spans:" in l)
+
+    cli.execute("trace on limit 5 ring")
+    cli.execute("trace clear")
+    assert session.telemetry.enabled
+    assert "(ring limit=5)" in spans_line()
+    assert cli.execute("trace on limit 5 ring") == ["telemetry enabled (spans + metrics collecting)"]
+
+    cli.execute("trace off")
+    out = cli.execute("trace on limit 3")
+    assert out[0].startswith("error:") and "ring limit=5" in out[0], out
+    assert not session.telemetry.enabled
+    # a bare `trace on` resumes the existing sink with its bound
+    cli.execute("trace on")
+    assert session.telemetry.enabled and "(ring limit=5)" in spans_line()
+
+    # off + clear drops the sink, so the next bound takes effect
+    cli.execute("trace off")
+    cli.execute("trace clear")
+    cli.execute("trace on limit 3")
+    assert "(cap limit=3)" in spans_line()
+    run_to_exit(session.dbg)
+    assert len(session.telemetry.sink) == 3

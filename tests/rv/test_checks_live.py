@@ -5,7 +5,7 @@ import pytest
 from repro.apps.h264.bugs import build_dropped_token, build_rate_mismatch
 from repro.apps.rle import build_rle_pipeline
 from repro.core import DataflowSession
-from repro.dbg import CAP_RV, CommandCli, Debugger, StopKind
+from repro.dbg import CommandCli, Debugger, StopKind
 
 
 def rle_session(**kw):
@@ -64,16 +64,16 @@ def test_mark_action_records_replay_position():
 def test_arming_follows_enabled_checks():
     session = rle_session()
     session.dbg.run()
-    dbg = session.dbg
-    assert not session.checks.armed and not dbg.rv_armed
+    tap = session.tap
+    assert not session.checks.armed and session.checks.feed not in tap.consumers
     check = session.checks.add("occupancy pack::o->expand::i <= 4", action="log")
-    assert session.checks.armed and dbg.rv_armed
+    assert session.checks.armed and session.checks.feed in tap.consumers
     session.checks.set_enabled(check.id, False)
-    assert not session.checks.armed and not dbg.rv_armed
+    assert not session.checks.armed and session.checks.feed not in tap.consumers
     session.checks.set_enabled(check.id, True)
     assert session.checks.armed
     session.checks.remove(check.id)
-    assert not session.checks.armed and not dbg.rv_armed
+    assert not session.checks.armed and session.checks.feed not in tap.consumers
 
 
 def test_disarm_mid_run_stops_judging():
@@ -82,9 +82,9 @@ def test_disarm_mid_run_stops_judging():
     check = session.checks.add("occupancy pack::o->expand::i <= 0")
     ev = session.dbg.cont()
     assert ev.kind == StopKind.VIOLATION
-    # a tripped one-shot check never re-fires; disabling it disarms CAP_RV
+    # a tripped one-shot check never re-fires; disabling it disarms the tap
     session.checks.set_enabled(check.id, False)
-    assert not session.dbg.hook.capabilities & CAP_RV
+    assert session.checks.feed not in session.tap.consumers
     assert run_to_end(session.dbg).kind == StopKind.EXITED
     assert len(session.checks.verdicts) == 1
 

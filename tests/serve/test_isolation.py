@@ -1,10 +1,9 @@
 """Concurrent-session isolation: two sessions over identical graphs
 must share *nothing* — not the breakpoint registry, not the RV monitors,
-not the capability bits, not the journal."""
+not the tap consumers, not the profile sink, not the journal."""
 
 import pytest
 
-from repro.dbg import CAP_RV, CAP_TELEMETRY
 from repro.serve.sessions import SessionRegistry
 
 
@@ -47,14 +46,19 @@ def test_capability_bits_do_not_leak(pair):
     b.execute("run")
     result = a.execute("check add log occupancy pack::o->expand::i <= 64")
     assert result.ok, result.error
-    assert a.service.dbg.hook.capabilities & CAP_RV
-    assert not b.service.dbg.hook.capabilities & CAP_RV
+    assert a.session.checks.armed and not b.session.checks.armed
     # arm telemetry in B only
     assert b.execute("trace on").ok
-    assert b.service.dbg.hook.capabilities & CAP_TELEMETRY
-    assert not a.service.dbg.hook.capabilities & CAP_TELEMETRY
-    # and RV never leaked back
-    assert not b.service.dbg.hook.capabilities & CAP_RV
+    assert b.session.telemetry.enabled and not a.session.telemetry.enabled
+    assert a.session.tap.consumers == (a.session.checks.feed,)
+    assert b.session.tap.consumers == (b.session.telemetry.builder.feed,)
+    # and the profiler in A only
+    assert a.execute("prof on").ok
+    assert a.service.dbg.hook.profile_sink is not None
+    assert b.service.dbg.hook.profile_sink is None
+    # none of them raises a mask bit in either session
+    assert a.service.dbg.hook.capabilities == base_a
+    assert b.service.dbg.hook.capabilities == base_b
 
 
 def test_stops_and_journals_are_independent(pair):
