@@ -1,27 +1,35 @@
 """SERVE: wire-protocol costs of the debug-server daemon.
 
 Measures, against a live daemon on a loopback socket (the exact path a
-wire client takes — framing, event loop, per-session executor, machine):
+wire client takes — framing, event loop, per-session worker, machine):
 
 - *session create/attach throughput* — full machine elaboration per
   create, bookkeeping-only attach;
 - *command round-trip latency* — one JSON-RPC request through dispatch,
-  executor hop, command table and back, for a cheap inspection command
+  worker hop, command table and back, for a cheap inspection command
   and for a stateful breakpoint command;
 - *fan-out cost per subscribed client* — the same breakpoint stop pushed
   to 1 / 8 / 32 subscribed connections, so the per-subscriber cost of
-  the event plane is the slope across the three rows.
+  the event plane is the slope across the three rows;
+- *loop hops per request* (a plain test, no timing) — the exact number
+  of worker submissions, cross-thread wake-ups, Tasks and futures one
+  session-bound request costs.
 
 The session-end hook in ``conftest.py`` writes ``BENCH_serve.json``.
 Every bench is also an assertion: results are checked for correctness
 each round, so a daemon that answers quickly but wrongly still fails.
 """
 
+import asyncio
+import concurrent.futures
+from collections import Counter
+
 import pytest
 
 from repro.serve.embed import DaemonThread
 
 ROUNDS = 30
+HOPS_RPCS = 200
 FANOUT_FEED = [1 + (i % 9) for i in range(6000)]  # thousands of bp hits
 
 
@@ -131,3 +139,47 @@ def test_stop_fanout_cost(benchmark, daemon, subscribers):
         listener.close()
     driver.destroy(sid)
     driver.close()
+
+
+def test_frames_rpc_loop_hops(daemon):
+    """Exact-count gate on the wire path: N ``frames`` RPCs make N
+    worker submissions, N ``call_soon_threadsafe`` wake-ups (the reply
+    handed back to the loop), no asyncio Task and no
+    ``concurrent.futures.Future`` — one loop callback in, one out."""
+    client = daemon.connect(timeout=120)
+    sid = client.create("rle")["session"]
+    client.execute(sid, "break pack.c:7")
+    client.execute(sid, "run")
+    assert client.execute(sid, "continue")["stop"]["kind"] == "breakpoint"
+    loop = daemon.loop
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def task_factory(loop, coro, **kwargs):
+        counts["tasks"] += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    future_init = concurrent.futures.Future.__init__
+    worker = daemon.daemon.registry.get(sid).worker
+    worker.submit = counted("submit", worker.submit)
+    loop.call_soon_threadsafe = counted("wakeups", loop.call_soon_threadsafe)
+    loop.set_task_factory(task_factory)
+    concurrent.futures.Future.__init__ = counted("futures", future_init)
+    try:
+        for _ in range(HOPS_RPCS):
+            frames = client.frames(sid, "codec.pack")
+            assert frames[0]["name"] == "PackFilter_work_function"
+    finally:
+        concurrent.futures.Future.__init__ = future_init
+        loop.set_task_factory(None)
+        del loop.call_soon_threadsafe
+        del worker.submit
+    assert counts == {"submit": HOPS_RPCS, "wakeups": HOPS_RPCS}, counts
+    client.destroy(sid)
+    client.close()

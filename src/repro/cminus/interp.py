@@ -121,8 +121,9 @@ class DebugHook:
     :attr:`capabilities` is the hook-elision bitmask (paper §V: disabling
     instrumentation "would significantly improve performance during the
     non-interactive parts of the execution").  The debugger lowers bits
-    whenever no breakpoint of the matching kind could possibly fire; the
-    interpreter caches the mask (:meth:`Interpreter.refresh_hook_caps`)
+    whenever no breakpoint of the matching kind could possibly fire, and
+    narrows it per interpreter (:meth:`capabilities_for`); the
+    interpreter caches its mask (:meth:`Interpreter.refresh_hook_caps`)
     and then skips the callback entirely — the software analogue of GDB
     physically removing its trap instructions.  The default is
     ``CAP_ALL`` so hand-written hooks observe everything unless a
@@ -149,6 +150,13 @@ class DebugHook:
     #: never deoptimizes, it only routes the VM through its prelude for
     #: per-opcode cycles
     profile_sink = None
+
+    def capabilities_for(self, interp: "Interpreter") -> int:
+        """The bits that can fire for ``interp`` (what its
+        :meth:`Interpreter.refresh_hook_caps` caches).  The default is the
+        hook-wide :attr:`capabilities`; the debugger narrows it so one
+        breakpoint deoptimizes only the interpreters it can stop."""
+        return self.capabilities
 
     def on_statement(self, interp: "Interpreter", stmt: ast.Stmt) -> Optional[Suspend]:
         return None
@@ -295,7 +303,8 @@ class Interpreter:
         self.refresh_hook_caps()
 
     def refresh_hook_caps(self) -> None:
-        """Re-cache the hook's capability mask and profile sink (call
+        """Re-cache the hook's capability mask for this interpreter
+        (:meth:`DebugHook.capabilities_for`) and its profile sink (call
         after changing ``self.hook``, ``hook.capabilities`` or
         ``hook.profile_sink``).
 
@@ -306,7 +315,7 @@ class Interpreter:
         statement boundary, falling back into this tree-walking
         interpreter mid-function.
         """
-        caps = DebugHook.CAP_ALL if self.hook is None else self.hook.capabilities
+        caps = DebugHook.CAP_ALL if self.hook is None else self.hook.capabilities_for(self)
         self._want_stmt = bool(caps & DebugHook.CAP_STATEMENTS)
         self._want_call = bool(caps & DebugHook.CAP_CALLS)
         self._want_ret = bool(caps & DebugHook.CAP_RETURNS)

@@ -69,6 +69,9 @@ class _InterpHook(DebugHook):
     def on_isa_break(self, interp, act):
         return self.dbg._on_isa_break(interp, act)
 
+    def capabilities_for(self, interp):
+        return self.dbg._capabilities_for(interp)
+
 
 class Debugger:
     """Interactive debugger attached to one PEDF runtime."""
@@ -79,9 +82,15 @@ class Debugger:
         self.breakpoints = BreakpointRegistry()
         self.history = ValueHistory()
         self.hook = _InterpHook(self)
+        # until the actor map exists, _capabilities_for answers with the
+        # hook-wide mask; the _recompute_capabilities below narrows it
+        self._actor_by_interp: Optional[Dict[int, ActorInst]] = None
+        self._last_lines: Dict[int, tuple] = {}  # interp id -> (depth, line)
+        #: interp id -> its statement count when it lost the statement hook
+        self._unhooked_at: Dict[int, int] = {}
         runtime.set_hook(self.hook)
         self.debug_info = runtime.merged_debug_info()
-        self._actor_by_interp: Dict[int, ActorInst] = {}
+        self._actor_by_interp = {}
         for actor in runtime.all_actors():
             if getattr(actor, "interp", None) is not None:
                 self._actor_by_interp[id(actor.interp)] = actor
@@ -90,7 +99,6 @@ class Debugger:
         self.last_stop: Optional[StopEvent] = None
         self.stop_log: List[StopEvent] = []
         self._step: Optional[_StepState] = None
-        self._last_lines: Dict[int, tuple] = {}  # interp id -> (depth, line)
         self._pause_requested = False
         self._finished = False
         #: callbacks run on every stop (the extension API's event registry)
@@ -110,7 +118,9 @@ class Debugger:
     def _recompute_capabilities(self) -> None:
         """Re-derive the hook capability mask from what is armed (§V hook
         elision).  Called on every registry mutation and step-state change;
-        when nothing can fire, interpreters skip instrumentation entirely."""
+        when nothing can fire, interpreters skip instrumentation entirely.
+        ``hook.capabilities`` is the session-wide union; each interpreter
+        then caches only its own bits (:meth:`_capabilities_for`)."""
         reg = self.breakpoints
         caps = 0
         # instruction stepping ("isi") rides CAP_ISA, not CAP_STATEMENTS —
@@ -142,6 +152,62 @@ class Debugger:
             interp = getattr(actor, "interp", None)
             if interp is not None:
                 interp.refresh_hook_caps()
+
+    def _capabilities_for(self, interp: Interpreter) -> int:
+        """The bits of the session-wide mask that can fire for ``interp``:
+
+        - statements: an enabled source breakpoint in one of its
+          program's files whose actor filter admits its actor, a
+          watchpoint on its actor, or a statement-mode step of its actor;
+        - calls: a function breakpoint on one of its program's functions;
+        - returns: a finish breakpoint on this interpreter.
+
+        So ``break pack.c:7`` deoptimizes ``pack`` alone; every other
+        actor stays on the bytecode tier with no statement hook."""
+        caps = self.hook.capabilities
+        if self._actor_by_interp is None:
+            return caps
+        mine = caps & ~DebugHook.CAP_ALL
+        if caps & DebugHook.CAP_ALL:
+            mine |= self._tier_bits_for(interp, caps)
+        # statements that run unhooked leave ``_last_lines`` behind: when
+        # the hook comes back after any ran, forget the stale (depth, line)
+        # so the first hooked statement counts as a new line
+        key = id(interp)
+        count = interp.state.statements_executed
+        if mine & DebugHook.CAP_STATEMENTS:
+            if self._unhooked_at.pop(key, count) != count:
+                self._last_lines.pop(key, None)
+        elif key in self._last_lines:
+            self._unhooked_at.setdefault(key, count)
+        return mine
+
+    def _tier_bits_for(self, interp: Interpreter, caps: int) -> int:
+        """The tier-selection bits of ``caps`` that can fire for ``interp``."""
+        actor = self._actor_by_interp.get(id(interp))
+        qualname = actor.qualname if actor is not None else None
+        reg = self.breakpoints
+        functions = interp.program.functions
+        mine = 0
+        if caps & DebugHook.CAP_STATEMENTS:
+            step = self._step
+            files = {func.filename for func in functions}
+            if (
+                (step is not None and step.mode != "isi" and step.actor == qualname)
+                or (qualname is not None and reg.watchpoints_for(qualname))
+                or any(
+                    bp.filename in files and (not bp.actor or bp.actor == qualname)
+                    for bp in reg.source_bps()
+                )
+            ):
+                mine |= DebugHook.CAP_STATEMENTS
+        if caps & DebugHook.CAP_CALLS and any(
+            reg.function_bps_for(func.name) for func in functions
+        ):
+            mine |= DebugHook.CAP_CALLS
+        if caps & DebugHook.CAP_RETURNS and reg.finish_bps_for(interp):
+            mine |= DebugHook.CAP_RETURNS
+        return mine
 
     def _pre_dispatch(self, process):
         if self._pause_requested:

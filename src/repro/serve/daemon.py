@@ -2,10 +2,22 @@
 
 Connections are classified by their first byte (:func:`sniff_protocol`):
 JSON-RPC lines, DAP frames, or an HTTP GET for OpenMetrics scrapes.
-Blocking debugger work runs on each session's single-thread executor via
-``run_in_executor``, so the event loop never stalls behind a ``continue``
-and commands against one session are strictly ordered while sessions
-proceed in parallel.
+Blocking debugger work runs on each session's single worker thread
+(:class:`~repro.serve.sessions.SessionWorker`), so the event loop never stalls behind a
+``continue`` and commands against one session are strictly ordered while
+sessions proceed in parallel.
+
+Each JSON-RPC request costs one event-loop callback on the way in and
+one on the way out.  :class:`Connection` is the transport's protocol: it
+frames lines straight from ``data_received`` (:class:`LineFramer`) and
+dispatches them with one request in flight per connection, so replies
+come back in request order.  Daemon-level methods answer on the loop.
+A session-bound method's handler validates its params on the loop and
+returns an :class:`_Offload`; the session's worker runs it, builds and
+encodes the reply, and hands the line back with one
+``loop.call_soon_threadsafe``.  ``create`` does the same on the
+daemon's build pool.  Replies and fan-out pushes are written to
+the transport from the loop thread, in call order.
 
 Structure of a JSON-RPC exchange (one JSON object per line)::
 
@@ -24,6 +36,8 @@ Robustness invariants, each covered by tests:
 
 - one session's exception becomes an ``error`` response; the daemon and
   sibling sessions are untouched;
+- a line longer than ``MAX_LINE_BYTES`` is answered with a parse error
+  and skipped; the connection stays usable;
 - quotas surface as code-1002 errors with the quota name in ``data``;
 - idle sessions are reaped; SIGTERM drains gracefully (stop accepting,
   finish in-flight commands, notify subscribers, exit).
@@ -36,54 +50,133 @@ import asyncio
 import signal
 import sys
 import time
-from typing import Any, Dict, List, Optional, Set
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Set, Union
 
 from ..errors import ReproError
 from . import protocol as proto
-from .sessions import QuotaExceeded, SessionQuota, SessionRegistry
+from .sessions import QuotaExceeded, SessionQuota, SessionRegistry, SessionWorker
 
 REAP_CHECK_S = 5.0
 
+#: methods a draining daemon still answers
+DRAIN_METHODS = frozenset({"ping", "sessions", "shutdown"})
 
-class Connection:
-    """One live client connection (any protocol)."""
 
-    def __init__(self, daemon: "DebugDaemon", reader, writer):
+class Connection(asyncio.Protocol):
+    """One live client connection (any protocol), fed by its transport.
+
+    JSON-RPC bytes go through the line framer and are dispatched here;
+    after the first-byte sniff, DAP and HTTP bytes feed a
+    :class:`asyncio.StreamReader` that their coroutine reads."""
+
+    def __init__(self, daemon: "DebugDaemon"):
         self.daemon = daemon
-        self.reader = reader
-        self.writer = writer
+        self.transport: Optional[asyncio.Transport] = None
+        self.kind: Optional[str] = None
+        #: the DAP / HTTP coroutine's input and task (None for JSON-RPC)
+        self.reader: Optional[asyncio.StreamReader] = None
+        self.stream_task: Optional[asyncio.Task] = None
         #: session id -> handle of our fan-out subscription
         self.subscriptions: Dict[str, int] = {}
         #: sessions this connection is attached to (for detach-on-close)
         self.attached: Set[str] = set()
-        self.outbox: "asyncio.Queue[bytes]" = asyncio.Queue()
-        self._writer_task: Optional[asyncio.Task] = None
+        self._framer = proto.LineFramer()
+        #: framed lines queued behind the request in flight
+        self._pending: Deque[Optional[bytes]] = deque()
+        self._busy = False  # a request is on a worker
+        self._paused = False  # reading paused while lines queue
+        self._eof = False
         self._closed = False
 
-    def start_writer(self) -> None:
-        self._writer_task = asyncio.get_running_loop().create_task(self._drain())
+    # ------------------------------------------------------ protocol hooks
 
-    async def _drain(self) -> None:
-        try:
-            while True:
-                data = await self.outbox.get()
-                self.writer.write(data)
-                await self.writer.drain()
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.daemon.connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.kind is None:
+            self._sniff(data)
+        if self.reader is not None:
+            self.reader.feed_data(data)
+            return
+        lines = self._framer.feed(data)
+        if not lines:
+            return
+        self._pending.extend(lines)
+        if not self._busy:
+            self._next()
+        elif not self._paused:
+            # one request at a time: hold further input at the socket
+            self._paused = True
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if self.reader is not None:
+            self.reader.feed_eof()
+        elif not self._busy:
+            self.close()
+        return True  # stay open for writing: replies may be in flight
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.close()
+
+    def _sniff(self, data: bytes) -> None:
+        kind = self.kind = proto.sniff_protocol(data[:1])
+        self.daemon.protocol_counts[kind] += 1
+        if kind != "jsonrpc":
+            self.reader = asyncio.StreamReader()
+            self.reader.set_transport(self.transport)
+            self.stream_task = self.daemon.loop.create_task(self.daemon.serve_stream(self))
+
+    # ------------------------------------------------------------- JSON-RPC
+
+    def _next(self) -> None:
+        """Dispatch queued lines in order until one goes to a worker."""
+        pending = self._pending
+        dispatch = self.daemon.dispatch_line
+        while pending:
+            if dispatch(self, pending.popleft()):
+                self._busy = True
+                return
+        self._busy = False
+        if self._eof:
+            self.close()
+        elif self._paused:
+            self._paused = False
+            self.transport.resume_reading()
+
+    def reply(self, line: Optional[bytes]) -> None:
+        """Loop-thread completion of the request in flight: send its
+        reply (None for a notification), then dispatch what queued."""
+        if self._closed:
+            return
+        if line is not None:
+            self.transport.write(line)
+        self._next()
+
+    # --------------------------------------------------------------- output
+
+    def write(self, data: bytes) -> None:
+        """Send from the event-loop thread."""
+        if not self._closed:
+            self.transport.write(data)
 
     def push(self, data: bytes) -> None:
-        """Thread-safe enqueue (fan-out callbacks run on kernel threads)."""
-        self.daemon.loop.call_soon_threadsafe(self.outbox.put_nowait, data)
+        """Send from any thread (fan-out callbacks run on session workers)."""
+        self.daemon.loop.call_soon_threadsafe(self.write, data)
 
-    def push_local(self, data: bytes) -> None:
-        """Enqueue from the event loop thread."""
-        self.outbox.put_nowait(data)
-
-    async def close(self) -> None:
+    def close(self) -> None:
+        """Drop subscriptions and attachments, flush and close; idempotent."""
         if self._closed:
             return
         self._closed = True
+        self._pending.clear()
+        self.daemon.connections.discard(self)
         for sid, sub in list(self.subscriptions.items()):
             try:
                 self.daemon.registry.get(sid).service.unsubscribe(sub)
@@ -96,21 +189,44 @@ class Connection:
             except KeyError:
                 pass
         self.attached.clear()
-        try:
-            if self._writer_task is not None:
-                # give queued output a bounded chance to flush
-                for _ in range(100):
-                    if self.outbox.empty():
-                        break
-                    await asyncio.sleep(0.01)
-                self._writer_task.cancel()
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # loop teardown raced our flush: finish closing quietly
-            self.writer.close()
+        if self.reader is not None:
+            self.reader.feed_eof()
+        self.transport.close()  # queued output is flushed first
+
+
+class _Offload(NamedTuple):
+    """A handler's answer when its work must leave the event loop:
+    ``fn`` runs on ``worker`` (the session's, for session-bound
+    methods), which also builds and encodes the reply."""
+
+    worker: Union[SessionWorker, ThreadPoolExecutor]
+    fn: Callable[[], Any]
+
+
+def error_reply(req_id: Any, method: str, exc: Exception) -> Dict[str, Any]:
+    """The one exception -> JSON-RPC error mapping, on the loop and on
+    the workers alike."""
+    if isinstance(exc, QuotaExceeded):
+        return proto.error_response(req_id, proto.ERR_QUOTA, str(exc), exc.to_data())
+    if isinstance(exc, KeyError):
+        missing = exc.args[0] if exc.args else ""
+        return proto.error_response(
+            req_id, proto.ERR_NO_SESSION, f"no such session: {missing}"
+        )
+    if isinstance(exc, _MethodNotFound):
+        return proto.error_response(
+            req_id, proto.ERR_METHOD_NOT_FOUND, f"unknown method {method!r}"
+        )
+    if isinstance(exc, _InvalidParams):
+        return proto.error_response(req_id, proto.ERR_INVALID_PARAMS, str(exc))
+    if isinstance(exc, _ShuttingDown):
+        return proto.error_response(req_id, proto.ERR_SHUTTING_DOWN, "daemon is draining")
+    if isinstance(exc, ReproError):
+        # a session-level failure: structured error, daemon unharmed
+        return proto.error_response(req_id, proto.ERR_SESSION_FAILED, str(exc))
+    return proto.error_response(
+        req_id, proto.ERR_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+    )
 
 
 class DebugDaemon:
@@ -135,6 +251,9 @@ class DebugDaemon:
         self.started = time.monotonic()
         self.requests_handled = 0
         self.protocol_counts: Dict[str, int] = {"jsonrpc": 0, "dap": 0, "http": 0}
+        #: runs ``create``: machine elaboration is CPU work, kept off the
+        #: loop; a pool, so a cheap create never queues behind a slow one
+        self.builder = ThreadPoolExecutor(thread_name_prefix="session-build")
         self._reaper_task: Optional[asyncio.Task] = None
         self._stopped = asyncio.Event()
 
@@ -142,8 +261,8 @@ class DebugDaemon:
 
     async def start(self) -> None:
         self.loop = asyncio.get_running_loop()
-        self.server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self.server = await self.loop.create_server(
+            lambda: Connection(self), self.host, self.port
         )
         self.port = self.server.sockets[0].getsockname()[1]
         if self.idle_timeout is not None:
@@ -169,126 +288,81 @@ class DebugDaemon:
         self.draining = True
         if self.server is not None:
             self.server.close()
-            await self.server.wait_closed()
         if self._reaper_task is not None:
             self._reaper_task.cancel()
         notice = proto.encode_line(
             proto.event_notification(None, "shutting-down", {"reason": "drain"})
         )
         for conn in list(self.connections):
-            conn.push_local(notice)
-        # in-flight executor work finishes; new requests get 1004
+            conn.write(notice)
+        # in-flight creates and worker jobs finish; new requests get 1004
+        self.builder.shutdown(wait=True)
         for desc in self.registry.list():
             try:
                 handle = self.registry.get(desc["id"])
             except KeyError:
                 continue
-            handle.executor.shutdown(wait=True)
+            handle.worker.shutdown(wait=True)
+        await asyncio.sleep(0)  # write the replies those jobs handed back
         for conn in list(self.connections):
-            await conn.close()
+            conn.close()
+        if self.server is not None:
+            await self.server.wait_closed()
         self.registry.close_all()
         self._stopped.set()
 
-    # ---------------------------------------------------------- connections
-
-    async def _handle_connection(self, reader, writer) -> None:
-        first = await reader.read(1)
-        if not first:
-            writer.close()
-            return
-        kind = proto.sniff_protocol(first)
-        self.protocol_counts[kind] += 1
-        conn = Connection(self, reader, writer)
-        self.connections.add(conn)
-        conn.start_writer()
-        try:
-            if kind == "http":
-                await self._serve_http(conn, first)
-            elif kind == "dap":
-                from .dap import DapBridge
-
-                await DapBridge(self, conn).serve(first)
-            else:
-                await self._serve_jsonrpc(conn, first)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self.connections.discard(conn)
-            await conn.close()
-
     # ------------------------------------------------------------- JSON-RPC
 
-    async def _serve_jsonrpc(self, conn: Connection, first: bytes) -> None:
-        buffer = first
-        while True:
-            try:
-                rest = await conn.reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError:
-                return
-            except asyncio.LimitOverrunError:
-                conn.push_local(
-                    proto.encode_line(
-                        proto.error_response(None, proto.ERR_PARSE, "line too long")
-                    )
-                )
-                return
-            line, buffer = buffer + rest, b""
-            if not line.strip():
-                continue
-            response = await self._dispatch_line(conn, line)
-            if response is not None:
-                conn.push_local(proto.encode_line(response))
-
-    async def _dispatch_line(
-        self, conn: Connection, line: bytes
-    ) -> Optional[Dict[str, Any]]:
+    def dispatch_line(self, conn: Connection, line: Optional[bytes]) -> bool:
+        """Answer one framed line on the loop, or hand it to a worker
+        (returns True: the reply comes back through ``conn.reply``)."""
+        if line is None:
+            conn.write(proto.encode_line(proto.error_response(
+                None, proto.ERR_PARSE,
+                f"line too long (limit {proto.MAX_LINE_BYTES} bytes)",
+            )))
+            return False
+        if not line.strip():
+            return False
         request, problem = proto.parse_request(line)
         if request is None:
-            return proto.error_response(None, proto.ERR_PARSE, problem or "bad request")
+            conn.write(proto.encode_line(
+                proto.error_response(None, proto.ERR_PARSE, problem or "bad request")
+            ))
+            return False
         req_id = request.get("id")
         method = request["method"]
-        params = request["params"]
         self.requests_handled += 1
         try:
-            result = await self._call_method(conn, method, params)
-        except QuotaExceeded as exc:
-            return proto.error_response(req_id, proto.ERR_QUOTA, str(exc), exc.to_data())
-        except KeyError as exc:
-            return proto.error_response(
-                req_id, proto.ERR_NO_SESSION, f"no such session: {exc.args[0]}"
-            )
-        except _MethodNotFound:
-            return proto.error_response(
-                req_id, proto.ERR_METHOD_NOT_FOUND, f"unknown method {method!r}"
-            )
-        except _InvalidParams as exc:
-            return proto.error_response(req_id, proto.ERR_INVALID_PARAMS, str(exc))
-        except _ShuttingDown:
-            return proto.error_response(
-                req_id, proto.ERR_SHUTTING_DOWN, "daemon is draining"
-            )
-        except ReproError as exc:
-            # a session-level failure: structured error, daemon unharmed
-            return proto.error_response(req_id, proto.ERR_SESSION_FAILED, str(exc))
+            if self.draining and method not in DRAIN_METHODS:
+                raise _ShuttingDown()
+            handler = getattr(self, f"_rpc_{method.replace('-', '_')}", None)
+            if handler is None:
+                raise _MethodNotFound()
+            result = handler(conn, request["params"])
+            if type(result) is _Offload:
+                result.worker.submit(partial(self._complete, conn, req_id, method, result.fn))
+                return True
+            if req_id is None:
+                return False  # notification: no reply
+            reply = proto.response(req_id, result)
         except Exception as exc:  # noqa: BLE001 - isolation boundary
-            return proto.error_response(
-                req_id,
-                proto.ERR_INTERNAL,
-                f"internal error: {type(exc).__name__}: {exc}",
-            )
-        if req_id is None:
-            return None  # notification: no reply
-        return proto.response(req_id, result)
+            reply = error_reply(req_id, method, exc)
+        conn.write(proto.encode_line(reply))
+        return False
 
-    async def _call_method(
-        self, conn: Connection, method: str, params: Dict[str, Any]
-    ) -> Any:
-        if self.draining and method not in ("ping", "sessions", "shutdown"):
-            raise _ShuttingDown()
-        handler = getattr(self, f"_rpc_{method.replace('-', '_')}", None)
-        if handler is None:
-            raise _MethodNotFound()
-        return await handler(conn, params)
+    def _complete(self, conn: Connection, req_id: Any, method: str,
+                  fn: Callable[[], Any]) -> None:
+        """Worker side of an offloaded request: run it, build and encode
+        the reply there, and hand the line to the loop once."""
+        try:
+            result = fn()
+            line = None if req_id is None else proto.encode_line(
+                proto.response(req_id, result)
+            )
+        except Exception as exc:  # noqa: BLE001 - isolation boundary
+            line = proto.encode_line(error_reply(req_id, method, exc))
+        self.loop.call_soon_threadsafe(conn.reply, line)
 
     def _handle(self, params: Dict[str, Any]):
         sid = params.get("session")
@@ -296,30 +370,26 @@ class DebugDaemon:
             raise _InvalidParams("missing session id")
         return self.registry.get(sid)
 
-    async def _on_executor(self, handle, fn, *args):
-        assert self.loop is not None
-        return await self.loop.run_in_executor(handle.executor, fn, *args)
-
     # -- daemon-level ------------------------------------------------------
 
-    async def _rpc_ping(self, conn, params):
+    def _rpc_ping(self, conn, params):
         return {
             "pong": True,
             "sessions": len(self.registry),
             "uptime_s": round(time.monotonic() - self.started, 3),
         }
 
-    async def _rpc_shutdown(self, conn, params):
+    def _rpc_shutdown(self, conn, params):
         assert self.loop is not None
         self.loop.create_task(self.shutdown())
         return {"draining": True}
 
-    async def _rpc_sessions(self, conn, params):
+    def _rpc_sessions(self, conn, params):
         return {"sessions": self.registry.list()}
 
     # -- session lifecycle -------------------------------------------------
 
-    async def _rpc_create(self, conn, params):
+    def _rpc_create(self, conn, params):
         program = params.get("program")
         if not isinstance(program, str):
             raise _InvalidParams("missing program")
@@ -334,11 +404,9 @@ class DebugDaemon:
         shards = _param(params, "shards", int, 2)
         name = _param(params, "name", str)
         bug = _param(params, "bug", str)
-        # machine elaboration is CPU work: keep it off the event loop
-        assert self.loop is not None
-        handle = await self.loop.run_in_executor(
-            None,
-            lambda: self.registry.create(
+
+        def create():
+            handle = self.registry.create(
                 program,
                 bug=bug,
                 tier=tier,
@@ -347,11 +415,12 @@ class DebugDaemon:
                 shards=shards,
                 quota=quota,
                 name=name,
-            ),
-        )
-        return {"session": handle.id, **handle.describe()}
+            )
+            return {"session": handle.id, **handle.describe()}
 
-    async def _rpc_attach(self, conn, params):
+        return _Offload(self.builder, create)
+
+    def _rpc_attach(self, conn, params):
         handle = self._handle(params)
         if params["session"] not in conn.attached:
             handle.attached += 1
@@ -359,7 +428,7 @@ class DebugDaemon:
         handle.touch()
         return handle.describe()
 
-    async def _rpc_detach(self, conn, params):
+    def _rpc_detach(self, conn, params):
         handle = self._handle(params)
         if params["session"] in conn.attached:
             handle.attached -= 1
@@ -369,7 +438,7 @@ class DebugDaemon:
             handle.service.unsubscribe(sub)
         return {"detached": True}
 
-    async def _rpc_destroy(self, conn, params):
+    def _rpc_destroy(self, conn, params):
         sid = params.get("session")
         if not isinstance(sid, str):
             raise _InvalidParams("missing session id")
@@ -380,7 +449,7 @@ class DebugDaemon:
 
     # -- events ------------------------------------------------------------
 
-    async def _rpc_subscribe(self, conn, params):
+    def _rpc_subscribe(self, conn, params):
         handle = self._handle(params)
         sid = params["session"]
         wanted = params.get("events")
@@ -403,7 +472,7 @@ class DebugDaemon:
         conn.subscriptions[sid] = handle.service.subscribe(forward)
         return {"subscribed": sid, "events": sorted(accept) if accept else "all"}
 
-    async def _rpc_unsubscribe(self, conn, params):
+    def _rpc_unsubscribe(self, conn, params):
         handle = self._handle(params)
         sub = conn.subscriptions.pop(params["session"], None)
         if sub is not None:
@@ -412,99 +481,112 @@ class DebugDaemon:
 
     # -- command execution -------------------------------------------------
 
-    async def _rpc_execute(self, conn, params):
+    def _rpc_execute(self, conn, params):
         handle = self._handle(params)
         command = params.get("command")
         if not isinstance(command, str):
             raise _InvalidParams("missing command")
-        result = await self._on_executor(handle, handle.execute, command)
-        return result.to_dict()
+        return _Offload(handle.worker, lambda: handle.execute(command).to_dict())
 
-    async def _rpc_script(self, conn, params):
+    def _rpc_script(self, conn, params):
         handle = self._handle(params)
         commands = params.get("commands")
         if not isinstance(commands, list) or not all(
             isinstance(c, str) for c in commands
         ):
             raise _InvalidParams("commands must be a list of strings")
+        return _Offload(
+            handle.worker,
+            lambda: {"results": [handle.execute(c).to_dict() for c in commands]},
+        )
 
-        def run_all():
-            return [handle.execute(c).to_dict() for c in commands]
-
-        return {"results": await self._on_executor(handle, run_all)}
-
-    async def _rpc_interrupt(self, conn, params):
-        # deliberately NOT routed through the executor: the executor is
-        # busy inside the very command this is meant to stop
+    def _rpc_interrupt(self, conn, params):
+        # deliberately NOT routed through the worker: the worker is busy
+        # inside the very command this is meant to stop
         handle = self._handle(params)
         handle.interrupt()
         return {"interrupted": params["session"]}
 
-    async def _rpc_run_sharded(self, conn, params):
+    def _rpc_run_sharded(self, conn, params):
         handle = self._handle(params)
-        return await self._on_executor(handle, handle.run_sharded)
+        return _Offload(handle.worker, handle.run_sharded)
 
     # -- structured inspection ---------------------------------------------
 
-    async def _rpc_state(self, conn, params):
+    def _rpc_state(self, conn, params):
         handle = self._handle(params)
-        state = await self._on_executor(handle, handle.service.state)
-        state["serve"] = handle.describe()
-        return state
 
-    async def _rpc_actors(self, conn, params):
+        def state():
+            out = handle.service.state()
+            out["serve"] = handle.describe()
+            return out
+
+        return _Offload(handle.worker, state)
+
+    def _rpc_actors(self, conn, params):
         handle = self._handle(params)
-        return {"actors": await self._on_executor(handle, handle.service.actors)}
+        return _Offload(handle.worker, lambda: {"actors": handle.service.actors()})
 
-    async def _rpc_frames(self, conn, params):
+    def _rpc_frames(self, conn, params):
         handle = self._handle(params)
         actor = _param(params, "actor", str)
-        return {
-            "frames": await self._on_executor(handle, handle.service.frames, actor)
-        }
+        return _Offload(handle.worker, lambda: {"frames": handle.service.frames(actor)})
 
-    async def _rpc_variables(self, conn, params):
+    def _rpc_variables(self, conn, params):
         handle = self._handle(params)
-        return {
-            "variables": await self._on_executor(
-                handle,
-                handle.service.variables,
-                _param(params, "actor", str),
-                _param(params, "frame", int, 0),
-            )
-        }
+        actor = _param(params, "actor", str)
+        frame = _param(params, "frame", int, 0)
+        return _Offload(
+            handle.worker,
+            lambda: {"variables": handle.service.variables(actor, frame)},
+        )
 
-    async def _rpc_evaluate(self, conn, params):
+    def _rpc_evaluate(self, conn, params):
         handle = self._handle(params)
         expr = params.get("expr")
         if not isinstance(expr, str):
             raise _InvalidParams("missing expr")
-        return await self._on_executor(handle, handle.service.evaluate, expr)
+        return _Offload(handle.worker, lambda: handle.service.evaluate(expr))
 
-    async def _rpc_breakpoints(self, conn, params):
+    def _rpc_breakpoints(self, conn, params):
         handle = self._handle(params)
-        return {
-            "breakpoints": await self._on_executor(handle, handle.service.breakpoints)
-        }
+        return _Offload(
+            handle.worker, lambda: {"breakpoints": handle.service.breakpoints()}
+        )
 
-    async def _rpc_metrics(self, conn, params):
+    def _rpc_metrics(self, conn, params):
         handle = self._handle(params)
-        return {"openmetrics": await self._on_executor(handle, handle.metrics_text)}
+        return _Offload(handle.worker, lambda: {"openmetrics": handle.metrics_text()})
 
-    async def _rpc_flight(self, conn, params):
+    def _rpc_flight(self, conn, params):
         handle = self._handle(params)
-        return {"bundle": await self._on_executor(handle, handle.flight_bundle)}
+        return _Offload(handle.worker, lambda: {"bundle": handle.flight_bundle()})
 
-    # ----------------------------------------------------------------- HTTP
+    # ------------------------------------------------------ DAP and HTTP
 
-    async def _serve_http(self, conn: Connection, first: bytes) -> None:
+    async def serve_stream(self, conn: Connection) -> None:
+        """The coroutine of a DAP or HTTP connection: it reads what
+        ``conn`` feeds its stream reader, and closes ``conn`` at the end."""
+        try:
+            if conn.kind == "http":
+                await self._serve_http(conn)
+            else:
+                from .dap import DapBridge
+
+                await DapBridge(self, conn).serve()
+        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            conn.close()
+
+    async def _serve_http(self, conn: Connection) -> None:
         """One-shot scrape endpoint:
 
         - ``GET /metrics`` — daemon-level exposition;
         - ``GET /sessions/<id>/metrics`` — that session's exposition.
         """
         try:
-            request_line = first + await conn.reader.readuntil(b"\n")
+            request_line = await conn.reader.readuntil(b"\n")
         except asyncio.IncompleteReadError:
             return
         # drain (and ignore) the remaining request headers
@@ -530,10 +612,7 @@ class DebugDaemon:
             f"Content-Length: {len(payload)}\r\n"
             "Connection: close\r\n\r\n"
         )
-        conn.push_local(head.encode() + payload)
-        # let the writer drain before the connection teardown in _handle_connection
-        while not conn.outbox.empty():
-            await asyncio.sleep(0)
+        conn.write(head.encode() + payload)
 
     async def _http_response(self, path: str):
         if path == "/metrics":
@@ -544,7 +623,7 @@ class DebugDaemon:
                 handle = self.registry.get(sid)
             except KeyError:
                 return 404, f"no such session: {sid}\n"
-            text = await self._on_executor(handle, handle.metrics_text)
+            text = await handle.worker.call(handle.metrics_text)
             return 200, text
         return 404, "try /metrics or /sessions/<id>/metrics\n"
 

@@ -17,6 +17,14 @@ Mapping choices (the bridge is deliberately thin):
 - a stop anywhere is reported as a single ``stopped`` event with the
   stopping actor's thread id (``allThreadsStopped``: the kernel is
   cooperative, a stop parks the whole machine).
+
+Plumbing: the daemon's :class:`~repro.serve.daemon.Connection` feeds the
+bridge's stream reader after the first-byte sniff, and responses are
+written to the transport from the event-loop thread.  Session work runs
+on the session's worker (:class:`~repro.serve.sessions.SessionWorker`):
+requests that need an answer await its ``call``, and run-control
+requests queue their command with its ``submit`` and return, so one
+worker keeps every request of the session in order.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ class DapBridge:
 
     def _send(self, obj: Dict[str, Any]) -> None:
         obj["seq"] = self._next_seq()
-        self.conn.push_local(proto.encode_dap(obj))
+        self.conn.write(proto.encode_dap(obj))
 
     def _send_threadsafe(self, obj: Dict[str, Any]) -> None:
         obj["seq"] = self._next_seq()
@@ -91,8 +99,8 @@ class DapBridge:
 
     # ------------------------------------------------------------ main loop
 
-    async def serve(self, first: bytes) -> None:
-        message = await proto.read_dap_message(self.conn.reader, prefix=first)
+    async def serve(self) -> None:
+        message = await proto.read_dap_message(self.conn.reader)
         while message is not None:
             if message.get("type") == "request":
                 try:
@@ -113,22 +121,21 @@ class DapBridge:
             return
         await handler(request, request.get("arguments") or {})
 
-    async def _on_executor(self, fn, *args):
-        return await self.daemon.loop.run_in_executor(self.handle.executor, fn, *args)
-
     def _spawn_run(self, command: str) -> None:
-        """Run a (possibly long) run-control command WITHOUT blocking the
-        DAP read loop — a ``pause`` request must stay deliverable while
-        the machine executes.  The resulting stop reaches the client as
-        an asynchronous ``stopped`` event via the fan-out."""
+        """Queue a (possibly long) run-control command on the session's
+        worker WITHOUT awaiting it — a ``pause`` request must stay
+        deliverable while the machine executes.  The resulting stop
+        reaches the client as an asynchronous ``stopped`` event via the
+        fan-out."""
+        handle = self.handle
 
-        async def runner():
+        def run() -> None:
             try:
-                await self._on_executor(self.handle.execute, command)
-            except Exception:
-                pass  # surfaced through events / later requests
+                handle.execute(command)
+            except Exception:  # noqa: BLE001 - surfaced through events / later requests
+                pass
 
-        self.daemon.loop.create_task(runner())
+        handle.worker.submit(run)
 
     # ------------------------------------------------------------- requests
 
@@ -147,7 +154,7 @@ class DapBridge:
         program = args.get("program", "rle")
         quota = SessionQuota.from_params(args.get("quota"))
         handle = await self.daemon.loop.run_in_executor(
-            None,
+            self.daemon.builder,
             lambda: self.daemon.registry.create(
                 program,
                 bug=args.get("bug"),
@@ -205,17 +212,17 @@ class DapBridge:
         filename = path.replace("\\", "/").rsplit("/", 1)[-1]
         wanted = args.get("breakpoints") or []
         # replace this source's breakpoints wholesale (DAP semantics)
-        existing = await self._on_executor(self.handle.service.breakpoints)
+        existing = await self.handle.worker.call(self.handle.service.breakpoints)
         for bp in existing:
             if bp["kind"] == "source" and bp["what"].startswith(f"{filename}:"):
-                await self._on_executor(self.handle.execute, f"delete {bp['id']}")
+                await self.handle.worker.call(self.handle.execute, f"delete {bp['id']}")
         placed = []
         for spec in wanted:
             line = spec.get("line")
             command = f"break {filename}:{line}"
             if spec.get("condition"):
                 command += f" if {spec['condition']}"
-            result = await self._on_executor(self.handle.execute, command)
+            result = await self.handle.worker.call(self.handle.execute, command)
             placed.append({
                 "verified": result.ok,
                 "line": line,
@@ -226,7 +233,7 @@ class DapBridge:
     async def _req_setFunctionBreakpoints(self, request, args) -> None:
         placed = []
         for spec in args.get("breakpoints") or []:
-            result = await self._on_executor(
+            result = await self.handle.worker.call(
                 self.handle.execute, f"break {spec.get('name', '')}"
             )
             placed.append({"verified": result.ok, "message": result.error})
@@ -238,7 +245,7 @@ class DapBridge:
         self._spawn_run("run")
 
     async def _req_threads(self, request, args) -> None:
-        actors = await self._on_executor(self.handle.service.actors)
+        actors = await self.handle.worker.call(self.handle.service.actors)
         self._threads = [a["qualname"] for a in actors]
         self._respond(request, body={
             "threads": [
@@ -250,7 +257,7 @@ class DapBridge:
     async def _req_stackTrace(self, request, args) -> None:
         thread_id = int(args.get("threadId", 1))
         qualname = self._qualname(thread_id)
-        frames = await self._on_executor(self.handle.service.frames, qualname)
+        frames = await self.handle.worker.call(self.handle.service.frames, qualname)
         self._respond(request, body={
             "stackFrames": [
                 {
@@ -284,7 +291,7 @@ class DapBridge:
         ref = int(args.get("variablesReference", 1000))
         thread_id, frame_index = divmod(ref, 1000)
         qualname = self._qualname(thread_id)
-        variables = await self._on_executor(
+        variables = await self.handle.worker.call(
             self.handle.service.variables, qualname, frame_index
         )
         self._respond(request, body={
@@ -318,11 +325,11 @@ class DapBridge:
         self._spawn_run("finish")
 
     async def _req_pause(self, request, args) -> None:
-        self.handle.interrupt()  # async-safe; not via the busy executor
+        self.handle.interrupt()  # async-safe; not via the busy worker
         self._respond(request)
 
     async def _req_evaluate(self, request, args) -> None:
-        result = await self._on_executor(
+        result = await self.handle.worker.call(
             self.handle.service.evaluate, args.get("expression", "")
         )
         if result.get("ok"):
@@ -340,7 +347,7 @@ class DapBridge:
 
     async def _req_replayTo(self, request, args) -> None:
         target = args.get("target", "end")
-        result = await self._on_executor(self.handle.execute, f"replay to {target}")
+        result = await self.handle.worker.call(self.handle.execute, f"replay to {target}")
         self._respond(request, body=result.to_dict(), success=result.ok,
                       message=result.error)
 

@@ -45,7 +45,7 @@ class DaemonThread:
         self._started.set()
         self.loop.run_until_complete(self.daemon.serve_forever())
         # mirror asyncio.run's teardown: cancel and await stragglers
-        # (connection writer tasks) before closing the loop
+        # (DAP and HTTP connection coroutines) before closing the loop
         pending = asyncio.all_tasks(self.loop)
         for task in pending:
             task.cancel()

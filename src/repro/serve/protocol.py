@@ -10,14 +10,15 @@ a client sends (see :func:`sniff_protocol`):
   the Debug Adapter Protocol's standard transport;
 - ``G`` — HTTP ``GET``: the OpenMetrics scrape endpoint.
 
-Everything here is transport-only (bytes and dicts); semantics live in
-:mod:`repro.serve.daemon` and :mod:`repro.serve.dap`.
+Everything here is transport-only (bytes and dicts, and the JSON-RPC
+line framer); semantics live in :mod:`repro.serve.daemon` and
+:mod:`repro.serve.dap`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 # JSON-RPC 2.0 reserved codes
 ERR_PARSE = -32700
@@ -32,7 +33,42 @@ ERR_QUOTA = 1002  # a per-session quota is exhausted (data names which)
 ERR_SESSION_FAILED = 1003  # the session raised; the daemon survives
 ERR_SHUTTING_DOWN = 1004  # daemon is draining; no new work accepted
 
-MAX_LINE_BYTES = 1 << 20  # one wire request; commands are short
+MAX_LINE_BYTES = 1 << 20  # one wire request, newline excluded
+
+
+class LineFramer:
+    """Splits a JSON-RPC byte stream into ``\\n``-terminated lines.
+
+    :meth:`feed` takes whatever chunk the transport delivered and returns
+    the lines it completed, without their newline, in order.  A line
+    longer than ``MAX_LINE_BYTES`` comes out once as ``None``, as soon as
+    it is known to be too long, and its bytes are discarded up to its
+    newline, so the stream stays in step and the connection stays usable.
+    """
+
+    def __init__(self) -> None:
+        self._partial = b""
+        self._discarding = False
+
+    def feed(self, data: bytes) -> List[Optional[bytes]]:
+        if self._discarding:
+            end = data.find(b"\n")
+            if end < 0:
+                return []
+            self._discarding = False
+            data = data[end + 1 :]
+        if self._partial:
+            data = self._partial + data
+        lines: List[Optional[bytes]] = data.split(b"\n")
+        self._partial = lines.pop()
+        limit = MAX_LINE_BYTES
+        if lines and max(map(len, lines)) > limit:
+            lines = [line if len(line) <= limit else None for line in lines]
+        if len(self._partial) > limit:
+            lines.append(None)
+            self._partial = b""
+            self._discarding = True
+        return lines
 
 
 def encode_line(obj: Dict[str, Any]) -> bytes:
@@ -103,12 +139,9 @@ def encode_dap(obj: Dict[str, Any]) -> bytes:
     return f"Content-Length: {len(body)}\r\n\r\n".encode() + body
 
 
-async def read_dap_message(reader, prefix: bytes = b"") -> Optional[Dict[str, Any]]:
-    """Read one Content-Length framed DAP message; None at EOF.
-
-    ``prefix`` replays bytes already consumed by the protocol sniffer.
-    """
-    header = bytearray(prefix)
+async def read_dap_message(reader) -> Optional[Dict[str, Any]]:
+    """Read one Content-Length framed DAP message; None at EOF."""
+    header = bytearray()
     while b"\r\n\r\n" not in header:
         chunk = await reader.read(1)
         if not chunk:

@@ -5,8 +5,9 @@ A wire session is one :class:`~repro.core.session.DataflowSession` (or a
 needs around it:
 
 - **serialisation** — all blocking work for a session runs on its own
-  single-thread executor, so concurrent connections to one session are
-  ordered and two sessions never contend;
+  worker thread (:meth:`SessionWorker.submit` queues a job; the job
+  itself hands its result back to the event loop), so concurrent
+  connections to one session are ordered and two sessions never contend;
 - **quotas** — max framework events, max journal bytes, cumulative
   command wall-clock; exceeding one yields a *structured* quota error
   (code 1002 with the quota name and observed value), and run-control
@@ -25,12 +26,13 @@ needs around it:
 
 from __future__ import annotations
 
+import asyncio
 import itertools
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ReproError
 from .builders import build_program_cli, build_sharded_cli
@@ -106,8 +108,79 @@ def journal_bytes(session) -> int:
     return total
 
 
+class SessionWorker:
+    """One thread that runs submitted jobs in order, one at a time.
+
+    A job is a plain callable that delivers its own result (a JSON-RPC
+    job ends with one ``loop.call_soon_threadsafe``), so a hop to the
+    worker makes no future; :meth:`call` is the awaitable form for
+    coroutines.  The thread starts with the first job."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self._jobs: "queue.SimpleQueue[Optional[Callable[[], None]]]" = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._thread: Optional[threading.Thread] = None
+        self._shut = False
+
+    def submit(self, job: Callable[[], None]) -> None:
+        """Queue ``job`` (FIFO); raises RuntimeError after shutdown."""
+        with self._lock:
+            if self._shut:
+                raise RuntimeError(f"{self.name} is shut down")
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._run, name=self.name, daemon=True)
+                self._thread.start()
+            self._jobs.put(job)
+
+    async def call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Await ``fn(*args)`` run on this worker: one loop future,
+        settled by one ``call_soon_threadsafe``."""
+        loop = asyncio.get_running_loop()
+        done = loop.create_future()
+
+        def job() -> None:
+            try:
+                outcome = (fn(*args), None)
+            except Exception as exc:  # noqa: BLE001 - re-raised in the caller
+                outcome = (None, exc)
+            loop.call_soon_threadsafe(_settle, done, *outcome)
+
+        self.submit(job)
+        return await done
+
+    def _run(self) -> None:
+        jobs = self._jobs
+        while True:
+            job = jobs.get()
+            if job is None:
+                return
+            job()
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Refuse new jobs; the queued ones still run.  ``wait`` blocks
+        until they have."""
+        with self._lock:
+            if not self._shut:
+                self._shut = True
+                if self._thread is not None:
+                    self._jobs.put(None)
+            thread = self._thread
+        if wait and thread is not None and thread is not threading.current_thread():
+            thread.join()
+
+
+def _settle(done: "asyncio.Future", result: Any, exc: Optional[BaseException]) -> None:
+    if done.done():  # the awaiting coroutine was cancelled
+        return
+    if exc is not None:
+        done.set_exception(exc)
+    else:
+        done.set_result(result)
+
+
 class SessionHandle:
-    """One hosted session: machine + service + executor + quotas."""
+    """One hosted session: machine + service + worker + quotas."""
 
     def __init__(
         self,
@@ -130,9 +203,7 @@ class SessionHandle:
         self.closed = False
         #: set when a quota trips; names the quota (structured errors)
         self.quota_exhausted: Optional[QuotaExceeded] = None
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"session-{session_id}"
-        )
+        self.worker = SessionWorker(f"session-{session_id}")
 
     # ------------------------------------------------------------- liveness
 
@@ -181,7 +252,7 @@ class SessionHandle:
                 raise self.quota_exhausted
 
     # ------------------------------------------------------------ blocking ops
-    # (every method below runs on the session's executor thread)
+    # (every method below runs on the session's worker thread)
 
     def execute(self, line: str):
         """One command with quota envelope: pre-check, wall-clock
@@ -228,8 +299,8 @@ class SessionHandle:
         return data
 
     def interrupt(self) -> None:
-        """Async-safe: runs on the *caller's* thread, not the executor —
-        that is the point (the executor is busy inside `continue`)."""
+        """Async-safe: runs on the *caller's* thread, not the worker —
+        that is the point (the worker is busy inside `continue`)."""
         self.service.interrupt()
 
     def metrics_text(self) -> str:
@@ -297,7 +368,7 @@ class SessionHandle:
         self.closed = True
         self.service.publish("closed", {"session": self.id})
         self.service.unsubscribe_all()
-        self.executor.shutdown(wait=False)
+        self.worker.shutdown(wait=False)
 
 
 class SessionRegistry:

@@ -3,12 +3,14 @@
 The §V mechanism applied to the substrate: with nothing armed, actors
 run the register VM (the default tier); arming any statement/call/return
 breakpoint pushes the capability change to every live interpreter
-*immediately* (not one dispatch late) and the VM falls back into the
-resumable interpreter at the next statement boundary — so a breakpoint
-planted while a bytecode WORK body is mid-flight still hits on the right
-line with a full backtrace.
+*immediately* (not one dispatch late).  Only the interpreters the
+breakpoint can stop deoptimize — the VM falls back into the resumable
+interpreter at the next statement boundary, so a breakpoint planted
+while a bytecode WORK body is mid-flight still hits on the right line
+with a full backtrace — and every other actor stays on the VM.
 """
 
+from repro.cminus.interp import DebugHook
 from repro.dbg import StopKind
 from repro.pedf.api import SYM_POP
 
@@ -23,16 +25,28 @@ def live_interps(runtime):
     ]
 
 
+def deopted(runtime):
+    """Qualnames of the actors whose interpreter left the VM tier."""
+    return {
+        a.qualname
+        for a in runtime.all_actors()
+        if getattr(a, "interp", None) is not None and not a.interp._fast_ok
+    }
+
+
 def test_capability_changes_push_to_live_interpreters_eagerly():
     """Satellite regression: arm/disarm transitions refresh every live
-    interpreter synchronously — no dispatch needed in between."""
+    interpreter synchronously — no dispatch needed in between — and a
+    source breakpoint deoptimizes only the actor running that file."""
     dbg, runtime, _, _ = make_session([1, 2, 3])
     interps = live_interps(runtime)
     assert interps and all(i._fast_ok for i in interps)
 
     bp = dbg.break_source(f"the_source.c:{LINE_READ_INPUT}")
-    # no scheduler dispatch has happened, yet every interpreter deopted
-    assert all(not i._fast_ok for i in interps)
+    # no scheduler dispatch has happened, yet the_source.c's actor
+    # deopted — and only it: controller and filter_2 keep the VM
+    assert deopted(runtime) == {"AModule.filter_1"}
+    assert dbg.hook.capabilities & DebugHook.CAP_STATEMENTS
 
     dbg.delete(bp.id)
     assert all(i._fast_ok for i in interps)
@@ -43,10 +57,10 @@ def test_overlapping_arms_keep_interpreters_deoptimized():
     interps = live_interps(runtime)
     bp1 = dbg.break_source(f"the_source.c:{LINE_READ_INPUT}")
     bp2 = dbg.break_source(f"the_source.c:{LINE_PUSH}")
-    assert all(not i._fast_ok for i in interps)
+    assert deopted(runtime) == {"AModule.filter_1"}
     dbg.delete(bp1.id)
     # one statement breakpoint still armed: stay deoptimized
-    assert all(not i._fast_ok for i in interps)
+    assert deopted(runtime) == {"AModule.filter_1"}
     dbg.delete(bp2.id)
     assert all(i._fast_ok for i in interps)
 

@@ -279,3 +279,31 @@ def test_wire_interrupt_parks_a_continue(daemon):
         assert result["ok"]
         assert result["stop"]["kind"] == "paused"
         assert a.state(sid)["finished"] is False
+
+
+def test_a_request_line_up_to_the_documented_limit_is_served(client):
+    """A 30,000-value create is a ~117 KB line: above asyncio's 64 KiB
+    stream default, well inside ``MAX_LINE_BYTES`` (1 MiB)."""
+    values = [1 + (i % 9) for i in range(30_000)]
+    assert len(json.dumps({"values": values})) > 1 << 16
+    sid = client.create("rle", values=values)["session"]
+    assert client.execute(sid, "run")["ok"]
+    client.destroy(sid)
+
+
+def test_an_overlong_line_is_a_parse_error_and_the_connection_survives(daemon):
+    from repro.serve.protocol import MAX_LINE_BYTES
+
+    pad = "x" * (MAX_LINE_BYTES + 10)
+    with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:
+        f = sock.makefile("rb")
+        sock.sendall(b'{"jsonrpc":"2.0","id":1,"method":"ping","params":{"pad":"')
+        sock.sendall(pad.encode() + b'"}}\n')
+        sock.sendall(b'{"jsonrpc":"2.0","id":2,"method":"ping"}\n')
+        reply = json.loads(f.readline())
+        assert reply["id"] is None
+        assert reply["error"]["code"] == -32700
+        assert str(MAX_LINE_BYTES) in reply["error"]["message"]
+        # the rest of the long line was skipped; the next request is served
+        pong = json.loads(f.readline())
+        assert pong["id"] == 2 and pong["result"]["pong"] is True

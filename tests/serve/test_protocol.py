@@ -78,9 +78,9 @@ def _feed_reader(data: bytes) -> asyncio.StreamReader:
     return reader
 
 
-def _read_dap(data: bytes, prefix: bytes = b""):
+def _read_dap(data: bytes):
     async def go():
-        return await proto.read_dap_message(_feed_reader(data), prefix=prefix)
+        return await proto.read_dap_message(_feed_reader(data))
 
     return asyncio.run(go())
 
@@ -88,12 +88,6 @@ def _read_dap(data: bytes, prefix: bytes = b""):
 def test_dap_round_trip():
     message = {"type": "request", "command": "initialize", "seq": 1}
     assert _read_dap(proto.encode_dap(message)) == message
-
-
-def test_dap_prefix_replay():
-    # the sniffer consumed the first byte; the reader must splice it back
-    frame = proto.encode_dap({"seq": 2, "type": "request", "command": "threads"})
-    assert _read_dap(frame[1:], prefix=frame[:1])["command"] == "threads"
 
 
 def test_dap_eof_and_bad_frames_return_none():
@@ -104,3 +98,27 @@ def test_dap_eof_and_bad_frames_return_none():
     assert _read_dap(b'Content-Length: 99\r\n\r\n{"a":1}') is None
     # body is not an object
     assert _read_dap(b"Content-Length: 7\r\n\r\n[1,2,3]") is None
+
+
+# ------------------------------------------------------- JSON-RPC framing
+
+
+def test_line_framer_splits_and_keeps_the_partial_tail():
+    framer = proto.LineFramer()
+    assert framer.feed(b'{"a":1}\n{"b"') == [b'{"a":1}']
+    assert framer.feed(b":2}\n\n") == [b'{"b":2}', b""]
+    assert framer.feed(b"") == []
+    assert framer.feed(b"x\r\n") == [b"x\r"]
+
+
+def test_line_framer_rejects_an_overlong_line_once_and_resyncs(monkeypatch):
+    monkeypatch.setattr(proto, "MAX_LINE_BYTES", 8)
+    framer = proto.LineFramer()
+    assert framer.feed(b"12345678\n") == [b"12345678"]  # at the limit: kept
+    assert framer.feed(b"123456789\nok\n") == [None, b"ok"]
+    # known too long before its newline arrives: reported at once, and
+    # the rest of it is discarded up to the newline, across chunks
+    assert framer.feed(b"abcdefghij") == [None]
+    assert framer.feed(b"klmnop") == []
+    assert framer.feed(b"qrs\nnext\npart") == [b"next"]
+    assert framer.feed(b"ial\n") == [b"partial"]
