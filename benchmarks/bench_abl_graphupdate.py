@@ -19,18 +19,20 @@ def _decode(graph_update):
     sched, platform, runtime, source, sink, mbs = build_decoder(n_mbs=N_MBS)
     dbg = Debugger(sched, runtime)
     session = DataflowSession(dbg, graph_update=graph_update)
+    stops = []
+    dbg.stop_callbacks.append(stops.append)
     dbg.run()
     assert len(sink.values) == N_MBS
-    return session
+    return session, len(stops)
 
 
 @pytest.mark.parametrize("mode", ["on-stop", "realtime"])
 def test_abl_graph_update(benchmark, mode):
-    session = benchmark(_decode, mode)
+    session, stops = benchmark(_decode, mode)
     if mode == "realtime":
         # one render per data event — the "additional delay" of §IV-A
         assert session.graph_renders >= session.capture.data_events_processed
     else:
-        assert session.graph_renders <= len(session.dbg.stop_log) + 1
+        assert session.graph_renders <= stops + 1
     print(f"\nABL-GRAPH {mode}: {session.graph_renders} graph renders "
           f"for {session.capture.data_events_processed} data events")

@@ -101,10 +101,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--script", help="run commands from this file instead of a REPL")
     parser.add_argument("--interp-tier", choices=["auto", "vm", "slow"], default="auto",
                         help="Filter-C execution tier: 'auto' runs the register-"
-                             "machine bytecode tier (supports disas/stepi/ISA "
-                             "breakpoints) with debugger-triggered deoptimization; "
-                             "'vm' is an alias of 'auto'; 'slow' forces the "
-                             "per-statement resumable interpreter")
+                             "machine bytecode tier, which serves every debugger "
+                             "hook and adds disas/stepi/ISA breakpoints; 'vm' is "
+                             "an alias of 'auto'; 'slow' forces the tree-walking "
+                             "interpreter (the reference tier)")
     parser.add_argument("--trace-out", metavar="FILE",
                         help="enable telemetry from the start and write a "
                              "Perfetto-loadable Chrome trace-event JSON on exit")

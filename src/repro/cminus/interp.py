@@ -8,6 +8,12 @@ scheduler with ``yield from``, which is what lets the debugger pause an
 actor in the middle of its WORK method and later resume it exactly there —
 no unwinding, no re-execution.
 
+An :class:`Interpreter` runs on one of two tiers.  The default (``auto``)
+is the register-machine bytecode tier in :mod:`repro.cminus.vm`, which
+serves every debugger hook itself.  The tree walker in this module is the
+``slow`` tier: the reference the differential suites compare the VM
+against, with the same statement boundaries, hook order and cost flushes.
+
 Three collaborators plug in:
 
 - :class:`Environment` — supplies ``pedf.io`` / ``pedf.data`` /
@@ -135,8 +141,7 @@ class DebugHook:
     CAP_RETURNS = 0x4
     CAP_ALL = 0x7
     #: per-instruction observation on the VM tier (ISA breakpoints,
-    #: register watchpoints, ``stepi``).  Outside CAP_ALL and ignored by
-    #: tier selection — arming it never deoptimizes; it flips the VM
+    #: register watchpoints, ``stepi``).  Outside CAP_ALL: it flips the VM
     #: dispatch loop into its instrumented prelude, which calls
     #: :meth:`on_instruction` before every instruction.  The bit is the
     #: ISA-level extension of the hook-elision bitmask: disarmed, the VM
@@ -146,16 +151,15 @@ class DebugHook:
     capabilities: int = CAP_ALL
     #: callable ``(interp, cycles)`` invoked at every cost flush, or
     #: None.  Set by the profiler facade; the flush sites read the cached
-    #: :attr:`Interpreter._profile` copy.  Not a mask bit: attribution
-    #: never deoptimizes, it only routes the VM through its prelude for
-    #: per-opcode cycles
+    #: :attr:`Interpreter._profile` copy.  Not a mask bit: it only routes
+    #: the VM through its prelude for per-opcode cycles
     profile_sink = None
 
     def capabilities_for(self, interp: "Interpreter") -> int:
         """The bits that can fire for ``interp`` (what its
         :meth:`Interpreter.refresh_hook_caps` caches).  The default is the
         hook-wide :attr:`capabilities`; the debugger narrows it so one
-        breakpoint deoptimizes only the interpreters it can stop."""
+        breakpoint instruments only the interpreters it can stop."""
         return self.capabilities
 
     def on_statement(self, interp: "Interpreter", stmt: ast.Stmt) -> Optional[Suspend]:
@@ -199,9 +203,9 @@ class CostModel:
 
 
 #: accepted values of ``Interpreter.tier`` / ``RuntimeConfig.interp_tier``:
-#: "auto" runs the register-machine bytecode tier whenever no
-#: statement/call/return hook could fire ("vm" is an alias of it, kept for
-#: wire clients and scripts), "slow" always tree-walks
+#: "auto" runs the register-machine bytecode tier, debugger hooks included
+#: ("vm" is an alias of it, kept for wire clients and scripts), "slow"
+#: always tree-walks
 VALID_TIERS = ("auto", "vm", "slow")
 
 
@@ -218,6 +222,9 @@ class Frame:
     line: int
     call_line: int = 0  # line in the *caller* where this call was made
     scopes: List[Dict[str, Value]] = field(default_factory=list)
+    #: the VM :class:`~repro.cminus.vm.emulator.Activation` running this
+    #: frame, or None on the slow tier
+    vm: Any = None
 
     @property
     def name(self) -> str:
@@ -227,8 +234,13 @@ class Frame:
     def filename(self) -> str:
         return self.func.filename
 
+    def _visible(self) -> List[Dict[str, Value]]:
+        """The scope stack in force: a VM frame keeps none, so it is read
+        from the registers on demand."""
+        return self.scopes if self.vm is None else self.vm.scopes()
+
     def lookup(self, name: str) -> Optional[Value]:
-        for scope in reversed(self.scopes):
+        for scope in reversed(self._visible()):
             if name in scope:
                 return scope[name]
         return None
@@ -236,7 +248,7 @@ class Frame:
     def variables(self) -> Dict[str, Value]:
         """Flattened view, innermost scope winning."""
         out: Dict[str, Value] = {}
-        for scope in self.scopes:
+        for scope in self._visible():
             out.update(scope)
         return out
 
@@ -279,9 +291,8 @@ class Interpreter:
         self.globals: Dict[str, Value] = {}
         self.state = CallState()
         self._globals_ready = False
-        #: tier override: "auto" (or its alias "vm") runs the bytecode tier
-        #: whenever no statement/call/return hook could fire; "slow" always
-        #: tree-walks
+        #: tier override: "auto" (or its alias "vm") runs the bytecode tier;
+        #: "slow" always tree-walks
         self.tier = "auto"
         # batched-Delay accumulator (cycles charged but not yet yielded)
         self._pending = 0
@@ -299,33 +310,24 @@ class Interpreter:
         self._want_stmt = True
         self._want_call = True
         self._want_ret = True
-        self._fast_ok = False
         self.refresh_hook_caps()
 
     def refresh_hook_caps(self) -> None:
         """Re-cache the hook's capability mask for this interpreter
         (:meth:`DebugHook.capabilities_for`) and its profile sink (call
         after changing ``self.hook``, ``hook.capabilities`` or
-        ``hook.profile_sink``).
-
-        Also recomputes the tier-selection flag: ``_fast_ok`` is the VM
-        tier's green light and doubles as its **deoptimization flag** —
-        arming a statement/call/return capability while VM activations are
-        live drops it to False, and the dispatch loop checks it at each
-        statement boundary, falling back into this tree-walking
-        interpreter mid-function.
+        ``hook.profile_sink``).  With no hook nothing is wanted, so each
+        tier's hook sites test one cached flag.
         """
-        caps = DebugHook.CAP_ALL if self.hook is None else self.hook.capabilities_for(self)
+        caps = 0 if self.hook is None else self.hook.capabilities_for(self)
         self._want_stmt = bool(caps & DebugHook.CAP_STATEMENTS)
         self._want_call = bool(caps & DebugHook.CAP_CALLS)
         self._want_ret = bool(caps & DebugHook.CAP_RETURNS)
-        self._fast_ok = self.hook is None or not caps & DebugHook.CAP_ALL
         # attributed-profiling sink, cached so a flush site pays a single
-        # None test when profiling is disarmed (it must never flip _fast_ok)
+        # None test when profiling is disarmed
         self._profile = None if self.hook is None else self.hook.profile_sink
         # ISA-level observation flips the VM dispatch loop into its
-        # instrumented prelude without deoptimizing (CAP_ISA must never
-        # flip _fast_ok); the profiler rides the same prelude for
+        # instrumented prelude; the profiler rides the same prelude for
         # per-opcode cycle attribution
         self._isa_armed = bool(caps & DebugHook.CAP_ISA)
         self._vm_trace = self._isa_armed or self._profile is not None
@@ -364,7 +366,7 @@ class Interpreter:
             raise CMinusRuntimeError(f"no function {name!r} in {self.program.filename}")
         if not self._globals_ready:
             yield from self._init_globals()
-        if self._use_vm(func.name):
+        if self._use_vm():
             from .vm.emulator import call_vm
 
             ret = yield from call_vm(self, func.name, list(args))
@@ -374,18 +376,19 @@ class Interpreter:
             yield from self._flush_cost()
         return ret
 
-    def _use_vm(self, name: str) -> bool:
+    def _use_vm(self) -> bool:
         """Tier selection: the bytecode tier unless the tier is forced
-        slow, a statement/call/return hook is armed, or the function is
-        one the compiler could not lower (listed in ``VmUnit.failed``)."""
-        if self.tier == "slow" or not self._fast_ok:
+        slow.  A program with a function the compiler could not lower
+        raises :class:`~repro.errors.CMinusLoweringError` here."""
+        if self.tier == "slow":
             return False
-        vu = self._vm_unit
-        if vu is None:
+        if self._vm_unit is None:
             from .vm.compiler import vm_unit
 
-            vu = self._vm_unit = vm_unit(self.program)
-        return vu.supports(name)
+            vu = vm_unit(self.program)
+            vu.require_complete()
+            self._vm_unit = vu
+        return True
 
     def _init_globals(self):
         self._globals_ready = True
@@ -522,8 +525,17 @@ class Interpreter:
                 yield from self._exec_stmt(stmt.other)
             return
         if isinstance(stmt, ast.While):
-            yield from self._while_from_header(stmt)
-            return
+            while True:
+                yield from self._checkpoint(stmt)
+                cond = yield from self._eval(stmt.cond)
+                if not cond:
+                    return
+                try:
+                    yield from self._exec_stmt(stmt.body)
+                except _Break:
+                    return
+                except _Continue:
+                    continue
         if isinstance(stmt, ast.DoWhile):
             while True:
                 try:
@@ -532,8 +544,9 @@ class Interpreter:
                     return
                 except _Continue:
                     pass
-                cont = yield from self._dowhile_cond(stmt)
-                if not cont:
+                yield from self._checkpoint(stmt)
+                cond = yield from self._eval(stmt.cond)
+                if not cond:
                     return
         if isinstance(stmt, ast.For):
             frame = self.frames[-1]
@@ -541,10 +554,22 @@ class Interpreter:
             try:
                 if stmt.init is not None:
                     yield from self._exec_stmt(stmt.init)
-                yield from self._for_from_header(stmt)
+                while True:
+                    yield from self._checkpoint(stmt)
+                    if stmt.cond is not None:
+                        cond = yield from self._eval(stmt.cond)
+                        if not cond:
+                            return
+                    try:
+                        yield from self._exec_stmt(stmt.body)
+                    except _Break:
+                        return
+                    except _Continue:
+                        pass
+                    if stmt.step is not None:
+                        yield from self._exec_stmt(stmt.step)
             finally:
                 frame.scopes.pop()
-            return
         if isinstance(stmt, ast.Decl):
             yield from self._checkpoint(stmt)
             raw = default_value(stmt.ctype)
@@ -581,60 +606,6 @@ class Interpreter:
             yield from self._checkpoint(stmt)
             raise _Continue()
         raise CMinusRuntimeError(f"unknown statement {type(stmt).__name__}")  # pragma: no cover
-
-    # Loop bodies from their per-iteration boundary.  These are both the
-    # slow tier's implementation and the VM tier's deoptimization
-    # continuations: a VM loop-header boundary that finds hooks armed
-    # delegates the rest of the loop here, mid-function.
-
-    def _while_from_header(self, stmt: ast.While):
-        while True:
-            yield from self._checkpoint(stmt)
-            cond = yield from self._eval(stmt.cond)
-            if not cond:
-                return
-            try:
-                yield from self._exec_stmt(stmt.body)
-            except _Break:
-                return
-            except _Continue:
-                continue
-
-    def _dowhile_cond(self, stmt: ast.DoWhile):
-        """One do/while condition boundary; returns whether to loop again."""
-        yield from self._checkpoint(stmt)
-        return (yield from self._eval(stmt.cond))
-
-    def _dowhile_from_cond(self, stmt: ast.DoWhile):
-        """Deopt continuation: resume a do/while at its condition check."""
-        while True:
-            cont = yield from self._dowhile_cond(stmt)
-            if not cont:
-                return
-            try:
-                yield from self._exec_stmt(stmt.body)
-            except _Break:
-                return
-            except _Continue:
-                pass
-
-    def _for_from_header(self, stmt: ast.For):
-        """The for loop from its header boundary (scope and init already
-        in place — the caller owns the loop scope)."""
-        while True:
-            yield from self._checkpoint(stmt)
-            if stmt.cond is not None:
-                cond = yield from self._eval(stmt.cond)
-                if not cond:
-                    return
-            try:
-                yield from self._exec_stmt(stmt.body)
-            except _Break:
-                return
-            except _Continue:
-                pass
-            if stmt.step is not None:
-                yield from self._exec_stmt(stmt.step)
 
     def _exec_assign(self, stmt: ast.Assign):
         value = yield from self._eval(stmt.value)

@@ -12,7 +12,7 @@ Format::
     .reg 7
     .type 0 U32
     .const r3 = 0
-    stmt 3, 0, 0, 4, -1, -1, 0, 0
+    stmt 3, 0, 0
     addk r1, r0, -1, 4294967295, 2147483647, 4294967296
     brk
     ret r1
@@ -21,9 +21,9 @@ Directives declare the frame; instruction lines are ``mnemonic`` plus
 comma-separated operands (registers ``rN``, literal ints, ``repr``'d
 strings, bracketed register/int lists).  ``;`` starts a comment.
 
-Assembled functions carry no AST / scope-shape tables, so they are not
-eligible for tier descent (``deoptable`` is False) — they exist for ISA
-tests and break-instruction experiments, not as a compiler input.
+Assembled functions carry no AST / scope-shape tables: their frames show
+only the parameters as locals, and they exist for ISA tests and
+break-instruction experiments, not as a compiler input.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ def _parse_operand(kind: str, tok: str):
 def assemble(text: str) -> VmFunction:
     """Parse a canonical listing into an executable :class:`VmFunction`.
 
-    The result carries no AST or scope-shape tables (``deoptable`` is
-    False): running it requires hooks that never force tier descent."""
+    The result carries no AST or scope-shape tables, so it must not run
+    ``stmt`` boundaries under a statement hook."""
     name = "anonymous"
     ret_ct = type_by_name("void")
     params: List[ast.Param] = []
@@ -235,5 +235,4 @@ def assemble(text: str) -> VmFunction:
         init[reg] = v
     vmf.reg_init = init
     vmf.reg_names = {i: p.name for i, p in enumerate(params)}
-    vmf.deoptable = False
     return vmf

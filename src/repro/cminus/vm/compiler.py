@@ -8,22 +8,21 @@ dedicated registers once per activation (the constant pool is applied to
 
 Every statement lowers to a ``stmt`` boundary instruction followed by its
 effect.  The boundary carries the debug contract: source line (the VM's
-line table), the AST node index (deopt delegation + refined cost models),
-the boundary kind (which tree-interpreter continuation a deopt descends
-into), resume/break/continue pcs, and pre/post scope-shape indices — the
-tables :mod:`~repro.cminus.vm.emulator` uses to materialize interpreter
-frames from register state and to refill registers afterwards.
+line table), the AST node index (what the statement hook is handed) and
+the scope-shape index — the table that names the registers holding the
+variables in scope, which a debugger reads a VM frame's locals through.
 
 Compilation is failure-tolerant at the unit level: a function the
-compiler cannot lower is absent from the unit, recorded with its reason
-in :attr:`VmUnit.failed`, and the tree interpreter runs it.
+compiler cannot lower is absent from the unit and recorded with its
+reason in :attr:`VmUnit.failed`; :meth:`VmUnit.require_complete` turns
+that into the error the VM tier raises instead of running the program.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ...errors import CMinusRuntimeError
+from ...errors import CMinusLoweringError, CMinusRuntimeError
 from .. import ast
 from ..typesys import BoolType, IntType, S32, StructType, VoidType
 from ..values import coerce, default_value
@@ -31,7 +30,7 @@ from . import isa
 
 
 class VmCompileError(Exception):
-    """This function cannot be lowered; the tree interpreter runs it."""
+    """This function cannot be lowered onto the ISA."""
 
 
 _ARITH = {"+": (isa.ADD, isa.ADDK), "-": (isa.SUB, isa.SUBK),
@@ -87,8 +86,7 @@ class VmFunction:
     __slots__ = (
         "name", "func", "filename", "params", "param_convs", "nparams",
         "code", "consts", "reg_init", "nregs", "reg_names", "nodes",
-        "varmaps", "types", "void", "ret", "ret_kind", "deoptable",
-        "_fsym", "_fsym_di",
+        "varmaps", "types", "void", "ret", "ret_kind", "_fsym", "_fsym_di",
     )
 
     def __init__(self, func: ast.FuncDef):
@@ -114,7 +112,6 @@ class VmFunction:
         self.nodes: List[ast.Stmt] = []
         self.varmaps: List[tuple] = []
         self.types: List[object] = []
-        self.deoptable = True
         self._fsym = None
         self._fsym_di = None
 
@@ -132,15 +129,29 @@ class VmFunction:
             return False
         return default_value(self.ret)
 
+    def _boundary_at(self, pc: int) -> Optional[tuple]:
+        """The ``stmt`` instruction governing ``pc``: the most recent
+        boundary at or before it, None before the first one."""
+        code = self.code
+        for i in range(min(pc, len(code) - 1), -1, -1):
+            if code[i][0] == isa.STMT:
+                return code[i]
+        return None
+
     def line_at(self, pc: int) -> int:
         """Source line governing ``pc`` (the most recent boundary)."""
-        line = self.func.line
-        for i, ins in enumerate(self.code):
-            if i > pc:
-                break
-            if ins[0] == isa.STMT:
-                line = ins[1]
-        return line
+        ins = self._boundary_at(pc)
+        return self.func.line if ins is None else ins[1]
+
+    def shape_at(self, pc: int) -> tuple:
+        """Scope shape governing ``pc``: one ``(name, ctype, reg)`` tuple
+        per lexical scope, outermost first.  Before the first boundary
+        (or in an assembled function, which has no shape table) only the
+        parameters are in scope."""
+        ins = self._boundary_at(pc)
+        if ins is None or not self.varmaps:
+            return (tuple((nm, ct, i) for i, (nm, ct) in enumerate(self.params)),)
+        return self.varmaps[ins[3]]
 
 
 class _FnCompiler:
@@ -227,18 +238,12 @@ class _FnCompiler:
             self.varmap_ids[key] = idx
         return idx
 
-    def _boundary(self, node: ast.Stmt, kind: int) -> int:
-        """Emit a statement boundary; resume/brk/cont pcs are patched by
-        the caller / enclosing loop."""
-        pre = self._varmap()
+    def _boundary(self, node: ast.Stmt) -> None:
+        """Emit a statement boundary with the scope shape in force before
+        the statement runs (a declaration's own variable is not yet in
+        scope, as on the tree tier)."""
         self.out.nodes.append(node)
-        nidx = len(self.out.nodes) - 1
-        ci = self._emit(isa.STMT, node.line, nidx, kind, -1, -1, -1, pre, pre)
-        if self.loop_stack:
-            rec = self.loop_stack[-1]
-            rec["breaks"].append((ci, 5))
-            rec["conts"].append((ci, 6))
-        return ci
+        self._emit(isa.STMT, node.line, len(self.out.nodes) - 1, self._varmap())
 
     def _coerce_into(self, src: int, from_ct, to_ct, dst: Optional[int] = None) -> int:
         """Emit the store-side ``coerce`` (value semantics included)."""
@@ -531,7 +536,7 @@ class _FnCompiler:
                 self.scopes.pop()
             return
         if isinstance(s, ast.If):
-            ci = self._boundary(s, isa.K_LEAF)
+            self._boundary(s)
             cond = self._expr(s.cond)
             jelse = self._emit(isa.JF, cond, -1)
             self._release(cond)
@@ -543,13 +548,12 @@ class _FnCompiler:
                 self.code[jend][1] = self._here()
             else:
                 self.code[jelse][2] = self._here()
-            self.code[ci][4] = self._here()
             return
         if isinstance(s, ast.While):
             rec = {"breaks": [], "conts": []}
             self.loop_stack.append(rec)
             header = self._here()
-            ci = self._boundary(s, isa.K_WHILE)
+            self._boundary(s)
             cond = self._expr(s.cond)
             jexit = self._emit(isa.JF, cond, -1)
             self._release(cond)
@@ -557,12 +561,11 @@ class _FnCompiler:
             self._emit(isa.JMP, header)
             exit_pc = self._here()
             self.code[jexit][2] = exit_pc
-            self.code[ci][4] = exit_pc
             self.loop_stack.pop()
-            for idx, field in rec["breaks"]:
-                self.code[idx][field] = exit_pc
-            for idx, field in rec["conts"]:
-                self.code[idx][field] = header
+            for idx in rec["breaks"]:
+                self.code[idx][1] = exit_pc
+            for idx in rec["conts"]:
+                self.code[idx][1] = header
             return
         if isinstance(s, ast.DoWhile):
             rec = {"breaks": [], "conts": []}
@@ -570,17 +573,16 @@ class _FnCompiler:
             body_start = self._here()
             self._stmt(s.body)
             cond_pc = self._here()
-            ci = self._boundary(s, isa.K_DOWHILE)
+            self._boundary(s)
             cond = self._expr(s.cond)
             self._emit(isa.JT, cond, body_start)
             self._release(cond)
             exit_pc = self._here()
-            self.code[ci][4] = exit_pc
             self.loop_stack.pop()
-            for idx, field in rec["breaks"]:
-                self.code[idx][field] = exit_pc
-            for idx, field in rec["conts"]:
-                self.code[idx][field] = cond_pc
+            for idx in rec["breaks"]:
+                self.code[idx][1] = exit_pc
+            for idx in rec["conts"]:
+                self.code[idx][1] = cond_pc
             return
         if isinstance(s, ast.For):
             self.scopes.append([])
@@ -590,7 +592,7 @@ class _FnCompiler:
                 rec = {"breaks": [], "conts": []}
                 self.loop_stack.append(rec)
                 header = self._here()
-                ci = self._boundary(s, isa.K_FOR)
+                self._boundary(s)
                 jexit = None
                 if s.cond is not None:
                     cond = self._expr(s.cond)
@@ -604,17 +606,16 @@ class _FnCompiler:
                 exit_pc = self._here()
                 if jexit is not None:
                     self.code[jexit][2] = exit_pc
-                self.code[ci][4] = exit_pc
                 self.loop_stack.pop()
-                for idx, field in rec["breaks"]:
-                    self.code[idx][field] = exit_pc
-                for idx, field in rec["conts"]:
-                    self.code[idx][field] = step_pc
+                for idx in rec["breaks"]:
+                    self.code[idx][1] = exit_pc
+                for idx in rec["conts"]:
+                    self.code[idx][1] = step_pc
             finally:
                 self.scopes.pop()
             return
         if isinstance(s, ast.Decl):
-            ci = self._boundary(s, isa.K_LEAF)
+            self._boundary(s)
             if s.init is not None:
                 v = self._expr(s.init)
                 reg = self._declare(s.name, s.ctype)
@@ -628,27 +629,22 @@ class _FnCompiler:
                     self._emit(isa.MOV, reg, self._const(False))
                 else:
                     self._emit(isa.DEFAULT, reg, self._type(s.ctype))
-            self.code[ci][8] = self._varmap()  # post-shape includes the var
-            self.code[ci][4] = self._here()
             return
         if isinstance(s, ast.Assign):
-            ci = self._boundary(s, isa.K_LEAF)
+            self._boundary(s)
             self._assign(s)
-            self.code[ci][4] = self._here()
             return
         if isinstance(s, ast.IncDec):
-            ci = self._boundary(s, isa.K_LEAF)
+            self._boundary(s)
             self._incdec(s)
-            self.code[ci][4] = self._here()
             return
         if isinstance(s, ast.ExprStmt):
-            ci = self._boundary(s, isa.K_LEAF)
+            self._boundary(s)
             r = self._expr(s.expr)
             self._release(r)
-            self.code[ci][4] = self._here()
             return
         if isinstance(s, ast.Return):
-            ci = self._boundary(s, isa.K_LEAF)
+            self._boundary(s)
             if s.value is not None:
                 v = self._expr(s.value)
                 ret_ct = self.func.ret
@@ -662,23 +658,20 @@ class _FnCompiler:
                 self._release(v)
             else:
                 self._emit(isa.RETI, 0)
-            self.code[ci][4] = self._here()
             return
         if isinstance(s, ast.Break):
-            ci = self._boundary(s, isa.K_LEAF)
+            self._boundary(s)
             if not self.loop_stack:
                 raise VmCompileError("break outside loop")
             ji = self._emit(isa.JMP, -1)
-            self.loop_stack[-1]["breaks"].append((ji, 1))
-            self.code[ci][4] = self._here()
+            self.loop_stack[-1]["breaks"].append(ji)
             return
         if isinstance(s, ast.Continue):
-            ci = self._boundary(s, isa.K_LEAF)
+            self._boundary(s)
             if not self.loop_stack:
                 raise VmCompileError("continue outside loop")
             ji = self._emit(isa.JMP, -1)
-            self.loop_stack[-1]["conts"].append((ji, 1))
-            self.code[ci][4] = self._here()
+            self.loop_stack[-1]["conts"].append(ji)
             return
         raise VmCompileError(f"unsupported statement {type(s).__name__}")
 
@@ -809,8 +802,8 @@ class _FnCompiler:
 
 class VmUnit:
     """All VM-compiled functions of one Program.  Failure-tolerant: an
-    unlowerable function is absent from ``funcs``, its reason is kept in
-    ``failed``, and the tree interpreter runs it."""
+    unlowerable function is absent from ``funcs`` and its reason is kept
+    in ``failed``; the VM tier refuses such a unit (:meth:`require_complete`)."""
 
     def __init__(self, program: ast.Program):
         self.program = program
@@ -825,6 +818,15 @@ class VmUnit:
 
     def supports(self, name: str) -> bool:
         return name in self.funcs
+
+    def require_complete(self) -> None:
+        """Raise :class:`~repro.errors.CMinusLoweringError` for the first
+        function the compiler could not lower: the VM tier never runs a
+        program it lowered only in part."""
+        for name, reason in self.failed.items():
+            func = self.program.function(name)
+            filename = func.filename if func is not None else self.program.filename
+            raise CMinusLoweringError(filename, name, reason)
 
 
 def vm_unit(program: ast.Program) -> VmUnit:

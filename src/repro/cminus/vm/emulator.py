@@ -1,39 +1,36 @@
 """The PE ISA emulator: a dispatch-loop generator over compiled bytecode.
 
-This is the default (``auto``) interpreter tier; the tree-walking
-interpreter is the only other one, and the one it deoptimizes into.
+This is the default (``auto``) interpreter tier, and it serves every
+debugger hook itself; the tree-walking interpreter is only the ``slow``
+tier, the reference the differential suites compare against.
 
 - **Boundary protocol** — every ``stmt`` instruction performs, in order:
-  batched-Delay flush check, tier-descent check (``interp._fast_ok``),
-  then line-table update / statement count / cost charge.  Flushes happen
-  at the same structural points as the tree tier (boundary threshold,
-  before dataflow I/O and intrinsics, function exit via ``run_function``)
-  so kernel request streams, dispatch counts and replay journal
-  fingerprints are byte-identical across both tiers.
+  batched-Delay flush check, line-table update, statement count, the
+  statement hook (when ``interp._want_stmt`` is cached) and the cost
+  charge.  Flushes happen at the same structural points as the tree tier
+  (boundary threshold, before dataflow I/O and intrinsics, function exit
+  via ``run_function``) so kernel request streams, dispatch counts and
+  replay journal fingerprints are byte-identical across both tiers.
+  Calls and returns reach ``on_call``/``on_return`` in :func:`_activate`.
 
-- **Tier descent** — when a statement/call/return capability is armed
-  mid-function (``_fast_ok`` drops), the next boundary materializes real
-  interpreter :class:`~repro.cminus.interp.Frame` scopes from VM register
-  state via the boundary's scope-shape table, delegates the statement (or
-  the rest of the loop, for loop-header boundaries) to the tree
-  interpreter, then refills the registers from the mutated slots and
-  resumes at the boundary's resume pc.  Callee activations descend
-  vm → tree the same way.
+- **Inspection** — a VM frame keeps no interpreter scopes: the debugger
+  reads its locals from the registers through the scope shape governing
+  the activation's pc (:meth:`Activation.scopes`), only when asked.
 
 - **Instruction tracing** — arming ``CAP_ISA`` (ISA breakpoints,
   register watchpoints, ``stepi``) or the profiler's ``profile_sink``
   (per-opcode cycle attribution) flips the loop into an instrumented
-  prelude without deoptimizing: per-instruction hooks are elided behind one local bool
-  when disarmed, the ISA-level analogue of the hook capability bitmask.
+  prelude: per-instruction hooks are elided behind one local bool when
+  disarmed, the ISA-level analogue of the hook capability bitmask.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ...errors import CMinusRuntimeError
 from ...sim.process import Delay
-from ..interp import Frame, _Break, _Continue, _Return
+from ..interp import Frame
 from ..typesys import S32, wrap_int
 from ..values import Value, coerce, copy_raw, default_value, format_value
 from . import isa
@@ -44,7 +41,7 @@ _ISA_COST = isa.COST
 
 class Activation:
     """Live VM state of one frame — what ``info registers`` shows and
-    what tier descent reads.  Attached to the frame as ``frame.vm``."""
+    what the frame's locals are read from.  Attached as ``frame.vm``."""
 
     __slots__ = ("vmf", "regs", "frame", "pc")
 
@@ -63,10 +60,20 @@ class Activation:
     def line(self) -> int:
         return self.vmf.line_at(self.pc)
 
+    def scopes(self) -> List[dict]:
+        """Interpreter-style scopes at ``pc``, outermost first: every name
+        of the governing scope shape bound to a :class:`Value` over its
+        register.  Built on demand and read-only (no write-back)."""
+        regs = self.regs
+        return [
+            {nm: Value(ct, regs[reg]) for nm, ct, reg in shape}
+            for shape in self.vmf.shape_at(self.pc)
+        ]
+
 
 def call_vm(interp, name: str, args: List):
-    """Entry point used by ``Interpreter.run_function`` — the tier
-    decision (``_use_vm``) was already made."""
+    """Entry point used by ``Interpreter.run_function`` on every tier but
+    ``slow``."""
     vmf = interp._vm_unit.funcs[name]
     return (yield from _activate(interp, vmf, args, 0))
 
@@ -102,10 +109,7 @@ def _activate(interp, vmf: VmFunction, args: List, call_line: int):
             yield req
     if interp.timed and interp.cost.call_overhead:
         interp._pending += interp.cost.call_overhead
-    try:
-        ret = yield from _run(interp, act)
-    except _Return as r:  # raised by tier-descended Return statements
-        ret = r.value if r.value is not None else 0
+    ret = yield from _run(interp, act)
     hook = interp.hook
     if hook is not None and interp._want_ret:
         req = hook.on_return(interp, frame, ret)
@@ -115,59 +119,6 @@ def _activate(interp, vmf: VmFunction, args: List, call_line: int):
     else:
         interp.frames.pop()
     return ret
-
-
-def _deopt_boundary(interp, act: Activation, ins):
-    """Tier descent at one boundary: materialize interpreter scopes from
-    register state, delegate to the tree interpreter, refill registers.
-
-    Returns the pc to resume at (resume/break/continue target of the
-    boundary); ``_Return`` propagates to the activation wrapper."""
-    vmf = act.vmf
-    frame = act.frame
-    regs = act.regs
-    node = vmf.nodes[ins[2]]
-    kind = ins[3]
-    scopes = []
-    for shape in vmf.varmaps[ins[7]]:
-        scopes.append({nm: Value(ct, regs[reg]) for nm, ct, reg in shape})
-    frame.scopes = scopes
-    frame.vm = None  # the debugger sees a plain interpreter frame
-    target = ins[4]
-    try:
-        if kind == isa.K_LEAF:
-            yield from interp._exec_stmt(node)
-        elif kind == isa.K_WHILE:
-            yield from interp._while_from_header(node)
-        elif kind == isa.K_DOWHILE:
-            yield from interp._dowhile_from_cond(node)
-        else:  # K_FOR — scope and init are already in place
-            yield from interp._for_from_header(node)
-    except _Break:
-        target = ins[5]
-    except _Continue:
-        target = ins[6]
-    finally:
-        # refill registers from the (possibly mutated) slots; the post
-        # shape covers variables the delegated statement declared
-        for shape in vmf.varmaps[ins[8]]:
-            for nm, ct, reg in shape:
-                slot = frame.lookup(nm)
-                if slot is not None:
-                    regs[reg] = slot.data
-        frame.scopes = []
-        frame.vm = act
-    return target
-
-
-def _call_fallback(interp, name: str, args: List, call_line: int):
-    """Callee tier descent for OP_CALL: the tree interpreter runs a
-    callee the VM cannot (unlowered function, or a statement/call/return
-    hook is armed)."""
-    func = interp.program.function(name)
-    if func is None:
-        raise CMinusRuntimeError(f"call to undefined function {name!r}")
-    return (yield from interp._call_user(func, args, call_line))
 
 
 def _run(interp, act: Activation):
@@ -208,12 +159,15 @@ def _run(interp, act: Activation):
                     interp._profile(interp, p)
                 yield Delay(p)
                 tracing = interp._vm_trace
-            if not interp._fast_ok:
-                pc = yield from _deopt_boundary(interp, act, ins)
-                tracing = interp._vm_trace
-                continue
             frame.line = ins[1]
             state.statements_executed += 1
+            if interp._want_stmt:
+                hook = interp.hook
+                if hook is not None:
+                    req = hook.on_statement(interp, vmf.nodes[ins[2]])
+                    if req is not None:
+                        yield req
+                        tracing = interp._vm_trace
             if timed:
                 interp._pending += interp.cost.default_stmt
             pc += 1
@@ -400,14 +354,10 @@ def _run(interp, act: Activation):
             slot.data = coerce(regs[ins[2]], slot.ctype)
             pc += 1
             continue
-        if op == 52:  # CALL — descend vm → tree per callee
-            args = [regs[r] for r in ins[3]]
-            vu = interp._vm_unit
-            callee = vu.funcs.get(ins[2]) if vu is not None else None
-            if callee is not None and interp._fast_ok:
-                regs[ins[1]] = yield from _activate(interp, callee, args, frame.line)
-            else:
-                regs[ins[1]] = yield from _call_fallback(interp, ins[2], args, frame.line)
+        if op == 52:  # CALL
+            regs[ins[1]] = yield from _activate(
+                interp, interp._vm_unit.funcs[ins[2]], [regs[r] for r in ins[3]], frame.line
+            )
             tracing = interp._vm_trace
             pc += 1
             continue

@@ -6,8 +6,9 @@ precomputed ``mask/max/span`` of its result type so the emulator inlines
 C integer wrapping with zero function calls), compare ops, conditional
 jumps, call/return, dataflow push/pop-token ops, the ``stmt`` boundary
 instruction that carries the statement-level debug contract (line table,
-cost charging, deopt descent) and ``brk``/``brkc`` break instructions in
-the style of embedded ISA emulators.
+cost charging, the statement hook and the scope shape that names the
+registers) and ``brk``/``brkc`` break instructions in the style of
+embedded ISA emulators.
 
 Instructions are plain tuples ``(opcode, *operands)`` where operands are
 ints, strings or tuples of ints — nothing that cannot round-trip through
@@ -21,7 +22,7 @@ from __future__ import annotations
 # Numbering groups hot opcodes low; the emulator's dispatch ladder tests
 # them in roughly this order.
 
-STMT = 0  # (STMT, line, node_idx, kind, resume_pc, brk_pc, cont_pc, pre_vm, post_vm)
+STMT = 0  # (STMT, line, node_idx, shape_idx)
 
 # ALU, reg-reg: (op, dst, a, b, mask, mx, span)
 ADD = 1
@@ -113,12 +114,6 @@ BRKC = 69  # (BRKC, reg)  conditional break instruction
 
 N_OPCODES = 70
 
-# boundary kinds (STMT operand 3): what the deopt descent delegates
-K_LEAF = 0  # one statement subtree via Interpreter._exec_stmt
-K_WHILE = 1  # rest of loop via Interpreter._while_from_header
-K_DOWHILE = 2  # rest of loop via Interpreter._dowhile_from_cond
-K_FOR = 3  # rest of loop via Interpreter._for_from_header
-
 # ------------------------------------------------------------- metadata
 
 #: mnemonic per opcode (also the assembler's vocabulary)
@@ -140,7 +135,7 @@ def _def(op, name, spec, cost=1):
     COST[op] = cost
 
 
-_def(STMT, "stmt", "iiiiiiii", 0)
+_def(STMT, "stmt", "iii", 0)
 _def(ADD, "add", "rrriii")
 _def(SUB, "sub", "rrriii")
 _def(MUL, "mul", "rrriii", 3)

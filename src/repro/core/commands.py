@@ -110,7 +110,7 @@ def install_dataflow_commands(cli: CommandCli, session: DataflowSession) -> None
         "prof on | off | clear | status | top N | export FILE [force] | "
         "flame FILE [force] — attributed profiler: flushed interpreter "
         "cycles charged to (actor, function, tier), collapsed-stack and "
-        "flamegraph export; never deoptimizes",
+        "flamegraph export; arms no hook",
         completer=lambda t: [s for s in ("on", "off", "clear", "status", "top",
                                          "export", "flame") if s.startswith(t)],
     ))

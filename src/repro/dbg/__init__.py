@@ -42,9 +42,9 @@ from .api import ExtensionAPI
 #: The capability constants are defined in exactly one place —
 #: :class:`repro.cminus.interp.DebugHook` — and re-exported here so
 #: debugger-side code has a single import path for the whole mask
-#: vocabulary.  CAP_ALL covers the tier-selection bits; CAP_ISA rides
-#: the same mask but stays outside it so arming it never deoptimizes the
-#: Filter-C VM tier.  Telemetry, RV and the profiler raise no bit: the
+#: vocabulary.  CAP_ALL covers the statement/call/return hooks both tiers
+#: serve; CAP_ISA rides the same mask but stays outside it, because only
+#: the VM tier has instructions to observe.  Telemetry, RV and the profiler raise no bit: the
 #: first two consume the event tap, the profiler sets ``profile_sink``.
 CAP_STATEMENTS = DebugHook.CAP_STATEMENTS
 CAP_CALLS = DebugHook.CAP_CALLS

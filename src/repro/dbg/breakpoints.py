@@ -187,7 +187,7 @@ class Watchpoint(BreakpointBase):
 class IsaBreakpoint(BreakpointBase):
     """Breaks before one VM instruction executes (``function+pc``) — the
     instruction-level analogue of a source breakpoint, available only on
-    the bytecode tier (arming one raises CAP_ISA; it never deoptimizes)."""
+    the bytecode tier (arming one raises CAP_ISA)."""
 
     kind = "isa"
     index_category = "isa"

@@ -97,7 +97,6 @@ class Debugger:
         self.selected_actor: Optional[ActorInst] = None
         self.selected_frame_index = 0
         self.last_stop: Optional[StopEvent] = None
-        self.stop_log: List[StopEvent] = []
         self._step: Optional[_StepState] = None
         self._pause_requested = False
         self._finished = False
@@ -123,9 +122,8 @@ class Debugger:
         then caches only its own bits (:meth:`_capabilities_for`)."""
         reg = self.breakpoints
         caps = 0
-        # instruction stepping ("isi") rides CAP_ISA, not CAP_STATEMENTS —
-        # arming the statement path would deoptimize the VM frame out from
-        # under the very step that wants to observe it
+        # instruction stepping ("isi") rides CAP_ISA, not CAP_STATEMENTS:
+        # the statement hook could not stop it anyway
         stepping_stmts = self._step is not None and self._step.mode != "isi"
         if stepping_stmts or reg.armed_count("source") or reg.armed_count("watch"):
             caps |= DebugHook.CAP_STATEMENTS
@@ -138,11 +136,10 @@ class Debugger:
             or reg.armed_count("isa")
             or reg.armed_count("rwatch")
         ):
-            # instruction-level surface: outside CAP_ALL, so the bytecode
-            # tier stays resident — it just runs its instrumented prelude
+            # instruction-level surface: the VM runs its instrumented prelude
             caps |= DebugHook.CAP_ISA
-        # Push unconditionally: interpreters cache tier-selection flags
-        # locally (``_fast_ok``/``_want_*``), and an interpreter built or
+        # Push unconditionally: interpreters cache their hook flags
+        # locally (``_want_*``), and an interpreter built or
         # adopted after the last mask *change* would otherwise keep stale
         # flags until the next transition.  Registry mutations are rare;
         # the refresh is O(actors) and keeps every live fast path honest
@@ -162,14 +159,14 @@ class Debugger:
         - calls: a function breakpoint on one of its program's functions;
         - returns: a finish breakpoint on this interpreter.
 
-        So ``break pack.c:7`` deoptimizes ``pack`` alone; every other
-        actor stays on the bytecode tier with no statement hook."""
+        So ``break pack.c:7`` hooks ``pack`` alone; every other actor runs
+        with no statement hook."""
         caps = self.hook.capabilities
         if self._actor_by_interp is None:
             return caps
         mine = caps & ~DebugHook.CAP_ALL
         if caps & DebugHook.CAP_ALL:
-            mine |= self._tier_bits_for(interp, caps)
+            mine |= self._hook_bits_for(interp, caps)
         # statements that run unhooked leave ``_last_lines`` behind: when
         # the hook comes back after any ran, forget the stale (depth, line)
         # so the first hooked statement counts as a new line
@@ -182,8 +179,9 @@ class Debugger:
             self._unhooked_at.setdefault(key, count)
         return mine
 
-    def _tier_bits_for(self, interp: Interpreter, caps: int) -> int:
-        """The tier-selection bits of ``caps`` that can fire for ``interp``."""
+    def _hook_bits_for(self, interp: Interpreter, caps: int) -> int:
+        """The statement/call/return bits of ``caps`` that can fire for
+        ``interp``."""
         actor = self._actor_by_interp.get(id(interp))
         qualname = actor.qualname if actor is not None else None
         reg = self.breakpoints
@@ -226,7 +224,6 @@ class Debugger:
     def _record_stop(self, ev: StopEvent, actor: Optional[ActorInst]) -> None:
         ev.time = self.scheduler.now
         self.last_stop = ev
-        self.stop_log.append(ev)
         if actor is not None:
             self.selected_actor = actor
             self.selected_frame_index = 0
@@ -621,9 +618,8 @@ class Debugger:
     def break_isa(self, spec: str, **kwargs) -> IsaBreakpoint:
         """``FUNC+PC`` instruction breakpoint on the bytecode tier.
 
-        Arms CAP_ISA (the instrumented VM prelude) without deoptimizing:
-        the function keeps running as bytecode, stopping before the
-        instruction at ``PC`` executes."""
+        Arms CAP_ISA (the instrumented VM prelude): the function stops
+        before the instruction at ``PC`` executes."""
         func_name, sep, pc_text = spec.rpartition("+")
         if not sep or not func_name or not pc_text.isdigit():
             raise DebuggerError(f"bad ISA location {spec!r} (expected FUNC+PC)")
@@ -637,7 +633,7 @@ class Debugger:
         """Stop when VM register ``reg`` of ``func_name`` changes value.
 
         Compared before each instruction while the function runs on the
-        bytecode tier; like ISA breakpoints it never deoptimizes."""
+        bytecode tier (CAP_ISA, like ISA breakpoints)."""
         if self.debug_info.lookup_function(func_name) is None:
             raise DebuggerError(f"no function symbol {func_name!r}")
         wp = RegisterWatchpoint(func_name, reg, **kwargs)
@@ -848,9 +844,7 @@ class Debugger:
 
     def vm_activation(self, frame: Optional[Frame] = None):
         """The VM :class:`~repro.cminus.vm.emulator.Activation` behind a
-        frame, or None when the frame runs on the tree tier (after tier
-        descent the attribute is cleared, so mixed stacks resolve
-        per-frame)."""
+        frame, or None when the frame runs on the slow tier."""
         if frame is None:
             actor = self.selected_actor
             interp = getattr(actor, "interp", None) if actor is not None else None

@@ -55,6 +55,20 @@ class CMinusRuntimeError(CMinusError):
     """Error raised while interpreting Filter-C code (e.g. division by zero)."""
 
 
+class CMinusLoweringError(CMinusError):
+    """A function the bytecode compiler could not lower: the VM tier
+    refuses the program rather than run part of it on another tier."""
+
+    def __init__(self, filename: str, function: str, reason: str):
+        self.filename = filename
+        self.function = function
+        self.reason = reason
+        super().__init__(
+            f"{filename}: function {function!r} cannot be lowered to bytecode: "
+            f"{reason} (run it with the 'slow' tier)"
+        )
+
+
 class MindError(ReproError):
     """Error in a MIND architecture description (parse or elaboration)."""
 

@@ -6,7 +6,7 @@ flush is *attributed* — the flush site calls ``hook.profile_sink(interp,
 p)`` and the profiler charges ``p`` cycles to the interpreter's live
 call stack (both tiers maintain real :class:`Frame` objects) under the
 tier that executed it ("vm" or "tree").  The sink is the whole switch:
-it is not a hook-mask bit, so arming it never deoptimizes, and disarmed
+it is not a hook-mask bit, so arming it hooks no statement, and disarmed
 it costs one ``None`` test per cost flush (one per ~``batch_cycles``
 statements).  The profiler is the only owner of flush-site attribution;
 telemetry's busy time is derived independently from span timestamps.

@@ -17,6 +17,7 @@ from ..cminus.debuginfo import DebugInfo
 from ..cminus.interp import VALID_TIERS, CostModel, DebugHook, Interpreter
 from ..cminus.typesys import CType
 from ..cminus.values import Raw
+from ..cminus.vm.compiler import vm_unit
 from ..errors import PedfError
 from ..p2012.soc import LinkCost, P2012Platform
 from ..sim.channels import Fifo
@@ -45,9 +46,11 @@ class RuntimeConfig:
     #: overrides every controller's own max_steps when set (safety bound)
     max_steps: Optional[int] = None
     #: Filter-C execution tier: "auto" runs the register-machine bytecode
-    #: tier whenever the hook-capability mask allows, deoptimizing into the
-    #: tree interpreter when hooks arm ("vm" is an alias of "auto");
-    #: "slow" forces the per-statement resumable interpreter everywhere
+    #: tier, debugger hooks included ("vm" is an alias of "auto"); "slow"
+    #: forces the tree-walking interpreter everywhere.  On any tier but
+    #: "slow", a program with a function the bytecode compiler cannot
+    #: lower is refused when its interpreters are built
+    #: (:class:`~repro.errors.CMinusLoweringError`)
     interp_tier: str = "auto"
 
 
@@ -228,6 +231,8 @@ class PedfRuntime:
                 name=actor.qualname,
             )
             actor.interp.tier = self.config.interp_tier
+            if actor.interp.tier != "slow":
+                vm_unit(actor.decl.cprogram).require_complete()
 
     def _resolve_bindings(self) -> None:
         # pass 1: record module-external aliases

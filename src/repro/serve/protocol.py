@@ -17,6 +17,7 @@ line framer); semantics live in :mod:`repro.serve.daemon` and
 
 from __future__ import annotations
 
+import asyncio
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -34,6 +35,7 @@ ERR_SESSION_FAILED = 1003  # the session raised; the daemon survives
 ERR_SHUTTING_DOWN = 1004  # daemon is draining; no new work accepted
 
 MAX_LINE_BYTES = 1 << 20  # one wire request, newline excluded
+MAX_DAP_HEADER_BYTES = 8192  # one DAP header block, separator included
 
 
 class LineFramer:
@@ -140,18 +142,18 @@ def encode_dap(obj: Dict[str, Any]) -> bytes:
 
 
 async def read_dap_message(reader) -> Optional[Dict[str, Any]]:
-    """Read one Content-Length framed DAP message; None at EOF."""
-    header = bytearray()
-    while b"\r\n\r\n" not in header:
-        chunk = await reader.read(1)
-        if not chunk:
-            return None
-        header.extend(chunk)
-        if len(header) > 8192:
-            return None
-    head, _, rest = bytes(header).partition(b"\r\n\r\n")
+    """Read one Content-Length framed DAP message; None at EOF or on a
+    bad frame.  One ``readuntil`` takes the header (at most
+    ``MAX_DAP_HEADER_BYTES``, separator included) and one
+    ``readexactly`` the body."""
+    try:
+        header = await reader.readuntil(b"\r\n\r\n")
+    except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        return None
+    if len(header) > MAX_DAP_HEADER_BYTES:
+        return None
     length = None
-    for line in head.split(b"\r\n"):
+    for line in header[:-4].split(b"\r\n"):
         name, _, value = line.partition(b":")
         if name.strip().lower() == b"content-length":
             try:
@@ -160,14 +162,12 @@ async def read_dap_message(reader) -> Optional[Dict[str, Any]]:
                 return None
     if length is None or length < 0 or length > MAX_LINE_BYTES:
         return None
-    body = bytearray(rest)
-    while len(body) < length:
-        chunk = await reader.read(length - len(body))
-        if not chunk:
-            return None
-        body.extend(chunk)
     try:
-        obj = json.loads(bytes(body[:length]).decode("utf-8"))
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError:
+        return None
+    try:
+        obj = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeError):
         return None
     return obj if isinstance(obj, dict) else None

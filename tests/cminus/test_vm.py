@@ -6,6 +6,9 @@ break instruction, per-opcode cycle telemetry and the register-state
 debugging surface.
 """
 
+import functools
+import operator
+
 import pytest
 
 from repro.cminus import (
@@ -67,14 +70,67 @@ def test_vm_unit_memoized_per_program():
     assert vm_unit(prog) is vm_unit(prog)
 
 
-def test_unsupported_function_fails_gracefully():
-    # struct-typed locals compile; unknown constructs must be recorded in
-    # ``failed`` (per-function tolerance), never raised at unit build time
-    src = CHECKSUM + "\nS32 user(S32 x) { return checksum(x); }\n"
-    prog, interp = build(src)
+@pytest.fixture
+def helper_unlowerable(monkeypatch):
+    """Make the compiler reject every function whose name ends in
+    ``helper`` (no shipped construct is unlowerable), with the front-end
+    cache cleared around the test so no memoized unit outlives it."""
+    from repro.cminus import frontend_cache
+    from repro.cminus.vm.compiler import _FnCompiler
+
+    real = _FnCompiler.compile
+
+    def compile_(self):
+        if self.func.name.endswith("helper"):
+            raise VmCompileError("unsupported statement Frob")
+        return real(self)
+
+    monkeypatch.setattr(_FnCompiler, "compile", compile_)
+    frontend_cache.clear()
+    yield
+    frontend_cache.clear()
+
+
+def test_unsupported_function_fails_gracefully(helper_unlowerable):
+    """An unlowerable function is recorded in ``failed`` (the unit still
+    builds) and the VM tier refuses the program with a structured error
+    naming the file, the function and the reason, instead of quietly
+    running part of it on the tree walker.  The slow tier still runs it."""
+    from repro.errors import CMinusLoweringError
+
+    prog, interp = build(CHECKSUM)
     vu = vm_unit(prog)
-    assert vu.supports("user")
-    assert run(interp, "user", (9,)) == run(build(src, "slow")[1], "user", (9,))
+    assert vu.supports("checksum") and not vu.supports("helper")
+    assert vu.failed == {"helper": "VmCompileError: unsupported statement Frob"}
+    with pytest.raises(CMinusLoweringError) as err:
+        run(interp, "checksum", (9,))
+    assert (err.value.filename, err.value.function) == ("<vm>", "helper")
+    assert err.value.reason == "VmCompileError: unsupported statement Frob"
+    assert "'helper'" in str(err.value) and "<vm>" in str(err.value)
+    slow = build(CHECKSUM, "slow")[1]
+    assert run(slow, "checksum", (9,)) == functools.reduce(operator.xor, (3 * i + 9 for i in range(9)))
+
+
+def test_unlowerable_program_is_refused_when_interpreters_are_built(helper_unlowerable):
+    from repro.apps.amodule.app import build_amodule_program
+    from repro.errors import CMinusLoweringError
+    from repro.p2012.soc import P2012Platform, PlatformConfig
+    from repro.pedf.runtime import PedfRuntime, RuntimeConfig
+    from repro.sim import Scheduler
+
+    def runtime(tier):
+        program = build_amodule_program()
+        f1 = program.modules["AModule"].filters["filter_1"]
+        f1.source = f1.source.replace("void work() {", "U32 helper() { return 0; }\nvoid work() {")
+        sched = Scheduler()
+        platform = P2012Platform(sched, PlatformConfig(n_clusters=2, pes_per_cluster=4))
+        return PedfRuntime(sched, platform, program, RuntimeConfig(interp_tier=tier))
+
+    for tier in ("auto", "vm"):
+        with pytest.raises(CMinusLoweringError) as err:
+            runtime(tier)
+        assert (err.value.filename, err.value.function) == ("the_source.c", "Filter1Filter_helper")
+    assert runtime("slow").config.interp_tier == "slow"
 
 
 def _shipped_programs():
@@ -130,7 +186,9 @@ def test_disassemble_assemble_round_trip():
     assert back.nregs == vmf.nregs
     assert back.name == vmf.name
     assert [p for p in back.params] == [p for p in vmf.params]
-    assert back.deoptable is False
+    # no AST or scope-shape tables: an assembled frame shows only params
+    assert back.nodes == [] and back.varmaps == []
+    assert back.shape_at(3) == (tuple((nm, ct, i) for i, (nm, ct) in enumerate(vmf.params)),)
 
 
 def test_assembled_function_executes():

@@ -1,14 +1,15 @@
 """The hook-capability vocabulary: one definition, stable semantics.
 
 Regression guard for the bitmask contract: the mask holds only bits an
-interpreter reads.  ``CAP_ALL`` is the three tier-selection bits,
-``CAP_ISA`` stays *outside* it (arming it must never flip tier
-selection), all bits stay distinct, and the :mod:`repro.dbg` re-exports
-are the :class:`~repro.cminus.interp.DebugHook` constants themselves.
-Telemetry and RV raise no bit at all: they consume the event tap.
+interpreter reads.  ``CAP_ALL`` is the statement/call/return hook bits
+both tiers serve, ``CAP_ISA`` stays *outside* it (only the VM has
+instructions to observe), all bits stay distinct, and the
+:mod:`repro.dbg` re-exports are the
+:class:`~repro.cminus.interp.DebugHook` constants themselves.  Telemetry
+and RV raise no bit at all: they consume the event tap.
 ``hook.capabilities`` is the session-wide union; each interpreter caches
-only the bits that can fire for it, so a breakpoint deoptimizes only the
-actor it can stop.
+only the bits that can fire for it, so a breakpoint hooks only the actor
+it can stop.
 """
 
 import random
@@ -31,6 +32,8 @@ from repro.dbg import (
 )
 from repro.serve.builders import build_program_cli
 
+from .util import count_tree_checkpoints, hooked
+
 ALL_BITS = {
     "CAP_STATEMENTS": CAP_STATEMENTS,
     "CAP_CALLS": CAP_CALLS,
@@ -41,7 +44,7 @@ ALL_BITS = {
 
 def test_observation_bits_stay_outside_cap_all():
     assert CAP_ISA & CAP_ALL == 0
-    # ... while the three tier-selection bits are exactly CAP_ALL
+    # ... while the three hook bits are exactly CAP_ALL
     assert CAP_STATEMENTS | CAP_CALLS | CAP_RETURNS == CAP_ALL
 
 
@@ -131,10 +134,12 @@ def _stopped_at_pack(line=7):
     return dbg, runtime, bp
 
 
-def test_a_source_breakpoint_deoptimizes_only_its_actor():
+def test_a_source_breakpoint_deoptimizes_only_its_actor(monkeypatch):
     """2,000 break→continue round trips on pack.c:7: the statement hook
-    only ever sees ``pack``, ``expand`` and ``controller`` keep the VM,
-    and the machine does exactly the work it did with one shared mask."""
+    only ever sees ``pack``, ``expand`` and ``controller`` run unhooked,
+    the tree walker runs nothing, and the machine does exactly the work
+    it did with one shared mask."""
+    checkpoints = count_tree_checkpoints(monkeypatch)
     cli, _sink = build_program_cli("rle", values=_rle_feed())
     service = cli.service
     dbg = service.dbg
@@ -144,7 +149,7 @@ def test_a_source_breakpoint_deoptimizes_only_its_actor():
     assert service.execute("break pack.c:7").ok
     assert service.execute("run").ok
     assert dbg.hook.capabilities == CAP_STATEMENTS
-    assert not pack._fast_ok and all(i._fast_ok for i in others)
+    assert pack._want_stmt and not any(i._want_stmt for i in others)
 
     seen = set()
     on_statement = dbg._on_statement
@@ -157,8 +162,9 @@ def test_a_source_breakpoint_deoptimizes_only_its_actor():
     for _ in range(2000):
         stop = service.execute("continue").stop
         assert (stop["kind"], stop["actor"]) == ("breakpoint", "codec.pack")
-        assert all(i._fast_ok for i in others)
+        assert not any(i._want_stmt for i in others)
     assert seen == {id(pack)}
+    assert checkpoints[0] == 0
     assert dbg.runtime.scheduler.dispatch_count == 69_088
     executed = {q: i.state.statements_executed for q, i in interps.items()}
     assert executed == {
@@ -176,7 +182,7 @@ def test_an_actor_filter_narrows_a_source_breakpoint():
     dbg.break_source("pack.c:7", actor="codec.expand")
     # pack.c runs only in pack, and the filter admits only expand
     assert dbg.hook.capabilities == CAP_STATEMENTS
-    assert all(i._fast_ok for i in interps.values())
+    assert hooked(runtime) == set()
 
 
 def test_function_breakpoints_and_watchpoints_arm_only_their_actor():
@@ -185,7 +191,7 @@ def test_function_breakpoints_and_watchpoints_arm_only_their_actor():
     interps = _interps(runtime)
     fbp = dbg.break_function("ExpandFilter_work_function")
     assert [q for q, i in interps.items() if i._want_call] == ["codec.expand"]
-    assert [q for q, i in interps.items() if not i._fast_ok] == ["codec.expand"]
+    assert hooked(runtime) == {"codec.expand"}
     dbg.delete(fbp.id)
     dbg.watch("value", actor="codec.pack")
     assert [q for q, i in interps.items() if i._want_stmt] == ["codec.pack"]
@@ -201,8 +207,7 @@ def test_a_step_and_a_finish_arm_only_the_stepping_actor():
 
     def spy(interp, stmt):
         fast_elsewhere.append(
-            (interp is interps["codec.pack"],
-             interps["codec.expand"]._fast_ok and interps["codec.controller"]._fast_ok)
+            (interp is interps["codec.pack"], hooked(runtime) == {"codec.pack"})
         )
         return on_statement(interp, stmt)
 
@@ -213,7 +218,7 @@ def test_a_step_and_a_finish_arm_only_the_stepping_actor():
     assert dbg.hook.capabilities == 0
     dbg.finish_breakpoint()
     assert [q for q, i in interps.items() if i._want_ret] == ["codec.pack"]
-    assert [q for q, i in interps.items() if not i._fast_ok] == ["codec.pack"]
+    assert hooked(runtime) == {"codec.pack"}
 
 
 def test_a_rearmed_breakpoint_fires_on_its_first_hit():

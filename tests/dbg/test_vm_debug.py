@@ -1,16 +1,28 @@
-"""The bytecode tier under the debugger: ISA surface and tier descent.
+"""The bytecode tier under the debugger: ISA surface and source hooks.
 
 Mirrors test_deopt.py at the instruction level: ISA breakpoints,
-register watchpoints and ``stepi`` ride CAP_ISA (never deoptimizing),
-while statement-level arming forces the vm → tree descent mid-function
-with correct lines and backtraces.
+register watchpoints and ``stepi`` ride CAP_ISA, and statement-level
+arming mid-function — inside a ``while``, a ``for`` or a ``do``/``while``
+body too — stops the same VM activation on the slow tier's line with the
+slow tier's locals, without one tree-walked statement.
 """
+
+import pytest
 
 from repro.dbg import StopKind
 from repro.dbg.cli import CommandCli
 from repro.pedf.api import SYM_POP
 
-from .util import LINE_PUSH, LINE_READ_INPUT, WORK_F1, make_cli, make_session
+from .util import (
+    LINE_PUSH,
+    LINE_READ_CMD,
+    LINE_READ_INPUT,
+    WORK_F1,
+    count_tree_checkpoints,
+    hooked,
+    make_cli,
+    make_session,
+)
 
 
 def make_vm_session(values=(1, 2, 3, 4)):
@@ -56,7 +68,7 @@ def test_isa_breakpoints_never_deoptimize():
     dbg, runtime, _, _ = make_vm_session()
     interps = live_interps(runtime)
     dbg.break_isa(f"{WORK_F1}+4")
-    assert all(i._fast_ok for i in interps), "CAP_ISA must not drop the tier"
+    assert hooked(runtime) == set(), "CAP_ISA arms no statement/call/return hook"
     assert all(i._isa_armed for i in interps)
 
 
@@ -87,8 +99,8 @@ def test_stepi_advances_one_instruction_on_vm_frames():
     ev = dbg.stepi()
     assert ev.kind == StopKind.STEP
     assert dbg.vm_activation().pc == 6
-    # instruction stepping kept the bytecode tier resident throughout
-    assert interp._fast_ok
+    # instruction stepping rides CAP_ISA alone: no statement hook
+    assert not interp._want_stmt and interp._isa_armed
 
 
 def test_register_watchpoint_reports_old_and_new():
@@ -100,36 +112,38 @@ def test_register_watchpoint_reports_old_and_new():
     assert "old = " in ev.message and "new = " in ev.message
 
 
-# ----------------------------------------------------------- tier descent
+# ------------------------------------------------------ source-level hooks
 
 
-def test_statement_breakpoint_mid_vm_work_descends_and_hits():
+def test_statement_breakpoint_mid_vm_work_hits_without_descent(monkeypatch):
     """Arm a source breakpoint while a *bytecode* WORK body is suspended
-    mid-function: the vm frame must materialize interpreter state and
-    stop on the right line."""
+    mid-function: the same VM activation stops on the right line, and
+    ``print`` / ``info locals`` read its registers."""
+    checkpoints = count_tree_checkpoints(monkeypatch)
     dbg, runtime, _, sink = make_vm_session((5, 6))
 
     api_bp = dbg.break_api(SYM_POP, phase="entry", actor="AModule.filter_1")
     ev = dbg.run()
     assert ev.kind == StopKind.API_BP
     interp = dbg.selected_actor.interp
-    assert interp._fast_ok, "tier should still be vm at an api stop"
-    assert interp._vm_unit is not None, "vm tier never engaged"
-    assert interp.frames and getattr(interp.frame, "vm", None) is not None
+    act = dbg.vm_activation()
+    assert act is not None, "vm tier never engaged"
 
     dbg.delete(api_bp.id)
     dbg.break_source(f"the_source.c:{LINE_PUSH}")
-    assert not interp._fast_ok, "arming must deoptimize the live interpreter"
+    assert interp._want_stmt
 
     ev = dbg.cont()
     assert ev.kind == StopKind.BREAKPOINT
     frame = dbg.current_frame()
     assert frame is not None and frame.line == LINE_PUSH
-    assert frame.func.name == WORK_F1
+    assert frame.func.name == WORK_F1 and frame.vm is act
+    assert dbg.print_expr("r") == "$1 = 11"
 
     while not dbg.finished:
         dbg.cont()
     assert sorted(sink.values) == [4 * 5 + 3, 4 * 6 + 3]
+    assert checkpoints[0] == 0
 
 
 def test_vm_reoptimizes_after_disarm():
@@ -137,18 +151,78 @@ def test_vm_reoptimizes_after_disarm():
     bp = dbg.break_source(f"the_source.c:{LINE_READ_INPUT}")
     assert dbg.run().kind == StopKind.BREAKPOINT
     interp = dbg.selected_actor.interp
-    assert not interp._fast_ok
+    assert interp._want_stmt and dbg.vm_activation() is not None
     dbg.delete(bp.id)
-    assert interp._fast_ok
+    assert not interp._want_stmt
     while not dbg.finished:
         dbg.cont()
-    assert interp._vm_unit is not None, "vm tier did not re-engage"
     assert len(sink.values) == 2
 
 
-# A do/while WORK body for filter_1 (line 1 is the comment): the loop
-# runs three times, so filter_1 emits 3*v and filter_2 2*(3*v) + 1.
-DOWHILE_SOURCE = """\
+def test_isa_stop_inspects_locals_from_registers():
+    """Regression: at an ISA stop the VM frame answers ``info locals`` and
+    ``print`` through the scope shape governing its pc, as the slow tier
+    does at the same source line."""
+    def inspect(tier, location):
+        cli, dbg, runtime, _ = make_cli()
+        for interp in live_interps(runtime):
+            interp.tier = tier
+        cli.execute(location)
+        cli.execute("run")
+        return dbg, cli.execute("info locals") + cli.execute("print cmd")
+
+    dbg, vm_out = inspect("auto", f"breaki {WORK_F1}+4")
+    assert dbg.last_stop.kind == StopKind.ISA_BP
+    assert dbg.vm_activation().line() == LINE_READ_INPUT
+    assert vm_out == ["cmd = 1", "$1 = 1"]
+    slow, slow_out = inspect("slow", f"break the_source.c:{LINE_READ_INPUT}")
+    assert slow.last_stop.kind == StopKind.BREAKPOINT
+    assert slow_out == vm_out
+
+
+def test_isa_stop_before_the_first_boundary_shows_only_parameters():
+    dbg, _, _, _ = make_vm_session()
+    dbg.break_isa(f"{WORK_F1}+0")
+    assert dbg.run().kind == StopKind.ISA_BP
+    assert dbg.vm_activation().line() == LINE_READ_CMD
+    assert dbg.current_frame().variables() == {}
+
+
+# Loop WORK bodies for filter_1 (line 1 is the comment): each loop runs
+# three times, so filter_1 emits 3*v and filter_2 2*(3*v) + 1.  Lines
+# 7-10 hold the loop in every variant.
+LOOP_SOURCES = {
+    "while": """\
+// loop_source.c — AFilter WORK method with a while loop
+void work() {
+    U32 cmd = pedf.io.cmd_in[0];
+    U32 v = pedf.io.an_input[0];
+    U32 acc = 0;
+    U32 k = 0;
+    while (k < 3) {
+        acc = acc + v;
+        k = k + 1;
+    }
+    pedf.data.a_private_data = acc;
+    pedf.io.an_output[0] = acc + cmd * 0;
+}
+""",
+    "for": """\
+// loop_source.c — AFilter WORK method with a for loop
+void work() {
+    U32 cmd = pedf.io.cmd_in[0];
+    U32 v = pedf.io.an_input[0];
+    U32 acc = 0;
+    U32 k = 0;
+    for (U32 j = 0; j < 3; j++) {
+        acc = acc + v;
+        k = k + 1;
+    }
+    pedf.data.a_private_data = acc;
+    pedf.io.an_output[0] = acc + cmd * 0;
+}
+""",
+    "dowhile": """\
 // loop_source.c — AFilter WORK method with a do/while loop
 void work() {
     U32 cmd = pedf.io.cmd_in[0];
@@ -162,13 +236,13 @@ void work() {
     pedf.data.a_private_data = acc;
     pedf.io.an_output[0] = acc + cmd * 0;
 }
-"""
-LINE_DO = 7
-LINE_DO_ACC = 8
-LINE_DO_K = 9
+""",
+}
+LINE_LOOP_ACC = 8
+LINE_LOOP_K = 9
 
 
-def make_dowhile_session(tier, values=(5, 6)):
+def make_loop_session(kind, tier, values=(5, 6)):
     from repro.apps.amodule.app import build_amodule_program
     from repro.dbg import Debugger
     from repro.p2012.soc import P2012Platform, PlatformConfig
@@ -177,7 +251,7 @@ def make_dowhile_session(tier, values=(5, 6)):
 
     program = build_amodule_program(max_steps=len(values))
     f1 = program.modules["AModule"].filters["filter_1"]
-    f1.source = DOWHILE_SOURCE
+    f1.source = LOOP_SOURCES[kind]
     f1.source_name = "loop_source.c"
     sched = Scheduler()
     platform = P2012Platform(sched, PlatformConfig(n_clusters=2, pes_per_cluster=4))
@@ -194,55 +268,47 @@ def _locals(frame):
     return {name: slot.data for name, slot in frame.variables().items()}
 
 
-def test_breakpoint_armed_inside_vm_dowhile_deopts_at_the_condition(monkeypatch):
-    """Stop the VM inside a do/while body (an ISA breakpoint never
-    deoptimizes), arm a source breakpoint on the body's first line and
-    continue: the next boundary is the loop condition, so the VM hands
-    the rest of the loop to the tree interpreter there
-    (``_dowhile_from_cond``), which must stop on the right line with the
-    slow tier's values."""
-    from repro.cminus.interp import Interpreter
+@pytest.mark.parametrize("kind", sorted(LOOP_SOURCES))
+def test_breakpoint_armed_inside_a_vm_loop_body_matches_the_slow_tier(monkeypatch, kind):
+    """Stop the VM inside a loop body with an ISA breakpoint, arm a source
+    breakpoint on the body's first line and continue: the same VM
+    activation stops there on the next iteration with the slow tier's
+    line, locals and sim time, and the tree walker runs nothing."""
     from repro.cminus.vm import vm_unit
 
-    resumed = []
-    original = Interpreter._dowhile_from_cond
-
-    def spy(self, stmt):
-        resumed.append(stmt.line)
-        return (yield from original(self, stmt))
-
-    monkeypatch.setattr(Interpreter, "_dowhile_from_cond", spy)
-
     # slow-tier reference: the second arrival at the body's first line
-    slow, slow_sink = make_dowhile_session("slow")
-    slow_bp = slow.break_source(f"loop_source.c:{LINE_DO_ACC}")
+    slow, slow_sink = make_loop_session(kind, "slow")
+    slow_bp = slow.break_source(f"loop_source.c:{LINE_LOOP_ACC}")
     assert slow.run().kind == StopKind.BREAKPOINT
     assert slow.cont().kind == StopKind.BREAKPOINT
     want = (slow.current_frame().line, _locals(slow.current_frame()), slow.scheduler.now)
     assert want[1]["k"] == 1 and want[1]["acc"] == 5
 
-    dbg, sink = make_dowhile_session("auto")
+    checkpoints = count_tree_checkpoints(monkeypatch)
+    dbg, sink = make_loop_session(kind, "auto")
     f1 = next(a for a in dbg.runtime.all_actors() if a.qualname == "AModule.filter_1")
     vmf = vm_unit(f1.interp.program).funcs[WORK_F1]
     # the first instruction after the ``k = k + 1`` boundary
-    pc = next(i for i, ins in enumerate(vmf.code) if ins[0] == 0 and ins[1] == LINE_DO_K) + 1
+    pc = next(i for i, ins in enumerate(vmf.code) if ins[0] == 0 and ins[1] == LINE_LOOP_K) + 1
     isa_bp = dbg.break_isa(f"{WORK_F1}+{pc}")
     assert dbg.run().kind == StopKind.ISA_BP
-    assert dbg.vm_activation().pc == pc
+    act = dbg.vm_activation()
+    assert act.pc == pc
     dbg.delete(isa_bp.id)
-    src_bp = dbg.break_source(f"loop_source.c:{LINE_DO_ACC}")
-    assert resumed == []
+    src_bp = dbg.break_source(f"loop_source.c:{LINE_LOOP_ACC}")
 
     ev = dbg.cont()
     assert ev.kind == StopKind.BREAKPOINT
     frame = dbg.current_frame()
+    assert frame.vm is act
     assert (frame.line, _locals(frame), dbg.scheduler.now) == want
-    assert resumed == [LINE_DO], "did not deopt at the do/while condition"
 
     for d, bp in ((dbg, src_bp), (slow, slow_bp)):
         d.delete(bp.id)
         while not d.finished:
             d.cont()
+        if d is dbg:
+            assert checkpoints[0] == 0
     assert sink.values == slow_sink.values == [2 * 3 * 5 + 1, 2 * 3 * 6 + 1]
 
 

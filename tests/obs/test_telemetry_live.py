@@ -48,7 +48,7 @@ def test_telemetry_off_by_default_and_armed_on_enable():
     for actor in dbg.runtime.all_actors():
         interp = getattr(actor, "interp", None)
         if interp is not None:
-            assert interp._fast_ok
+            assert not (interp._want_stmt or interp._want_call or interp._want_ret)
             assert not interp._vm_trace
     session.telemetry.disable()
     assert not session.telemetry.enabled

@@ -219,3 +219,22 @@ def test_unsupported_request_is_answered_not_fatal(dap):
     assert "unsupported" in resp["message"]
     # the bridge keeps serving afterwards
     assert dap.request("threads")["success"]
+
+
+def test_variables_at_an_isa_stop_read_vm_registers(dap, daemon):
+    """Regression: at an ISA stop on the default tier the VM frame's
+    locals come from its registers (``cmd`` is in scope at pc 4)."""
+    sid = _launch(dap, program="amodule")
+    with daemon.connect() as client:
+        assert client.execute(sid, "breaki Filter1Filter_work_function+4")["ok"]
+    dap.request("configurationDone")
+    stopped = dap.wait_event("stopped")["body"]
+    if stopped["reason"] != "instruction breakpoint":
+        dap.request("continue")
+        stopped = dap.wait_event("stopped")["body"]
+    assert stopped["reason"] == "instruction breakpoint"
+    thread = stopped["threadId"]
+    frame = dap.request("stackTrace", {"threadId": thread})["body"]["stackFrames"][0]
+    assert (frame["name"], frame["line"]) == ("Filter1Filter_work_function", 4)
+    variables = dap.request("variables", {"variablesReference": frame["id"]})["body"]["variables"]
+    assert [(v["name"], v["value"]) for v in variables] == [("cmd", "1")]

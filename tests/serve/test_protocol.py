@@ -100,6 +100,60 @@ def test_dap_eof_and_bad_frames_return_none():
     assert _read_dap(b"Content-Length: 7\r\n\r\n[1,2,3]") is None
 
 
+def test_dap_eof_mid_header_returns_none():
+    assert _read_dap(b"Content-Length: 2\r\n") is None
+
+
+def test_dap_overlong_header_returns_none():
+    pad = b"X-Pad: " + b"x" * 8192 + b"\r\n"  # the 8 KiB header cap
+    assert _read_dap(pad + b"Content-Length: 2\r\n\r\n{}") is None
+    # without a separator in reach of the stream's limit as well
+    assert _read_dap(b"x" * (1 << 17)) is None
+
+
+def test_dap_body_over_the_wire_limit_returns_none():
+    length = proto.MAX_LINE_BYTES + 1
+    assert _read_dap(b"Content-Length: %d\r\n\r\n{}" % length) is None
+
+
+def test_dap_bad_json_returns_none():
+    assert _read_dap(b"Content-Length: 3\r\n\r\n{x}") is None
+
+
+class CountingReader:
+    """A StreamReader proxy that counts every read call."""
+
+    def __init__(self, reader):
+        self.reader = reader
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.reader, name)
+        if not name.startswith("read"):
+            return method
+
+        async def counted(*args):
+            self.calls += 1
+            return await method(*args)
+
+        return counted
+
+
+def test_dap_frame_takes_one_header_read_and_one_body_read():
+    frames = [{"type": "request", "command": "stackTrace", "seq": n,
+               "arguments": {"threadId": 1000 + n}} for n in range(3)]
+
+    async def go():
+        reader = CountingReader(_feed_reader(b"".join(proto.encode_dap(f) for f in frames)))
+        got = []
+        for _ in frames:
+            got.append(await proto.read_dap_message(reader))
+            assert reader.calls == 2 * len(got)
+        return got
+
+    assert asyncio.run(go()) == frames
+
+
 # ------------------------------------------------------- JSON-RPC framing
 
 
