@@ -9,15 +9,19 @@ and re-executes only the tail.  The snapshot rows gate O(tail)
 *deterministically* — ``last_restore`` event counts, not wall clocks —
 so a regression to full re-execution fails the bench even on a fast
 machine.  Every round re-checks the determinism bar: the replayed
-token-seq stream equals the recorded one.
+token-seq stream equals the recorded one.  (d) The pool-size row gates
+the resident pool's reach the same way: the tail events a fixed 100-hop
+script re-executes at the default pool, against a 4-machine pool.
 """
 
 import itertools
+import random
 
 import pytest
 
 from repro.apps.h264.app import build_decoder
 from repro.core import DataflowSession
+from repro.core.replay import DEFAULT_POOL_LIMIT
 from repro.dbg import Debugger, StopKind
 
 N_MBS = 40
@@ -54,14 +58,15 @@ def test_replay_decode_recording(benchmark):
     assert len(master.token_stream()) > N_MBS
 
 
+def _fresh():
+    sched, platform, runtime, source, sink, mbs = build_decoder(n_mbs=N_MBS)
+    return DataflowSession(Debugger(sched, runtime))
+
+
 @pytest.fixture(scope="module")
 def recorded():
-    def fresh():
-        sched, platform, runtime, source, sink, mbs = build_decoder(n_mbs=N_MBS)
-        return DataflowSession(Debugger(sched, runtime))
-
-    session = fresh()
-    session.replay.register_builder(fresh)
+    session = _fresh()
+    session.replay.register_builder(_fresh)
     mgr = session.replay
     mgr.record_on(interval=INTERVAL)
     _run_to_exit(session.dbg)
@@ -101,13 +106,8 @@ def test_replay_to_midpoint_speed(benchmark, recorded):
 @pytest.fixture()
 def seeded():
     """A recorded run whose first sweep already parked anchor machines."""
-
-    def fresh():
-        sched, platform, runtime, source, sink, mbs = build_decoder(n_mbs=N_MBS)
-        return DataflowSession(Debugger(sched, runtime))
-
-    session = fresh()
-    session.replay.register_builder(fresh)
+    session = _fresh()
+    session.replay.register_builder(_fresh)
     mgr = session.replay
     mgr.record_on(interval=INTERVAL)
     _run_to_exit(session.dbg)
@@ -134,3 +134,51 @@ def test_replay_snapshot_hop_is_o_tail(benchmark, seeded):
         return ev
 
     benchmark(hop)
+
+
+#: tail events the 100-hop script below re-executes at the default pool
+#: (16 machines) measured 102,687 against 154,033 with 4 machines
+DEFAULT_POOL_TAIL_BOUND = 105_000
+
+
+def _hop_tails(pool_limit):
+    """Sum of ``last_restore`` tails over a fixed seeded script of 100
+    hops (every fourth a ``reverse-continue``) on the recorded decode."""
+    sched, platform, runtime, source, sink, mbs = build_decoder(n_mbs=N_MBS)
+    session = DataflowSession(Debugger(sched, runtime), stop_on_init=True)
+    session.replay.register_builder(_fresh)
+    mgr = session.replay
+    mgr.record_on()
+    session.dbg.run()
+    session.catch_iface("ipf::decoded_out")  # one dataflow stop per macroblock
+    ev = session.dbg.cont()
+    while ev.kind == StopKind.DATAFLOW:
+        ev = session.dbg.cont()
+    assert ev.kind == StopKind.EXITED
+    if pool_limit is not None:
+        mgr.set_pool_limit(pool_limit)
+    total = mgr.master.total_events
+    rng = random.Random(1)
+    tails = 0
+    for i in range(100):
+        earlier = any(
+            s.kind == StopKind.DATAFLOW.value and s.index < (mgr.position or 0)
+            for s in mgr.master.stops
+        )
+        if i % 4 == 3 and earlier:
+            mgr.reverse_continue()
+        else:
+            mgr.replay_to(f"event {rng.randint(1, total)}")
+        assert mgr.recorder.divergence is None
+        tails += mgr.last_restore[2]
+    return tails
+
+
+def test_replay_default_pool_tail_count():
+    """The default pool covers the journal: the same hops re-execute
+    fewer tail events than with 4 residents (exact counts, no clocks)."""
+    assert DEFAULT_POOL_LIMIT == 16
+    small = _hop_tails(4)
+    default = _hop_tails(None)
+    assert default < small
+    assert default <= DEFAULT_POOL_TAIL_BOUND, f"{default} tail events re-executed"

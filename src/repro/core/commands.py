@@ -82,8 +82,9 @@ def install_dataflow_commands(cli: CommandCli, session: DataflowSession) -> None
     ))
     cli.register(Command(
         "replay", handler.cmd_replay,
-        "replay to seq N|time T|event K|end — restore the nearest resident "
-        "snapshot and re-execute only the tail (time travel); "
+        "replay to seq N|time T|event K|end — start from the highest "
+        "machine at or below the target (a resident snapshot, the current "
+        "machine or a rebuild) and re-execute only the tail (time travel); "
         "replay snapshots N|off sizes the resident pool",
         completer=lambda t: [s for s in ("to", "snapshots") if s.startswith(t)],
     ))

@@ -92,10 +92,11 @@ class DbgConnection:
     link: Optional["DbgLink"] = None
     pushed: int = 0
     popped: int = 0
+    #: ``actor::iface``, built once
+    qualname: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def qualname(self) -> str:
-        return f"{self.actor.name}::{self.name}"
+    def __post_init__(self) -> None:
+        self.qualname = f"{self.actor.name}::{self.name}"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Conn {self.qualname} {self.direction}>"

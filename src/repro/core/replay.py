@@ -18,10 +18,11 @@ position is**.  The :class:`ReplayManager` keeps a bounded pool of such
 *resident snapshots*: every machine abandoned by a hop is parked (with a
 frame-level ``MachineState`` fingerprint) instead of discarded, and the
 first full-journal sweep seeds geometric anchor machines en route.
-``replay to`` / ``reverse-continue`` then restore the nearest resident at
-or below the target and re-execute only the tail — O(tail), not
-O(run length) — falling back to a fresh build from a registered
-zero-argument **builder** only when no resident is usable.  A restored
+Every ``replay to`` / ``reverse-continue`` hop follows one rule: start
+from the highest machine at or below the target — a parked resident, the
+current replayed machine, or a fresh build from a registered
+zero-argument **builder** (position 0) — and re-execute only the tail:
+O(tail), not O(run length).  A restored
 machine is validated against its park-time fingerprint before adoption,
 and the riding :class:`RunRecorder` still compares every event
 fingerprint, checkpoint digest and deep snapshot on the tail against the
@@ -71,7 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover
 _MAX_DRIVE_STOPS = 100_000
 
 #: Resident snapshots the manager keeps parked (plus whatever is current).
-DEFAULT_POOL_LIMIT = 4
+#: Machines only move forward and each restore consumes its source, so
+#: the pool must cover the journal: on a 100-hop script over a
+#: 6,594-event journal, 16 residents re-execute a third fewer tail events
+#: than 4, and 32 barely fewer than 16 (EXPERIMENTS.md).
+DEFAULT_POOL_LIMIT = 16
 
 
 class RunRecorder:
@@ -317,8 +322,6 @@ class ReplayManager:
         self.mode = "off"  # "off" | "record" | "replay"
         self.interval = DEFAULT_CHECKPOINT_INTERVAL
         self.snapshot_every = DEFAULT_SNAPSHOT_EVERY
-        #: current event position when sitting in a replayed machine
-        self.position: Optional[int] = None
         #: parked resident snapshots, unordered (bounded by pool_limit)
         self.pool: List[ResidentSnapshot] = []
         self.pool_limit = DEFAULT_POOL_LIMIT
@@ -340,6 +343,15 @@ class ReplayManager:
     @property
     def recording(self) -> bool:
         return self.recorder is not None and not self.recorder.detached
+
+    @property
+    def position(self) -> Optional[int]:
+        """The event position the current replayed machine stands at —
+        where a hop landed it, or further on if it was continued since
+        (None outside replay)."""
+        if self.mode != "replay" or not self.recording:
+            return None
+        return self.recorder.journal.total_events
 
     def notify_alteration(
         self, kind: str, conn_spec: str, value_text: Optional[str], arg_index: Optional[int]
@@ -448,21 +460,6 @@ class ReplayManager:
         while len(self.pool) > self.pool_limit:
             self._evict_one()
 
-    def _take_resident(self, target: int) -> Optional[ResidentSnapshot]:
-        """Pop the best intact resident at or below ``target`` (validating
-        each candidate's park-time fingerprint before trusting it)."""
-        while True:
-            best: Optional[ResidentSnapshot] = None
-            for res in self.pool:
-                if res.position <= target and (best is None or res.position > best.position):
-                    best = res
-            if best is None:
-                return None
-            self.pool.remove(best)
-            if best.intact():
-                return best
-            best.recorder.detach()  # perturbed while parked: discard
-
     # --------------------------------------------------------------- replay
 
     def _require_master(self) -> ReplayJournal:
@@ -504,29 +501,7 @@ class ReplayManager:
     def replay_to(self, position_text: str) -> StopEvent:
         """Time-travel to a recorded position (``seq N`` / ``time T`` /
         ``event K`` / ``end``)."""
-        target = self._resolve_position(position_text)
-        if (
-            self.mode == "replay"
-            and self.position is not None
-            and target > self.position
-            and self.recorder is not None
-            and not self.recorder.detached
-        ):
-            # forward is reachable by driving the current machine — but a
-            # parked resident even closer to the target beats that
-            nearest = max(
-                (r.position for r in self.pool if self.position < r.position <= target),
-                default=None,
-            )
-            if nearest is None:
-                start = self.position
-                self.recorder.target_index = target
-                ev = self._drive(self.session, self.recorder)
-                self.position = self.recorder.journal.total_events
-                self.last_restore = (start, target, self.position - start)
-                self._last_hop_kind = "forward"
-                return ev
-        return self._time_travel(target)
+        return self._time_travel(self._resolve_position(position_text))
 
     def reverse_continue(self) -> StopEvent:
         """Stop at the previous recorded dataflow catchpoint hit."""
@@ -542,6 +517,9 @@ class ReplayManager:
         return self._time_travel(earlier[-1].index)
 
     def _time_travel(self, target: int) -> StopEvent:
+        """One restore rule for every hop: start from the highest machine
+        at or below ``target`` — a parked resident, the current replayed
+        machine, or a fresh build (position 0) — and re-execute the tail."""
         master = self._require_master()
         if self.builder is None:
             raise ReplayError(
@@ -549,24 +527,39 @@ class ReplayManager:
                 "session.replay.register_builder(fn) with a factory that "
                 "rebuilds this program"
             )
-        resident = self._take_resident(target)
-        if resident is None and not self._seeded:
+        while True:
+            current = self._current_position(target)
+            resident = max(
+                (r for r in self.pool if r.position <= target),
+                key=lambda r: r.position,
+                default=None,
+            )
+            if resident is not None and (current is None or resident.position > current):
+                self.pool.remove(resident)
+                if resident.intact():
+                    return self._arrive(
+                        resident.session, resident.recorder, resident.position, target, "resident"
+                    )
+                resident.recorder.detach()  # perturbed while parked: discard
+                continue
+            if current is not None:
+                return self._arrive(self.session, self.recorder, current, target, "forward")
+            if self._seeded:
+                break
             # first full sweep over this master: seed geometric anchor
             # machines en route so later backward hops are O(tail)
             self._seed_anchors(target)
-            resident = self._take_resident(target)
-        if resident is not None:
-            return self._restore(resident, target)
-        new_session = self._build_fresh()
-        recorder = self._replay_recorder(new_session, master)
-        recorder.target_index = target
-        ev = self._drive(new_session, recorder)
-        self._adopt(new_session, recorder)
-        self.position = recorder.journal.total_events
-        self.mode = "replay"
-        self.last_restore = (0, target, self.position or 0)
-        self._last_hop_kind = "rebuild"
-        return ev
+        session = self._build_fresh()
+        return self._arrive(session, self._replay_recorder(session, master), 0, target, "rebuild")
+
+    def _current_position(self, target: int) -> Optional[int]:
+        """The current machine's event position if it can serve a hop to
+        ``target``: a replayed machine, recorder still attached, at or
+        below the target.  With the pool off no machine is reused."""
+        position = self.position
+        if position is None or position > target or self.pool_limit <= 0:
+            return None
+        return None if self.recorder.divergence is not None else position
 
     def _build_fresh(self) -> "DataflowSession":
         new_session = self.builder()
@@ -586,29 +579,37 @@ class ReplayManager:
             snapshot_every=self.snapshot_every,
         )
 
-    def _restore(self, resident: ResidentSnapshot, target: int) -> StopEvent:
-        """Adopt a parked machine and drive only the tail to ``target``."""
-        recorder = resident.recorder
-        session = resident.session
-        tail = target - resident.position
-        if tail > 0:
+    def _arrive(
+        self,
+        session: "DataflowSession",
+        recorder: RunRecorder,
+        source: int,
+        target: int,
+        how: str,
+    ) -> StopEvent:
+        """Drive ``session`` from event ``source`` to ``target`` and make
+        it the debugging session's machine."""
+        if target > source:
             recorder.target_index = target
             ev = self._drive(session, recorder)
         else:
-            # exact hit: adopt without driving (driving would overshoot —
-            # the recorder can only stop on the *next* event)
+            # exact hit: stop without driving (driving would overshoot —
+            # the recorder can only stop on the *next* event), reporting
+            # the landing event as a driven arrival would
+            rec = recorder.journal.record_at(target)
             ev = StopEvent(
                 StopKind.REPLAY,
-                message=f"[Replayed to event #{target}, t={resident.state.time}]",
-                time=resident.state.time,
+                message=f"[Replayed to event #{target}, t={rec.time}]",
+                actor=rec.actor or None,
+                time=session.dbg.scheduler.now,
             )
             # the adopted machine's last stop is this command's stop
             session.dbg.last_stop = ev
-        self._adopt(session, recorder)
-        self.position = recorder.journal.total_events
+        if session is not self.session:
+            self._adopt(session, recorder)
         self.mode = "replay"
-        self.last_restore = (resident.position, target, tail)
-        self._last_hop_kind = "resident"
+        self.last_restore = (source, target, recorder.journal.total_events - source)
+        self._last_hop_kind = how
         return ev
 
     def _seed_anchors(self, target: int) -> None:
@@ -678,7 +679,6 @@ class ReplayManager:
         if self.recorder is not None:
             self.master = self.recorder.journal
         self.mode = "record"
-        self.position = None
         self._clear_pool()
         self._seeded = False
         self.last_restore = None

@@ -179,6 +179,11 @@ class Watchpoint(BreakpointBase):
         self.expr_text = expr_text
         self.last: Optional[tuple] = None  # (ctype, raw) or None if unavailable
         self.primed = False
+        #: the frame a local in the expression resolved in when the
+        #: watchpoint was set (None: globals and ``pedf.data`` only); the
+        #: expression is evaluated in it, and its return deletes the
+        #: watchpoint
+        self.frame: Optional["Frame"] = None
 
     def what(self) -> str:
         return f"{self.expr_text} [{self.actor}]"

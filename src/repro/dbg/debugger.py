@@ -34,7 +34,7 @@ from .breakpoints import (
     Watchpoint,
 )
 from .eval import EvalError, Evaluator, ValueHistory, format_typed
-from .stop import StopEvent, StopKind
+from .stop import LEFT_SCOPE, StopEvent, StopKind
 
 
 @dataclass
@@ -129,7 +129,7 @@ class Debugger:
             caps |= DebugHook.CAP_STATEMENTS
         if reg.armed_count("function"):
             caps |= DebugHook.CAP_CALLS
-        if reg.armed_count("finish"):
+        if reg.armed_count("finish") or reg.armed_count("watch") or self._steps_out():
             caps |= DebugHook.CAP_RETURNS
         if (
             (self._step is not None and self._step.mode == "isi")
@@ -157,7 +157,9 @@ class Debugger:
           program's files whose actor filter admits its actor, a
           watchpoint on its actor, or a statement-mode step of its actor;
         - calls: a function breakpoint on one of its program's functions;
-        - returns: a finish breakpoint on this interpreter.
+        - returns: a finish breakpoint on this interpreter, a watchpoint
+          on a local of one of its frames, or a ``step``/``next`` of its
+          actor (which stops when the activation returns).
 
         So ``break pack.c:7`` hooks ``pack`` alone; every other actor runs
         with no statement hook."""
@@ -203,9 +205,21 @@ class Debugger:
             reg.function_bps_for(func.name) for func in functions
         ):
             mine |= DebugHook.CAP_CALLS
-        if caps & DebugHook.CAP_RETURNS and reg.finish_bps_for(interp):
+        if caps & DebugHook.CAP_RETURNS and (
+            reg.finish_bps_for(interp)
+            or (self._steps_out() and self._step.actor == qualname)
+            or (
+                qualname is not None
+                and any(wp.frame is not None for wp in reg.watchpoints_for(qualname))
+            )
+        ):
             mine |= DebugHook.CAP_RETURNS
         return mine
+
+    def _steps_out(self) -> bool:
+        """A ``step``/``next`` is active: it stops when its actor's
+        activation returns to the framework, so it needs the return hook."""
+        return self._step is not None and self._step.mode in ("step", "next")
 
     def _pre_dispatch(self, process):
         if self._pause_requested:
@@ -330,10 +344,14 @@ class Debugger:
     def _check_watchpoint(
         self, wp: Watchpoint, interp: Interpreter, actor: ActorInst, frame: Frame
     ) -> Optional[Suspend]:
+        if wp.frame is not None and not any(f is wp.frame for f in interp.frames):
+            # its frame returned while the watchpoint was disabled
+            self.breakpoints.remove(wp.id)
+            return self._left_scope(wp, actor, frame)
         try:
-            ctype, raw = self._evaluator(frame=frame, interp=interp, actor=actor).eval_text(
-                wp.expr_text
-            )
+            ctype, raw = self._evaluator(
+                frame=frame if wp.frame is None else wp.frame, interp=interp, actor=actor
+            ).eval_text(wp.expr_text)
             current = (ctype, raw)
         except EvalError:
             wp.last = None
@@ -361,6 +379,19 @@ class Debugger:
         )
         return self._suspend(ev, actor)
 
+    def _left_scope(self, wp: Watchpoint, actor: ActorInst, frame: Frame) -> Suspend:
+        """The stop reporting that ``wp`` was deleted with its frame."""
+        ev = StopEvent(
+            StopKind.WATCHPOINT,
+            message=f"{wp.frame.func.name} returned",
+            actor=actor.qualname,
+            filename=frame.filename,
+            line=frame.line,
+            bp_id=wp.id,
+            payload=LEFT_SCOPE,
+        )
+        return self._suspend(ev, actor)
+
     # --------------------------------------------------- hook: calls/returns
 
     def _on_call(self, interp: Interpreter, frame: Frame) -> Optional[Suspend]:
@@ -377,7 +408,15 @@ class Debugger:
 
     def _on_return(self, interp: Interpreter, frame: Frame, value) -> Optional[Suspend]:
         actor = self._actor_of(interp)
-        for bp in self.breakpoints.finish_bps_for(interp):
+        reg = self.breakpoints
+        # GDB: a watchpoint on a local dies with its frame (a ``finish`` of
+        # the same frame reports the return instead)
+        scoped = []
+        if actor is not None:
+            scoped = [wp for wp in reg.watchpoints_for(actor.qualname) if wp.frame is frame]
+            for wp in scoped:
+                reg.remove(wp.id)
+        for bp in reg.finish_bps_for(interp):
             if bp.frame is not frame:
                 continue
             if not bp.register_hit():
@@ -386,7 +425,7 @@ class Debugger:
             if not bp.stop(value):
                 continue
             if bp.temporary:
-                self.breakpoints.remove(bp.id)
+                reg.remove(bp.id)
             ret_text = format_value(frame.func.ret, value)
             ev = StopEvent(
                 StopKind.FINISH,
@@ -396,6 +435,23 @@ class Debugger:
                 line=frame.call_line or frame.line,
                 bp_id=bp.id,
                 payload=value,
+            )
+            return self._suspend(ev, actor)
+        if scoped:
+            return self._left_scope(scoped[0], actor, frame)
+        step = self._step
+        if (
+            frame.depth == 0
+            and self._steps_out()
+            and actor is not None
+            and step.actor == actor.qualname
+        ):
+            # the activation returns to the framework: stop the stepping
+            # actor here, before any other actor is dispatched
+            ev = StopEvent(
+                StopKind.STEP,
+                message=f"{frame.func.name} returned to the framework",
+                actor=actor.qualname,
             )
             return self._suspend(ev, actor)
         return None
@@ -600,7 +656,6 @@ class Debugger:
         else:
             actor = self.runtime.find_actor(actor).qualname
         wp = Watchpoint(expr_text, actor, **kwargs)
-        self.breakpoints.add(wp)
         # prime now: the first observed *change* (even from <unavailable>)
         # should stop, GDB-style
         wp.primed = True
@@ -608,11 +663,15 @@ class Debugger:
             actor_inst = self.runtime.find_actor(actor)
             interp = getattr(actor_inst, "interp", None)
             frame = interp.frame if interp is not None else None
-            wp.last = self._evaluator(frame=frame, interp=interp, actor=actor_inst).eval_text(
-                expr_text
-            )
+            evaluator = self._evaluator(frame=frame, interp=interp, actor=actor_inst)
+            wp.last = evaluator.eval_text(expr_text)
+            if evaluator.read_frame:
+                # a local: the watchpoint lives as long as this frame
+                wp.frame = frame
         except (EvalError, Exception):
             wp.last = None
+        # add last: arming derives the return hook from ``wp.frame``
+        self.breakpoints.add(wp)
         return wp
 
     def break_isa(self, spec: str, **kwargs) -> IsaBreakpoint:
@@ -730,10 +789,20 @@ class Debugger:
 
     def _begin_step(self, mode: str) -> StopEvent:
         actor = self.selected_actor
-        if actor is None or actor.interp is None or actor.interp.frame is None:
+        if actor is None or actor.interp is None:
             raise DebuggerError("no stopped actor frame to step from")
         frame = actor.interp.frame
-        self._step = _StepState(mode=mode, actor=actor.qualname, depth=frame.depth, line=frame.line)
+        if frame is not None:
+            self._step = _StepState(
+                mode=mode, actor=actor.qualname, depth=frame.depth, line=frame.line
+            )
+        elif mode in ("step", "next"):
+            # stopped in the framework between activations, where no line
+            # is known: run to the actor's next line, as GDB steps out of
+            # code without line information
+            self._step = _StepState(mode="step", actor=actor.qualname, depth=-1, line=0)
+        else:
+            raise DebuggerError("no stopped actor frame to step from")
         # stepping needs the statement path armed even with zero breakpoints
         self._recompute_capabilities()
         return self.cont()

@@ -85,6 +85,8 @@ class Evaluator:
         self.actor = actor  # ActorInst, for pedf.data/pedf.attribute
         self.history = history
         self.structs = structs or {}
+        #: set once an identifier resolved to a slot of ``frame``
+        self.read_frame = False
 
     # ------------------------------------------------------------ entry
 
@@ -138,6 +140,7 @@ class Evaluator:
         if self.frame is not None:
             slot = self.frame.lookup(e.name)
             if slot is not None:
+                self.read_frame = True
                 return slot.ctype, copy_raw(slot.data)
         if self.interp is not None:
             slot = self.interp.globals.get(e.name)

@@ -26,6 +26,11 @@ class StopKind(enum.Enum):
     REGISTER_WATCH = "register-watchpoint"  # a VM register changed value
 
 
+#: payload of the watchpoint stop that deletes a watchpoint on a local
+#: because its frame returned (GDB/MI's ``watchpoint-scope``)
+LEFT_SCOPE = "watchpoint-scope"
+
+
 @dataclass
 class StopEvent:
     """Carried as the ``reason`` payload of a kernel ``Suspend``."""
@@ -48,6 +53,12 @@ class StopEvent:
         who = f" [{self.actor}]" if self.actor else ""
         if self.kind == StopKind.BREAKPOINT:
             lines.append(f"Breakpoint {self.bp_id},{who}{loc}")
+        elif self.kind == StopKind.WATCHPOINT and self.payload == LEFT_SCOPE:
+            lines.append(
+                f"Watchpoint {self.bp_id} deleted because the program has left "
+                "the block in which its expression is valid."
+            )
+            lines.append(f"{self.message}{who}{loc}")
         elif self.kind == StopKind.WATCHPOINT:
             lines.append(f"Watchpoint {self.bp_id}:{who} {self.message}")
         elif self.kind == StopKind.FUNCTION_BP:
@@ -57,7 +68,10 @@ class StopEvent:
         elif self.kind == StopKind.FINISH:
             lines.append(f"Run till exit{who}: {self.message}{loc}")
         elif self.kind == StopKind.STEP:
-            lines.append(f"Step{who}{loc}")
+            # a step that ended at the activation's return has no line:
+            # its message says where it stopped
+            where = loc or (f": {self.message}" if self.message else "")
+            lines.append(f"Step{who}{where}")
         elif self.kind == StopKind.TRAP:
             lines.append(f"Program trap(){who}{loc}")
         elif self.kind == StopKind.ISA_BP:

@@ -63,6 +63,9 @@ class ActorInst:
     def __init__(self, decl, module: "ModuleInst", runtime: "PedfRuntime", resource: "ExecResource"):
         self.decl = decl
         self.module = module
+        #: ``module.actor``, built once: every journal record and span of
+        #: this actor shares this one string
+        self.qualname = f"{module.name}.{decl.name}"
         self.runtime = runtime
         self.resource = resource
         resource.occupant = self
@@ -87,10 +90,6 @@ class ActorInst:
     @property
     def name(self) -> str:
         return self.decl.name
-
-    @property
-    def qualname(self) -> str:
-        return f"{self.module.name}.{self.name}"
 
     @property
     def work_symbol(self) -> str:

@@ -95,6 +95,10 @@ class IfaceInst:
     def __init__(self, actor: "ActorInst", decl: IfaceDecl, api: FrameworkAPI, seq_alloc):
         self.actor = actor
         self.decl = decl
+        #: display name as the paper writes it, ``actor::iface``, and the
+        #: module-qualified ``module.actor::iface``, both built once
+        self.qualname = f"{actor.name}::{decl.name}"
+        self.full_qualname = f"{actor.qualname}::{decl.name}"
         self.api = api
         self._next_seq = seq_alloc  # callable returning a fresh global seq
         self.link: Optional[LinkInst] = None
@@ -112,15 +116,6 @@ class IfaceInst:
     @property
     def ctype(self) -> CType:
         return self.decl.ctype
-
-    @property
-    def qualname(self) -> str:
-        """Display name as the paper writes it: ``actor::iface``."""
-        return f"{self.actor.name}::{self.name}"
-
-    @property
-    def full_qualname(self) -> str:
-        return f"{self.actor.qualname}::{self.name}"
 
     def bind(self, link: LinkInst) -> None:
         if self.link is not None:

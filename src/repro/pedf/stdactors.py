@@ -32,6 +32,7 @@ class _HostActorBase:
 
     def __init__(self, name: str, runtime: "PedfRuntime"):
         self.name = name
+        self.qualname = f"host.{name}"
         self.runtime = runtime
         self.module = None
         self.resource = runtime.platform.host
@@ -42,10 +43,6 @@ class _HostActorBase:
         self.works_done = 0
         self.last_token_in: Optional[Token] = None
         self.last_token_out: Optional[Token] = None
-
-    @property
-    def qualname(self) -> str:
-        return f"host.{self.name}"
 
     def note_token_in(self, token: Token) -> None:
         self.last_token_in = token

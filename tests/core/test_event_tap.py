@@ -145,3 +145,23 @@ def test_all_consumers_armed_live_equals_derived(app):
         aggregate_journal(master).canonical_lines()
         == aggregate_journal(plain.replay.master).canonical_lines()
     )
+
+
+def test_records_of_one_actor_share_one_name_string():
+    """Actor names are built once: every journal record of an actor (a
+    replay resident keeps thousands) holds the same ``actor`` string
+    object, as do the actor's interfaces."""
+    session = amodule_session()
+    session.replay.record_on()
+    session.dbg.run()
+    run_to_end(session.dbg)
+    by_name = {}
+    for rec in session.replay.master.events:
+        if rec.actor:
+            assert rec.actor is by_name.setdefault(rec.actor, rec.actor)
+    actor = session.dbg.runtime.find_actor("AModule.filter_1")
+    assert by_name["AModule.filter_1"] is actor.qualname
+    iface = actor.ifaces["an_output"]
+    assert iface.qualname is iface.qualname  # built once, not per access
+    assert iface.full_qualname == "AModule.filter_1::an_output"
+    assert session.model.find_connection("filter_1::an_output").qualname == "filter_1::an_output"

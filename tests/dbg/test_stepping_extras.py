@@ -20,8 +20,9 @@ def test_step_sequence_through_whole_work_method():
 
 
 def test_step_over_work_boundary_continues_to_next_invocation():
-    """Stepping past the last statement of work() lands in the next
-    invocation (or another stop), never crashes."""
+    """Stepping past the last statement of work() stops when the
+    activation returns to the framework (tests/dbg/test_frame_exit.py
+    pins where), never crashes."""
     dbg, *_ = make_session([1, 2])
     dbg.break_source("the_source.c:7", temporary=True, actor="AModule.filter_1")
     dbg.run()

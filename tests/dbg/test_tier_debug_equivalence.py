@@ -32,15 +32,15 @@ SCRIPTS = {
         "break ExpandFilter_work_function", "continue", "info locals", "bt", "delete 1",
         "break pack.c:24 if count == 3", "continue", "info locals", "print idx", "print next", "bt",
         "step", "next", "next", "info locals",
-        "watch count", "continue", "continue", "delete 2", "delete 3",
-        "finish", "continue",
+        "watch count", "continue", "delete 2",
+        "break pack.c:30", "continue", "delete 4", "finish", "continue",
     ],
     "h264": [
         "run",
         "break McFilter_work_function", "continue", "info locals", "bt", "delete 1",
         "break bh.c:14 if i == 2", "continue", "info locals", "print sum", "print i", "bt",
         "step", "next", "next", "info locals",
-        "watch sum", "continue", "continue", "delete 2", "delete 3",
+        "watch sum", "continue", "continue", "delete 2",
         "finish", "info locals", "continue",
     ],
     # AModule with a helper call in filter_1: parameters, a conditional
@@ -51,7 +51,7 @@ SCRIPTS = {
         "finish", "delete 1",
         "break the_source.c:10 if v == 3", "continue", "step", "bt", "next", "info locals",
         "finish", "next", "print r",
-        "watch r", "continue", "delete 2", "delete 3", "continue",
+        "watch r", "continue", "delete 2", "continue",
     ],
 }
 
