@@ -21,7 +21,6 @@ import pytest
 
 from repro.apps.h264.app import build_decoder
 from repro.core import DataflowSession
-from repro.core.replay import DEFAULT_POOL_LIMIT
 from repro.dbg import Debugger, StopKind
 
 N_MBS = 40
@@ -177,7 +176,6 @@ def _hop_tails(pool_limit):
 def test_replay_default_pool_tail_count():
     """The default pool covers the journal: the same hops re-execute
     fewer tail events than with 4 residents (exact counts, no clocks)."""
-    assert DEFAULT_POOL_LIMIT == 16
     small = _hop_tails(4)
     default = _hop_tails(None)
     assert default < small

@@ -103,6 +103,8 @@ class RunRecorder:
         self.target_index: Optional[int] = None
         #: REPLAY StopEvent built when the target was reached
         self.landed: Optional[StopEvent] = None
+        #: the newest journaled event (its record, at total_events)
+        self.last_event: Optional[EventRecord] = None
         self.divergence: Optional[str] = None
         self.events_compared = 0
         self.checkpoints_verified = 0
@@ -127,10 +129,9 @@ class RunRecorder:
         """Journal one normalised event (called first by the session's
         event tap); returns its position and any Suspend requested."""
         journal = self.journal
-        index = journal.add_event(ev)
-        if retval is not None and ev.symbol == SYM_PUSH and ev.phase == "exit":
-            journal.note_event_value(index, stable_value_text(retval.value))
-
+        index = journal.total_events + 1
+        self.last_event = ev
+        expected = None
         ref = self.reference
         if ref is not None and self.divergence is None and index <= ref.total_events:
             if index != self._cursor_next:
@@ -139,17 +140,23 @@ class RunRecorder:
                 self._cursor = ref.cursor(index)
             self._cursor_next = index + 1
             expected = next(self._cursor)
-            if ev != expected:
-                # the whole record: time, phase, symbol, actor, seq, link
-                # and target must all match the recorded event
-                self.divergence = (
-                    f"replay diverged at event #{index}: recorded "
-                    f"{expected.describe()}, replayed {ev.describe()}"
-                )
-                stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=ev.time)
-                return index, self.dbg.external_suspend(stop)
-            else:
-                self.events_compared += 1
+        # the whole record — time, phase, symbol, actor, seq, link and
+        # target — must match the recorded event; a journal built on the
+        # reference keeps no copy of a verified one (nor of its payload)
+        verified = expected is not None and ev == expected
+        if not (verified and ref is journal.base and journal.share_event()):
+            journal.add_event(ev)
+            if retval is not None and ev.symbol == SYM_PUSH and ev.phase == "exit":
+                journal.note_event_value(index, stable_value_text(retval.value))
+        if verified:
+            self.events_compared += 1
+        elif expected is not None:
+            self.divergence = (
+                f"replay diverged at event #{index}: recorded "
+                f"{expected.describe()}, replayed {ev.describe()}"
+            )
+            stop = StopEvent(StopKind.REPLAY, message=self.divergence, time=ev.time)
+            return index, self.dbg.external_suspend(stop)
 
         # re-apply journaled alterations at their recorded positions, before
         # execution proceeds past this event (a deadlock-untying insert must
@@ -173,7 +180,6 @@ class RunRecorder:
         if count % self.interval:
             return
         cp = self._take_checkpoint(count)
-        self.journal.add_checkpoint(cp)
         ref = self.reference
         if ref is not None and self.divergence is None:
             expected = ref.checkpoint_at_dispatch(count)
@@ -185,6 +191,8 @@ class RunRecorder:
                     )
                 else:
                     self.checkpoints_verified += 1
+                    cp = expected  # one copy of a verified digest
+        self.journal.add_checkpoint(cp)
         if self.snapshot_every and (count // self.interval) % self.snapshot_every == 0:
             self._take_snapshot(count)
 
@@ -192,7 +200,6 @@ class RunRecorder:
         # journal-recorded snapshots must stay tier-invariant (journals are
         # compared across interpreter tiers), so no interpreter frames here
         state = capture_machine_state(self.dbg.scheduler, self.dbg.runtime)
-        self.journal.add_state_snapshot(count, state)
         ref = self.reference
         if ref is not None and self.divergence is None:
             expected = ref.state_snapshot_at(count)
@@ -204,6 +211,8 @@ class RunRecorder:
                     )
                 else:
                     self.snapshots_verified += 1
+                    state = expected
+        self.journal.add_state_snapshot(count, state)
 
     def _take_checkpoint(self, dispatch: int) -> Checkpoint:
         runtime = self.dbg.runtime
@@ -300,6 +309,13 @@ class ResidentSnapshot:
     session: "DataflowSession"
     recorder: RunRecorder
     state: MachineState  # park-time fingerprint (with interpreter frames)
+    #: still where a hop landed it; a machine stepped on since is past
+    #: its position's landing state, so it serves only later targets
+    landed: bool = True
+
+    def serves(self, target: int) -> bool:
+        """True if a hop to ``target`` may start from this machine."""
+        return self.position < target or (self.position == target and self.landed)
 
     def intact(self) -> bool:
         """True if the parked machine still matches its park-time state."""
@@ -330,6 +346,9 @@ class ReplayManager:
         self.last_restore: Optional[Tuple[int, int, int]] = None
         #: how the last hop got there: "resident" | "forward" | "rebuild"
         self._last_hop_kind: Optional[str] = None
+        #: the current machine's state where the last hop landed it; an
+        #: exact hit may reuse the machine only while it still matches
+        self._landing: Optional[MachineState] = None
         self._seeded = False
 
     # ------------------------------------------------------------- plumbing
@@ -443,20 +462,30 @@ class ReplayManager:
         victim.recorder.detach()
         self.pool.remove(victim)
 
-    def _park(self, session: "DataflowSession", recorder: RunRecorder) -> None:
-        """Park an abandoned replayed machine as a resident snapshot."""
+    def _park(
+        self,
+        session: "DataflowSession",
+        recorder: RunRecorder,
+        landing: Optional[MachineState] = None,
+    ) -> None:
+        """Park an abandoned replayed machine as a resident snapshot;
+        ``landing`` is the state a hop left it in, if it may have run
+        since."""
         if self.pool_limit <= 0 or recorder.detached or recorder.divergence is not None:
             recorder.detach()
             return
-        dbg = session.dbg
-        state = capture_machine_state(dbg.scheduler, dbg.runtime, include_frames=True)
+        state = self._machine_state(session)
+        landed = landing is None or state == landing
         position = recorder.journal.total_events
-        # one resident per position is plenty
+        # one resident per position is plenty; a landed one serves more
         for res in list(self.pool):
             if res.position == position:
+                if res.landed and not landed:
+                    recorder.detach()
+                    return
                 res.recorder.detach()
                 self.pool.remove(res)
-        self.pool.append(ResidentSnapshot(position, session, recorder, state))
+        self.pool.append(ResidentSnapshot(position, session, recorder, state, landed))
         while len(self.pool) > self.pool_limit:
             self._evict_one()
 
@@ -530,7 +559,7 @@ class ReplayManager:
         while True:
             current = self._current_position(target)
             resident = max(
-                (r for r in self.pool if r.position <= target),
+                (r for r in self.pool if r.serves(target)),
                 key=lambda r: r.position,
                 default=None,
             )
@@ -555,11 +584,20 @@ class ReplayManager:
     def _current_position(self, target: int) -> Optional[int]:
         """The current machine's event position if it can serve a hop to
         ``target``: a replayed machine, recorder still attached, at or
-        below the target.  With the pool off no machine is reused."""
+        below the target.  For an exact hit it must also still stand
+        where it landed — ``step``/``next``/``finish`` move a machine
+        without moving its event position."""
         position = self.position
-        if position is None or position > target or self.pool_limit <= 0:
+        if position is None or position > target or self.recorder.divergence is not None:
             return None
-        return None if self.recorder.divergence is not None else position
+        if position == target and self._landing != self._machine_state(self.session):
+            return None
+        return position
+
+    @staticmethod
+    def _machine_state(session: "DataflowSession") -> MachineState:
+        dbg = session.dbg
+        return capture_machine_state(dbg.scheduler, dbg.runtime, include_frames=True)
 
     def _build_fresh(self) -> "DataflowSession":
         new_session = self.builder()
@@ -572,7 +610,7 @@ class ReplayManager:
     ) -> RunRecorder:
         return RunRecorder(
             session,
-            ReplayJournal(),
+            ReplayJournal(base=master),
             self.interval,
             reference=master,
             alterations=master.alterations,
@@ -596,7 +634,7 @@ class ReplayManager:
             # exact hit: stop without driving (driving would overshoot —
             # the recorder can only stop on the *next* event), reporting
             # the landing event as a driven arrival would
-            rec = recorder.journal.record_at(target)
+            rec = recorder.last_event
             ev = StopEvent(
                 StopKind.REPLAY,
                 message=f"[Replayed to event #{target}, t={rec.time}]",
@@ -607,6 +645,7 @@ class ReplayManager:
             session.dbg.last_stop = ev
         if session is not self.session:
             self._adopt(session, recorder)
+        self._landing = self._machine_state(session)
         self.mode = "replay"
         self.last_restore = (source, target, recorder.journal.total_events - source)
         self._last_hop_kind = how
@@ -658,7 +697,7 @@ class ReplayManager:
             if old_rec.journal is self.master:
                 old_rec.detach()
             else:
-                self._park(old, old_rec)
+                self._park(old, old_rec, self._landing)
         cli = getattr(old, "cli", None)
         if cli is not None:
             cli.rebind_debugger(new_session.dbg)

@@ -73,6 +73,13 @@ class _InterpHook(DebugHook):
         return self.dbg._capabilities_for(interp)
 
 
+def _is_live(frame: Frame, interp: Interpreter) -> bool:
+    """True while ``frame`` is on ``interp``'s stack — O(1): a frame sits
+    at index ``depth`` of the stack for as long as it is live."""
+    frames = interp.frames
+    return frame.depth < len(frames) and frames[frame.depth] is frame
+
+
 class Debugger:
     """Interactive debugger attached to one PEDF runtime."""
 
@@ -344,7 +351,7 @@ class Debugger:
     def _check_watchpoint(
         self, wp: Watchpoint, interp: Interpreter, actor: ActorInst, frame: Frame
     ) -> Optional[Suspend]:
-        if wp.frame is not None and not any(f is wp.frame for f in interp.frames):
+        if wp.frame is not None and not _is_live(wp.frame, interp):
             # its frame returned while the watchpoint was disabled
             self.breakpoints.remove(wp.id)
             return self._left_scope(wp, actor, frame)

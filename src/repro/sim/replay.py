@@ -45,11 +45,16 @@ in-memory window and rotates older records — with their
 ``event_values`` entries — into compressed on-disk :mod:`segments
 <repro.sim.segments>`; every query and the streaming
 :meth:`ReplayJournal.iter_indexed` fall back to segments transparently,
-so memory stays bounded on unbounded runs.
+so memory stays bounded on unbounded runs.  The journal of a replay
+stores no event its self-check verified: its verified prefix is the
+``base`` journal's (see :meth:`ReplayJournal.share_event`), so a
+replayed machine's journal holds only what its run added past the
+recording.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
@@ -112,9 +117,14 @@ class ReplayJournal:
         self,
         segment_dir: Optional[str] = None,
         window: int = DEFAULT_SEGMENT_WINDOW,
+        base: Optional["ReplayJournal"] = None,
     ):
-        #: the in-memory event log, oldest first: positions 1..len, or the
-        #: newest window when rotating into segments
+        #: the journal a replay of it verifies against: positions
+        #: 1..shared are its records, stored there only
+        self.base = base
+        self.shared = 0
+        #: the in-memory event log, oldest first: positions shared+1..len,
+        #: or the newest window when rotating into segments
         self.events: Deque[EventRecord] = deque()
         self.segments: Optional[SegmentStore] = (
             SegmentStore(segment_dir) if segment_dir is not None else None
@@ -139,6 +149,9 @@ class ReplayJournal:
         self._snapshot_order: List[int] = []
         self._total = 0
         self._cp_by_dispatch: Dict[int, Checkpoint] = {}
+        #: (total_events, (position, seq) of every production) — the
+        #: token stream, kept while the journal does not grow
+        self._seqs: Optional[Tuple[int, List[Tuple[int, int]]]] = None
 
     # ------------------------------------------------------------ recording
 
@@ -146,6 +159,16 @@ class ReplayJournal:
     def total_events(self) -> int:
         """Lifetime event count (positions run 1..total_events)."""
         return self._total
+
+    def share_event(self) -> bool:
+        """Count the next position as ``base``'s record there — the caller
+        verified its event equal to it — if every earlier position is
+        shared too; False, counting nothing, otherwise."""
+        if self.base is None or self.shared != self._total:
+            return False
+        self._total += 1
+        self.shared += 1
+        return True
 
     def add_event(self, ev: EventRecord) -> int:
         """Append one framework event; returns its 1-based position."""
@@ -201,6 +224,8 @@ class ReplayJournal:
         to on-disk segments when the journal rotates."""
         if not 1 <= index <= self._total:
             return None
+        if index <= self.shared:
+            return self.base.record_at(index)
         offset = index - self._stored_base() - 1
         if offset >= 0:
             return self.events[offset]
@@ -220,6 +245,13 @@ class ReplayJournal:
         (never a held deque iterator), so the cursor stays correct when
         the journal grows or rotates between reads."""
         index = start
+        if 1 <= index <= self.shared:
+            shared = self.shared
+            for rec in self.base.cursor(index):
+                yield rec
+                index += 1
+                if index > shared:
+                    break
         segments = self.segments
         while True:
             if segments is not None and 1 <= index <= self._total - len(self.events):
@@ -234,7 +266,10 @@ class ReplayJournal:
             index += 1
 
     def value_for_event(self, index: int) -> Optional[str]:
-        """``event_values`` lookup that falls back to segments."""
+        """``event_values`` lookup that falls back to segments (and to
+        ``base`` on the shared prefix)."""
+        if 1 <= index <= self.shared:
+            return self.base.value_for_event(index)
         value = self.event_values.get(index)
         if value is None and self.segments is not None:
             seg = self.segments.segment_for(index)
@@ -256,25 +291,53 @@ class ReplayJournal:
         return best
 
     def iter_indexed(self) -> Iterator[Tuple[int, EventRecord]]:
-        """Stream ``(position, record)`` over the whole run — on-disk
-        segments first (one resident at a time), then the
-        in-memory window — without materialising the whole journal."""
+        """Stream ``(position, record)`` over the whole run — the shared
+        prefix from ``base``, on-disk segments (one resident at a time),
+        then the in-memory window — without materialising the whole
+        journal."""
+        if self.shared:
+            for pos, rec in self.base.iter_indexed():
+                if pos > self.shared:
+                    break
+                yield pos, rec
+        yield from self._iter_own()
+
+    def _iter_own(self) -> Iterator[Tuple[int, EventRecord]]:
+        """``iter_indexed`` past the shared prefix."""
         if self.segments is not None:
             yield from self.segments.iter_records()
         base = self._stored_base()
         for offset, rec in enumerate(self.events):
             yield base + offset + 1, rec
 
-    def _productions(self) -> Iterator[Tuple[int, EventRecord]]:
-        """``iter_indexed`` restricted to token productions (push exits)."""
-        for pos, rec in self.iter_indexed():
+    def _productions(self, records=None) -> Iterator[Tuple[int, EventRecord]]:
+        """Token productions (push exits) among ``records`` (default:
+        ``iter_indexed``)."""
+        for pos, rec in self.iter_indexed() if records is None else records:
             if rec.seq is not None and rec.symbol == _PUSH_SYMBOL and rec.phase == "exit":
                 yield pos, rec
+
+    def _production_seqs(self) -> List[Tuple[int, int]]:
+        """``(position, seq)`` of every production, oldest first; the
+        shared prefix comes from ``base``'s list, so a replay's journal
+        reads no segment of its base."""
+        if self._seqs is not None and self._seqs[0] == self._total:
+            return self._seqs[1]
+        seqs: List[Tuple[int, int]] = []
+        if self.shared:
+            prefix = self.base._production_seqs()
+            seqs = prefix[: bisect_right(prefix, (self.shared, float("inf")))]
+        seqs.extend((pos, rec.seq) for pos, rec in self._productions(self._iter_own()))
+        if self.base is None:
+            # a replay's list is rebuilt per call: kept, it would grow
+            # with every parked machine's position
+            self._seqs = (self._total, seqs)
+        return seqs
 
     def token_stream(self) -> List[int]:
         """Global seq numbers of every recorded token production, in
         order — the run's determinism fingerprint."""
-        return [rec.seq for _, rec in self._productions()]
+        return [seq for _, seq in self._production_seqs()]
 
     def link_value_streams(self) -> Dict[str, List[str]]:
         """Per-link ordered token payload streams (canonical texts).
@@ -299,8 +362,8 @@ class ReplayJournal:
     def index_for_seq(self, seq: int) -> Optional[int]:
         """Event position at which token ``seq`` was produced, or None if
         no such token was recorded."""
-        for i, rec in self._productions():
-            if rec.seq == seq:
+        for i, produced in self._production_seqs():
+            if produced == seq:
                 return i
         return None
 

@@ -7,6 +7,7 @@ dataflow stop, alteration re-application, timeline forks, and the CLI
 surface (`record` / `replay` / `info replay`).
 """
 
+import itertools
 import pickle
 import zlib
 
@@ -341,6 +342,40 @@ def test_new_alteration_in_replayed_past_forks_timeline():
     before = mgr.master.total_events
     run_to_exit(mgr.session.dbg)
     assert mgr.master.total_events > before
+
+
+def test_forked_timeline_reads_its_prefix_from_the_old_master():
+    """A replay's journal stores none of the events its self-check
+    verified; forked, it is a whole timeline all the same — its verified
+    prefix read from the old master — and time travel works over it."""
+    session, cli, dbg, *_ = make_session(
+        [5, 6, 7], stop_on_init=True, register_builder=True
+    )
+    mgr = session.replay
+    mgr.record_on()
+    run_to_exit(dbg)
+    old_master = mgr.master
+    k = old_master.total_events // 2
+    mgr.replay_to(f"event {k}")
+    journal = mgr.recorder.journal
+    assert (journal.base, journal.shared, len(journal.events)) == (old_master, k, 0)
+
+    mgr.session.alter.insert("stim::out", "99")
+    run_to_exit(mgr.session.dbg)
+    forked = mgr.master
+    assert forked is journal
+    records = list(forked.iter_indexed())
+    assert [p for p, _ in records] == list(range(1, forked.total_events + 1))
+    assert records[:k] == list(old_master.iter_indexed())[:k]
+    assert [forked.record_at(p) for p, _ in records] == [r for _, r in records]
+    assert list(itertools.islice(forked.cursor(1), len(records))) == [r for _, r in records]
+    stream = forked.token_stream()
+    assert stream[: len(old_master.token_stream())] != old_master.token_stream()
+
+    mgr.replay_to(f"event {forked.total_events - 1}")
+    assert mgr.recorder.divergence is None
+    assert mgr.recorder.journal.shared == forked.total_events - 1
+    assert mgr.recorder.journal.token_stream() == stream[: len(mgr.recorder.journal.token_stream())]
 
 
 # ------------------------------------------------------------------ CLI layer

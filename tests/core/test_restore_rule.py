@@ -3,10 +3,10 @@
 Every ``replay to`` / ``reverse-continue`` hop starts from the highest
 machine at or below its target — a parked resident, the current
 replayed machine, or a fresh build — and re-executes the tail.  The same
-seeded hop script must therefore give the same landings, stop messages,
-replayed token streams and machine states whether the resident pool is
-off, small or at its default size; only ``last_restore`` (the cost) may
-differ.
+seeded hop script must therefore give, whether the resident pool is off,
+small or at its default size, the landings, stop messages, replayed
+token streams and machine states a fresh build driven to each target
+gives; only ``last_restore`` (the cost) may differ.
 """
 
 import random
@@ -17,7 +17,7 @@ from repro.apps.amodule import build_demo
 from repro.apps.h264 import build_decoder
 from repro.apps.rle import build_rle_pipeline
 from repro.core import DataflowSession
-from repro.core.replay import DEFAULT_POOL_LIMIT
+from repro.core.replay import ReplayManager
 from repro.dbg import Debugger, StopKind
 from repro.sim.snapshot import capture_machine_state
 
@@ -57,12 +57,15 @@ def record(app):
 def hop_script(mgr, seed=7, hops=24):
     """Seeded ``("to", K)`` / ``("rc", None)`` hops; every fifth repeats
     the previous ``replay to`` target (an exact hit on the current
-    machine)."""
+    machine), every other such repeat after a ``next`` has moved the
+    machine past its landing."""
     rng = random.Random(seed)
     total = mgr.master.total_events
     script, last = [], None
     for i in range(hops):
         if i % 5 == 4 and last is not None:
+            if i % 10 == 9:
+                script.append(("next", None))
             script.append(("to", last))
         elif i % 3 == 2:
             script.append(("rc", None))
@@ -72,14 +75,55 @@ def hop_script(mgr, seed=7, hops=24):
     return script
 
 
+def landing(mgr, ev):
+    """What a hop observably did: where it landed, its stop, the replayed
+    token stream and the machine state there."""
+    dbg = mgr.session.dbg
+    assert mgr.recorder.divergence is None
+    return (
+        mgr.position,
+        ev.kind,
+        ev.describe(),
+        mgr.recorder.journal.token_stream(),
+        capture_machine_state(dbg.scheduler, dbg.runtime, include_frames=True),
+    )
+
+
+def step_off_landing(mgr):
+    """``next`` in the actor the current machine landed in, if it runs
+    C code there; returns whether the machine moved."""
+    dbg = mgr.session.dbg
+    name = dbg.last_stop.actor
+    interp = getattr(dbg.select_actor(name), "interp", None) if name else None
+    if interp is None or interp.frame is None:
+        return False
+    dbg.next_()
+    return True
+
+
+def fresh_landing(mgr, target):
+    """The landing at ``target`` of a new manager over the same journal,
+    pool off: a fresh build driven from the start."""
+    ref = ReplayManager(mgr.builder())
+    ref.register_builder(mgr.builder)
+    ref.master = mgr.master
+    ref.set_pool_limit(0)
+    ev = ref.replay_to(f"event {target}")
+    assert ref.last_restore == (0, target, target)
+    return landing(ref, ev)
+
+
 def walk(app, pool):
-    """Run the hop script at pool size ``pool``; returns what each hop
-    observably did and the total re-executed tail."""
+    """Run the hop script at pool size ``pool``; returns each hop's
+    landing, each target's fresh landing and the total re-executed tail."""
     mgr = record(app)
     if pool is not None:
         mgr.set_pool_limit(pool)
-    landings, tails = [], 0
+    landings, fresh, tails = [], [], 0
     for op, target in hop_script(mgr):
+        if op == "next":
+            step_off_landing(mgr)
+            continue
         if op == "rc":
             earlier = [
                 s for s in mgr.master.stops
@@ -90,36 +134,45 @@ def walk(app, pool):
             ev = mgr.reverse_continue()
         else:
             ev = mgr.replay_to(f"event {target}")
-        rec = mgr.recorder
-        dbg = mgr.session.dbg
-        assert rec.divergence is None
-        landings.append((
-            op,
-            mgr.position,
-            ev.kind,
-            ev.describe(),
-            rec.journal.token_stream(),
-            capture_machine_state(dbg.scheduler, dbg.runtime, include_frames=True),
-        ))
+        landings.append(landing(mgr, ev))
+        fresh.append(fresh_landing(mgr, mgr.position))
         tails += mgr.last_restore[2]
-    return landings, tails
+    return landings, fresh, tails
 
 
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_restore_source_is_invisible(app):
-    off, off_tails = walk(app, 0)
-    small, small_tails = walk(app, 4)
-    default, default_tails = walk(app, None)
-    assert len(off) > 10
-    assert small == off
-    assert default == off
-    # only the cost differs: reuse never re-executes more than rebuilds
-    assert default_tails <= small_tails < off_tails
+    tails = {}
+    for pool in (0, 4, None):
+        landings, fresh, tails[pool] = walk(app, pool)
+        assert len(landings) > 10
+        assert landings == fresh
+    # only the cost differs: more residents never re-execute more
+    assert tails[None] <= tails[4] < tails[0]
 
 
-def test_default_pool_is_sixteen():
-    mgr = record("rle")
-    assert mgr.pool_limit == DEFAULT_POOL_LIMIT == 16
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_replay_to_after_next_lands_where_a_fresh_build_does(app):
+    """``replay to K``, ``next``, ``replay to K``: the machine moved off
+    its landing without moving its event position, so the second hop
+    must not take it — current or parked — as an exact hit."""
+    mgr = record(app)
+    target = mgr.master.total_events // 2
+    while True:  # a landing in C code whose next line makes no API call
+        mgr.replay_to(f"event {target}")
+        if step_off_landing(mgr) and mgr.position == target:
+            break
+        target += 1
+    again = mgr.replay_to(f"event {target}")
+    assert mgr.last_restore[0] < target
+    assert landing(mgr, again) == fresh_landing(mgr, target)
+    # parked after a next, the machine is no exact hit either
+    assert step_off_landing(mgr) and mgr.position == target
+    mgr.replay_to(f"event {target - 1}")
+    assert [r.landed for r in mgr.pool if r.position == target] == [False]
+    again = mgr.replay_to(f"event {target}")
+    assert mgr.last_restore[0] < target
+    assert landing(mgr, again) == fresh_landing(mgr, target)
 
 
 def test_second_replay_to_the_same_event_reexecutes_nothing():
@@ -168,16 +221,20 @@ def test_current_machine_serves_hops_from_where_it_really_stands():
     assert mgr.recorder.divergence is None
 
 
-def test_pool_off_rebuilds_every_hop():
-    """``replay snapshots off``: no machine is reused, not even the
-    current one (every hop re-executes from the start)."""
+def test_pool_off_parks_nothing():
+    """``replay snapshots off``: a hop behind the current machine rebuilds,
+    and the abandoned machine is not parked; the current machine still
+    serves hops ahead of it and exact hits."""
     mgr = record("rle")
     mgr.set_pool_limit(0)
     mgr.replay_to("event 300")
     mgr.replay_to("event 400")
-    assert mgr.last_restore == (0, 400, 400)
+    assert mgr.last_restore == (300, 400, 100)
     mgr.replay_to("event 400")
-    assert mgr.last_restore == (0, 400, 400)
+    assert mgr.last_restore == (400, 400, 0)
+    mgr.replay_to("event 350")
+    assert mgr.last_restore == (0, 350, 350)
+    assert mgr.pool == []
 
 
 def test_reverse_continue_starts_from_where_the_machine_stands():

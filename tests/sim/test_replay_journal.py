@@ -1,6 +1,10 @@
 """Unit tests of the replay journal substrate (event log, checkpoints,
 position queries) independent of the debugger driver."""
 
+import itertools
+
+import pytest
+
 from repro.sim.replay import Checkpoint, ReplayJournal
 from repro.sim.trace import EventRecord
 
@@ -67,3 +71,40 @@ def test_nearest_checkpoint_and_dispatch_lookup():
     assert j.checkpoint_at_dispatch(128) is cp2
     assert j.checkpoint_at_dispatch(100) is None
     assert "dispatch 64" in cp1.describe()
+
+
+@pytest.mark.parametrize("segmented", [False, True])
+def test_shared_prefix_reads_through_to_the_base(segmented, tmp_path):
+    """A journal sharing its first positions with a base answers every
+    query as a plain journal holding the same records does."""
+    base = ReplayJournal(segment_dir=str(tmp_path) if segmented else None, window=4)
+    fill(base, 20)
+    for pos in range(1, 21, 2):
+        base.note_event_value(pos, f"v{pos}")
+    mine = ReplayJournal(base=base)
+    plain = ReplayJournal()
+    for pos in range(1, 13):
+        assert mine.share_event()
+        plain.add_event(base.record_at(pos))
+        if pos % 2:
+            plain.note_event_value(pos, f"v{pos}")
+    fill(mine, 6, t0=50)
+    assert not mine.share_event()  # a stored event ends the shared prefix
+    fill(plain, 6, t0=50)
+    assert (mine.total_events, mine.shared, len(mine.events)) == (18, 12, 6)
+    assert list(mine.iter_indexed()) == list(plain.iter_indexed())
+    for start in (0, 1, 7, 12, 13, 18, 19):
+        assert list(itertools.islice(mine.cursor(start), 8)) == [
+            plain.record_at(i) for i in range(start, start + 8)
+        ]
+    assert [mine.value_for_event(i) for i in range(20)] == [
+        plain.value_for_event(i) for i in range(20)
+    ]
+    assert mine.token_stream() == plain.token_stream()
+    assert mine.index_for_seq(6) == plain.index_for_seq(6) == 11
+    assert mine.index_for_time(51) == plain.index_for_time(51) == 14
+    assert mine.link_value_streams() == plain.link_value_streams()
+
+
+def test_share_event_needs_a_base():
+    assert not ReplayJournal().share_event()
