@@ -578,106 +578,3 @@ def test_event_bus_no_listeners(benchmark):
         return bus.emitted
 
     assert benchmark(run) >= 1000
-
-
-#: the sharded-backend CI bar: on the 1000-actor synthetic graph, the
-#: busiest 2-shard worker must carry at most 1/1.5 of the single-kernel
-#: CPU time (measured ~1.9x; recorded conservatively).  The metric is
-#: the *critical path* — max per-worker CPU seconds — i.e. the wall
-#: speedup a machine with one idle core per shard realises; wall clock
-#: itself would demand CI cores the runners don't guarantee
-SHARD_SPEEDUP_MARGIN = 1.5
-
-_SHARD_VALUES = [3, 1, 4, 1, 5, 9, 2, 6]
-#: LCG rounds per filter firing: enough interpreter compute per dispatch
-#: that the (perfectly parallel) filter work dominates coordination
-_SHARD_WORK_ITERS = 40
-
-
-def _synthetic_single_run():
-    """One single-kernel run of the 1000-actor synthetic graph; returns
-    (cpu_seconds_of_run_phase, canonical fingerprint)."""
-    import time
-
-    from repro.apps.synthetic import build_synthetic_pipeline, lcg_reference
-    from repro.core import DataflowSession
-    from repro.dbg import Debugger, StopKind
-    from repro.sim.sharding import PushStreamRecorder, fingerprint_streams
-
-    sched, runtime, sinks = build_synthetic_pipeline(
-        _SHARD_VALUES, work_iters=_SHARD_WORK_ITERS
-    )
-    session = DataflowSession(Debugger(sched, runtime))
-    rec = PushStreamRecorder(runtime)
-    t0 = time.process_time()
-    ev = session.dbg.run()
-    while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
-        ev = session.dbg.cont()
-    cpu = time.process_time() - t0
-    assert ev.kind == StopKind.EXITED
-    golden = lcg_reference(_SHARD_VALUES, 25 * 9, _SHARD_WORK_ITERS)
-    for sink in sinks:
-        assert [t.value for t in sink.received] == golden
-    return cpu, fingerprint_streams(dict(rec.streams))
-
-
-def _synthetic_pool_run(n_shards):
-    """One process-pool run of the same graph; returns the finished
-    :class:`~repro.sim.sharding.ProcPoolRun` (busy times, fingerprint)."""
-    from repro.apps.synthetic import (
-        build_synthetic_pipeline,
-        build_synthetic_program,
-        lcg_reference,
-        synthetic_hosts,
-    )
-    from repro.core import DataflowSession
-    from repro.dbg import Debugger
-    from repro.sim.sharding import ProcPoolRun, partition_program
-
-    program = build_synthetic_program(
-        steps=len(_SHARD_VALUES), work_iters=_SHARD_WORK_ITERS
-    )
-    plan = partition_program(program, n_shards, hosts=synthetic_hosts())
-
-    def builder(ctx):
-        sched, runtime, _ = build_synthetic_pipeline(
-            _SHARD_VALUES, work_iters=_SHARD_WORK_ITERS, shard=ctx
-        )
-        return DataflowSession(Debugger(sched, runtime))
-
-    pool = ProcPoolRun(plan, builder)
-    outcome = pool.run()
-    assert outcome == "exited"
-    golden = lcg_reference(_SHARD_VALUES, 25 * 9, _SHARD_WORK_ITERS)
-    for c in range(4):
-        assert pool.sinks[f"snk{c}"] == golden
-    return pool
-
-
-@pytest.mark.parametrize("mode", ["single", "sharded-x2", "sharded-x4"])
-def test_sharded_throughput_row(benchmark, mode):
-    """Perf-trajectory rows (end-to-end wall, build included): the
-    1000-actor synthetic graph single-kernel vs process-pool sharded.
-    One round each — these are multi-second integration runs, recorded
-    for the BENCH json rather than statistically resolved."""
-    if mode == "single":
-        run = lambda: _synthetic_single_run()[0]  # noqa: E731
-    else:
-        n = int(mode.rsplit("x", 1)[-1])
-        run = lambda: max(_synthetic_pool_run(n).busy_times.values())  # noqa: E731
-    assert benchmark.pedantic(run, rounds=1, iterations=1) > 0
-
-
-def test_sharded_speedup_margin():
-    """The acceptance gate (runs under ``--benchmark-disable`` too): the
-    2-shard process-pool run beats the single kernel by the recorded
-    margin on the critical path, with a byte-identical fingerprint."""
-    single_cpu, fp_single = _synthetic_single_run()
-    pool = _synthetic_pool_run(2)
-    assert pool.fingerprint() == fp_single, "sharded fingerprint diverged"
-    critical = max(pool.busy_times.values())
-    assert single_cpu >= SHARD_SPEEDUP_MARGIN * critical, (
-        f"sharded critical-path speedup {single_cpu / critical:.2f}x below "
-        f"the recorded {SHARD_SPEEDUP_MARGIN}x margin "
-        f"(single {single_cpu:.2f}s CPU, busiest shard {critical:.2f}s CPU)"
-    )

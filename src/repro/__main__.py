@@ -23,12 +23,6 @@ from . import build_debug_session
 from .errors import ReproError
 
 
-def _apply_tier(session, tier: str) -> None:
-    from .serve.builders import apply_tier
-
-    apply_tier(session, tier)
-
-
 def _build_demo(name: str, bug: Optional[str], tier: str = "auto"):
     from .serve.builders import build_program_cli
 
@@ -42,12 +36,14 @@ def _build_demo(name: str, bug: Optional[str], tier: str = "auto"):
 
 
 def _build_from_adl(adl_path: str, src_paths: List[str], values: List[int], tier: str = "auto"):
+    from .serve.builders import apply_tier
+
     adl_text = Path(adl_path).read_text()
     sources = {Path(p).name: Path(p).read_text() for p in src_paths}
 
     def fresh():
         dbg, cli, session, runtime = build_debug_session(adl_text, sources)
-        _apply_tier(session, tier)
+        apply_tier(session, tier)
         if values:
             # feed the first module input found
             for module in runtime.decl.modules.values():

@@ -3,9 +3,9 @@
 ``chains`` independent pipelines, each a linear sequence of modules
 pinned to one cluster (= one shard island under the default heuristic).
 Every module holds one controller and ``filters_per_module`` filters in
-a chain; each filter firing runs a deterministic 32-bit LCG for
-``work_iters`` rounds — pure interpreter CPU, the raw material the
-process-pool backend parallelises.
+a chain; each filter firing runs one round of a deterministic 32-bit
+LCG, so a value's path through the graph is checkable against
+:func:`lcg_reference`.
 
 At the defaults (4 x 25 x (1 + 9)) the graph elaborates exactly 1000
 actors.  All actor names are globally unique so every link name — the
@@ -24,15 +24,13 @@ from ..sim.kernel import Scheduler
 from ..sim.sharding import HostSpec
 
 #: LCG constants (Numerical Recipes); U32 arithmetic wraps mod 2**32
-FILTER_SOURCE_TEMPLATE = """\
-// lcg.c — {iters} rounds of a 32-bit LCG per firing: pure busy work
-void work() {{
+FILTER_SOURCE = """\
+// lcg.c — one round of a 32-bit LCG per firing
+void work() {
     U32 x = pedf.io.i[0];
-    for (U32 k = 0; k < {iters}; k++) {{
-        x = x * 1664525 + 1013904223;
-    }}
+    x = x * 1664525 + 1013904223;
     pedf.io.o[0] = x;
-}}
+}
 """
 
 
@@ -41,14 +39,13 @@ def _controller_source(filter_names: Sequence[str]) -> str:
     return f"// chain_ctl.c\nvoid work() {{\n{fires}\n    WAIT_FOR_ACTOR_SYNC();\n}}\n"
 
 
-def lcg_reference(values: Sequence[int], total_filters: int, work_iters: int) -> List[int]:
+def lcg_reference(values: Sequence[int], total_filters: int) -> List[int]:
     """Golden model: each value passes through every filter of a chain."""
     out = []
     for v in values:
         x = v % 2**32
         for _ in range(total_filters):
-            for _ in range(work_iters):
-                x = (x * 1664525 + 1013904223) % 2**32
+            x = (x * 1664525 + 1013904223) % 2**32
         out.append(x)
     return out
 
@@ -58,11 +55,9 @@ def build_synthetic_program(
     modules_per_chain: int = 25,
     filters_per_module: int = 9,
     steps: int = 4,
-    work_iters: int = 1,
 ) -> ProgramDecl:
     """``chains`` independent module pipelines, one cluster each."""
     program = ProgramDecl(name="synthetic")
-    src = FILTER_SOURCE_TEMPLATE.format(iters=work_iters)
     for c in range(chains):
         for m in range(modules_per_chain):
             mod = ModuleDecl(name=f"c{c}m{m}", cluster=c)
@@ -75,7 +70,7 @@ def build_synthetic_program(
             )
             mod.set_controller(ctl)
             for fname in fnames:
-                f = FilterDecl(name=fname, source=src, source_name="lcg.c")
+                f = FilterDecl(name=fname, source=FILTER_SOURCE, source_name="lcg.c")
                 f.add_iface("i", "input", U32)
                 f.add_iface("o", "output", U32)
                 mod.add_filter(f)
@@ -106,7 +101,6 @@ def build_synthetic_pipeline(
     chains: int = 4,
     modules_per_chain: int = 25,
     filters_per_module: int = 9,
-    work_iters: int = 1,
     scheduler: Optional[Scheduler] = None,
     shard=None,  # Optional[repro.sim.sharding.ShardContext]
 ) -> Tuple[Scheduler, PedfRuntime, List]:
@@ -119,7 +113,6 @@ def build_synthetic_pipeline(
         modules_per_chain=modules_per_chain,
         filters_per_module=filters_per_module,
         steps=len(values),
-        work_iters=work_iters,
     )
     sched = scheduler or Scheduler()
     platform = P2012Platform(

@@ -61,10 +61,11 @@ def install_dataflow_commands(cli: CommandCli, session: DataflowSession) -> None
     ))
     cli.register(Command(
         "dataflow", handler.cmd_dataflow,
-        "dataflow graph [FILE]|links|tokens|capture MODE|update realtime|on-stop|info",
+        "dataflow graph [FILE]|links|tokens|capture MODE|events [on|off|N]"
+        "|update realtime|on-stop|info",
         aliases=("df",),
-        completer=lambda t: [s for s in ("graph", "links", "tokens", "capture", "update", "info")
-                             if s.startswith(t)],
+        completer=lambda t: [s for s in ("graph", "links", "tokens", "capture", "events",
+                                         "update", "info") if s.startswith(t)],
     ))
     cli.register(Command(
         "sched", handler.cmd_sched,
@@ -378,8 +379,6 @@ class _Commands:
             self.session.set_data_capture(mode)
             return [f"data capture mode set to {mode}"]
         if topic == "update":
-            if rest not in ("realtime", "on-stop"):
-                raise CommandError("usage: dataflow update realtime|on-stop")
             self.session.set_graph_update(rest)
             return [f"graph update mode set to {rest}"]
         if topic in ("info", ""):

@@ -78,9 +78,6 @@ class TokenRecorder:
             buf.resize(capacity)
         return buf
 
-    def disable(self, conn_qual: str) -> None:
-        self.buffers.pop(conn_qual, None)
-
     def get(self, conn_qual: str) -> RecordBuffer:
         buf = self.buffers.get(conn_qual)
         if buf is None:

@@ -435,7 +435,7 @@ class ReplayManager:
         while len(self.pool) > self.pool_limit:
             self._evict_one()
         if self.pool_limit == 0:
-            return ["Resident snapshots off (every hop re-executes from the start)."]
+            return ["Resident snapshots off (every backward hop re-executes from the start)."]
         return [f"Resident snapshot pool: {self.pool_limit} machine(s)."]
 
     def _clear_pool(self) -> None:

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..dbg.eval import EvalError, format_typed
-from ..dbg.output import OutputSink
 from ..dbg.stop import StopEvent, StopKind
 from ..errors import ReproError
 
@@ -85,12 +84,9 @@ class CommandResult:
 class CommandService:
     """Reentrant structured command dispatch over one debug session."""
 
-    def __init__(self, cli, session=None, sink: Optional[OutputSink] = None):
+    def __init__(self, cli, session=None):
         self.cli = cli
         self._session = session
-        #: optional sink mirrored with every result's lines (the
-        #: interactive entry point hands a StdoutSink here)
-        self.sink = sink
         self._lock = threading.RLock()
         #: subscriber handle -> hook, replaced wholesale on every change
         #: (copy-on-write), so publishing iterates without a lock and a
@@ -210,12 +206,7 @@ class CommandService:
                     )
             result.elapsed_ms = (time.perf_counter() - start) * 1000.0
             self.wall_ms += result.elapsed_ms
-            if self.sink is not None and result.lines:
-                self.sink.emit(result.lines)
             return result
-
-    def run_script(self, lines: List[str], isolate: bool = False) -> List[CommandResult]:
-        return [self.execute(line, isolate=isolate) for line in lines]
 
     # ------------------------------------------------------ run control
 

@@ -91,9 +91,7 @@ class DataflowSession:
         #: token they push (enabled via ``filter X record state``)
         self.state_recorded: set = set()
         self.stop_on_init = stop_on_init
-        if graph_update not in ("realtime", "on-stop"):
-            raise DataflowDebugError(f"bad graph update mode {graph_update!r}")
-        self.graph_update = graph_update
+        self.set_graph_update(graph_update)
         self.last_graph: str = ""
         self.graph_renders = 0
         self.capture = EventCapture(self)
@@ -135,7 +133,9 @@ class DataflowSession:
 
     def set_graph_update(self, mode: str) -> None:
         if mode not in ("realtime", "on-stop"):
-            raise DataflowDebugError(f"bad graph update mode {mode!r}")
+            raise DataflowDebugError(
+                f"bad graph update mode {mode!r} (use realtime or on-stop)"
+            )
         self.graph_update = mode
 
     def on_data_event(self) -> None:

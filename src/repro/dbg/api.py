@@ -40,12 +40,6 @@ class EventRegistry:
         if fn not in self._callbacks:
             self._callbacks.append(fn)
 
-    def disconnect(self, fn: Callable) -> None:
-        try:
-            self._callbacks.remove(fn)
-        except ValueError:
-            pass
-
     def emit(self, *args) -> None:
         for fn in list(self._callbacks):
             fn(*args)
@@ -101,10 +95,6 @@ class ExtensionAPI:
 
     def lookup_symbol(self, name: str):
         return self.dbg.debug_info.lookup_function(name)
-
-    def post_stop(self, reason) -> None:  # pragma: no cover - convenience
-        """Ask for a pause at the next dispatch (like gdb's interrupt)."""
-        self.dbg.request_pause()
 
     # --------------------------------------------------- breakpoint classes
 

@@ -244,9 +244,6 @@ class FinishBreakpoint(BreakpointBase):
         self.interp = interp
         self.return_value = None
 
-    def out_of_scope(self) -> None:
-        """Called if the frame is unwound without a normal return."""
-
     def what(self) -> str:
         return f"finish of {self.frame.name}"
 

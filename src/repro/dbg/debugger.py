@@ -708,8 +708,10 @@ class Debugger:
 
     def finish_breakpoint(self, frame: Optional[Frame] = None, **kwargs) -> FinishBreakpoint:
         actor = self.selected_actor
-        if actor is None or actor.interp is None:
+        if actor is None:
             raise DebuggerError("no actor selected")
+        if getattr(actor, "interp", None) is None:
+            raise DebuggerError(f"actor {actor.qualname} runs no Filter-C code")
         frame = frame or self.current_frame()
         if frame is None:
             raise DebuggerError("no frame to finish")

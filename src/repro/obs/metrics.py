@@ -201,10 +201,6 @@ class MetricsRegistry:
             m = self.links[name] = LinkMetrics()
         return m
 
-    def note_time(self, time: int) -> None:
-        if time > self.last_time:
-            self.last_time = time
-
     def render(self) -> List[str]:
         """Deterministic text report (compared byte-for-byte in tests)."""
         lines: List[str] = [f"metrics through t={self.last_time}"]

@@ -51,12 +51,6 @@ class ActorDeclBase:
         self.ifaces[name] = decl
         return decl
 
-    def inputs(self) -> List[IfaceDecl]:
-        return [i for i in self.ifaces.values() if i.direction == "input"]
-
-    def outputs(self) -> List[IfaceDecl]:
-        return [i for i in self.ifaces.values() if i.direction == "output"]
-
 
 @dataclass
 class FilterDecl(ActorDeclBase):
@@ -159,12 +153,6 @@ class ModuleDecl:
         if self.controller is not None and self.controller.name == name:
             return self.controller
         return self.filters.get(name)
-
-    def actor_names(self) -> List[str]:
-        names = list(self.filters)
-        if self.controller is not None:
-            names.append(self.controller.name)
-        return names
 
 
 @dataclass

@@ -119,9 +119,6 @@ class PedfRuntime:
         """
         return self._next_seq
 
-    def restore_seq(self, next_seq: int) -> None:
-        self._next_seq = next_seq
-
     def capture_state(self, include_frames: bool = False) -> Dict[str, object]:
         """Deterministic runtime-side deep-state capture (the runtime's
         contribution to a :class:`~repro.sim.snapshot.MachineState`).

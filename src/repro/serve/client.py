@@ -15,11 +15,13 @@ serve bench — and usable as a library::
 The client is synchronous and single-threaded by design: requests are
 matched to responses by id, and server-pushed event notifications that
 arrive interleaved with responses are buffered (``next_event`` /
-``drain_events`` read them out).
+``drain_events`` read them out).  :class:`DapClient` is the same kind
+of scripted front-end for the daemon's Debug Adapter Protocol port.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 from collections import deque
@@ -80,11 +82,6 @@ class DebugClient:
                 self.events.append(message["params"])
             # responses to other ids (pipelined callers) are dropped:
             # this client issues one request at a time
-
-    def notify(self, method: str, **params: Any) -> None:
-        """Fire-and-forget notification (no id, no response)."""
-        payload = {"jsonrpc": "2.0", "method": method, "params": params}
-        self.sock.sendall(json.dumps(payload).encode() + b"\n")
 
     def _read_message(self) -> Dict[str, Any]:
         line = self.file.readline()
@@ -184,6 +181,64 @@ class DebugClient:
 
     def shutdown(self) -> Dict[str, Any]:
         return self.call("shutdown")
+
+
+class DapClient:
+    """One scripted DAP connection: Content-Length framing, responses
+    matched to requests by command, events buffered until waited for."""
+
+    def __init__(self, port: int, timeout: float = 30.0):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
+        self.file = self.sock.makefile("rb")
+        self._seq = itertools.count(1)
+        self.events: List[Dict[str, Any]] = []
+
+    def close(self) -> None:
+        self.file.close()
+        self.sock.close()
+
+    def send(self, command: str, arguments: Optional[Dict[str, Any]] = None) -> None:
+        body: Dict[str, Any] = {"seq": next(self._seq), "type": "request", "command": command}
+        if arguments is not None:
+            body["arguments"] = arguments
+        data = json.dumps(body).encode()
+        self.sock.sendall(f"Content-Length: {len(data)}\r\n\r\n".encode() + data)
+
+    def recv(self) -> Dict[str, Any]:
+        length = None
+        while True:
+            line = self.file.readline()
+            if not line:
+                raise ConnectionError("daemon closed the DAP stream")
+            if line in (b"\r\n", b"\n"):
+                break
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value.strip())
+        if length is None:
+            raise ConnectionError("DAP message without a Content-Length header")
+        return json.loads(self.file.read(length))
+
+    def request(self, command: str, arguments: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """Round trip; events arriving before the response are buffered."""
+        self.send(command, arguments)
+        while True:
+            message = self.recv()
+            if message["type"] == "response" and message["command"] == command:
+                return message
+            if message["type"] == "event":
+                self.events.append(message)
+
+    def wait_event(self, name: str) -> Dict[str, Any]:
+        for i, ev in enumerate(self.events):
+            if ev["event"] == name:
+                return self.events.pop(i)
+        while True:
+            message = self.recv()
+            if message["type"] == "event":
+                if message["event"] == name:
+                    return message
+                self.events.append(message)
 
 
 def scrape_metrics(host: str, port: int, path: str = "/metrics",

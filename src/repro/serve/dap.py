@@ -41,8 +41,9 @@ _STOP_REASONS = {
     "api-breakpoint": "breakpoint",
     "isa-breakpoint": "instruction breakpoint",
     "watchpoint": "data breakpoint",
-    "register-watch": "data breakpoint",
+    "register-watchpoint": "data breakpoint",
     "step": "step",
+    "finish": "step",
     "paused": "pause",
     "violation": "exception",
     "deadlock": "exception",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, List, Optional
 
 from ..errors import SimulationError
 
@@ -56,9 +56,6 @@ class Fifo:
     def snapshot(self) -> List[Any]:
         """Copy of the queued items, oldest first."""
         return list(self._items)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.snapshot())
 
     # ------------------------------------------------------ blocking access
 

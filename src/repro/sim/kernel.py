@@ -188,10 +188,6 @@ class Scheduler:
     # -------------------------------------------------------------- queries
 
     @property
-    def live_processes(self) -> List[Process]:
-        return [p for p in self.processes if p.alive]
-
-    @property
     def blocked_processes(self) -> List[Process]:
         return [p for p in self.processes if p.state == ProcessState.WAITING]
 

@@ -7,6 +7,10 @@ protocol at the cut links.  Determinism is preserved in the only form
 that is meaningful across kernels: every link's ordered token value
 stream — and therefore the canonical run fingerprint — is byte-identical
 to the single-kernel execution of the same program.
+
+The shards run in one process under :class:`ShardedScheduler` (driven
+by :class:`repro.core.shards.ShardedRun`), so a debugger stop in any
+shard parks the whole fabric at a consistent barrier.
 """
 
 from .channel import INFINITE_TIME, CrossShardChannel, ShardContext, egress_pump, ingress_pump
@@ -26,7 +30,6 @@ from .plan import (
     partition_program,
 )
 from .lookahead import ShardLookahead, unit_of_actor
-from .procpool import ProcPoolRun
 from .sharded import Shard, ShardedScheduler, ShardedStop
 
 __all__ = [
@@ -46,7 +49,6 @@ __all__ = [
     "decl_ext_endpoint",
     "enumerate_cross_links",
     "partition_program",
-    "ProcPoolRun",
     "Shard",
     "ShardLookahead",
     "unit_of_actor",

@@ -88,14 +88,6 @@ class CrossShardChannel:
             "recent": list(self.recent),
         }
 
-    def describe(self) -> str:
-        s = self.stats()
-        return (
-            f"channel {s['link']} [{s['route']}]: forwarded={s['forwarded']} "
-            f"in_flight={s['in_flight']} high_water={s['high_water']} "
-            f"horizon={s['horizon']}{' closed' if s['closed'] else ''}"
-        )
-
     # ------------------------------------------------------------- producer
 
     def send(self, time: int, token: Any) -> None:

@@ -55,7 +55,7 @@ class PushStreamRecorder:
 
     def __init__(self, runtime):
         self.streams: Dict[str, List[str]] = {}
-        self._sub = runtime.bus.subscribe("pedf_rt_push", self._on_push, phase="exit")
+        runtime.bus.subscribe("pedf_rt_push", self._on_push, phase="exit")
 
     def _on_push(self, event):
         token = event.retval
@@ -65,11 +65,6 @@ class PushStreamRecorder:
         if link:
             self.streams.setdefault(link, []).append(stable_value_text(token.value))
         return None
-
-    def close(self) -> None:
-        if self._sub is not None:
-            self._sub.unsubscribe()
-            self._sub = None
 
 
 def merge_link_streams(parts: Iterable[Mapping[str, List[str]]]) -> Dict[str, List[str]]:

@@ -73,6 +73,7 @@ class MachineState:
         return hashlib.sha1(repr(self).encode()).hexdigest()[:12]
 
     def describe(self) -> str:
+        """One line for the replay's snapshot-divergence report."""
         return (
             f"snapshot @dispatch {self.dispatch} (t={self.time}, "
             f"next seq {self.next_seq}, {self.tokens_in_flight} token(s) in flight, "

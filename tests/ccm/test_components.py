@@ -164,6 +164,10 @@ def test_two_level_debugging_inside_component_code():
     assert cli.execute("print x") == ["$2 = 9"]
     out = cli.execute("backtrace")
     assert any("AdderComponent_serve_accumulate" in line for line in out)
+    # the actor surface the daemon's actor listing reads
+    adder = runtime.components["adder"]
+    assert adder.current_line() == 3
+    assert not adder.blocked
     dbg.cont()
 
 
@@ -198,7 +202,24 @@ def test_component_cli_commands():
     assert any("adder -> storage" in line for line in out)
     out = cli.execute("ccm messages")
     assert any("accumulate" in line for line in out)
+    assert cli.complete("component ad") == ["adder"]
+    assert cli.complete("component adder store_") == ["store_get", "store_set"]
     out = cli.execute("ccm info")
     assert any("components: 3" in line for line in out)
     out = cli.execute("ccm rebind bogus a b c")
     assert "error" in out[0]
+
+
+def test_print_in_component_code_lands_in_the_console():
+    asm = AssemblyDecl(name="echo")
+    asm.add_component(ComponentDecl(
+        name="echo", source="U32 serve_say(U32 v) { print(v, v + 1); return v; }",
+        provides=["say"]))
+    sched = Scheduler()
+    platform = P2012Platform(sched, PlatformConfig(n_clusters=1, pes_per_cluster=2))
+    runtime = AssemblyRuntime(sched, platform, asm)
+    runtime.load()
+    runtime.invoke("echo", "say", 4)
+    sched.run()
+    assert runtime.console == ["[ccm.echo] 4 5"]
+    assert runtime.components["echo"].printed == ["4 5"]

@@ -193,7 +193,6 @@ def _synthetic_single_fingerprint(values, **dims):
     golden = lcg_reference(
         values,
         dims.get("modules_per_chain", 25) * dims.get("filters_per_module", 9),
-        dims.get("work_iters", 1),
     )
     for sink in sinks:
         assert [t.value for t in sink.received] == golden
@@ -213,7 +212,6 @@ def _sharded_synthetic(n_shards, values, override=None, **dims):
         modules_per_chain=dims.get("modules_per_chain", 25),
         filters_per_module=dims.get("filters_per_module", 9),
         steps=len(values),
-        work_iters=dims.get("work_iters", 1),
     )
     hosts = synthetic_hosts(
         dims.get("chains", 4), dims.get("modules_per_chain", 25)
@@ -247,36 +245,6 @@ def test_synthetic_split_chain_override_fingerprint():
         2, SYN_VALUES, override={"c0m1": 1, "c0m2": 1}, **SYN_SMALL
     )
     assert sharded == single
-
-
-def test_synthetic_procpool_fingerprint_matches_single_kernel():
-    """The process-pool backend agrees with the single kernel too."""
-    from repro.apps.synthetic import (
-        build_synthetic_pipeline,
-        build_synthetic_program,
-        synthetic_hosts,
-    )
-    from repro.sim.sharding import ProcPoolRun
-
-    single = _synthetic_single_fingerprint(SYN_VALUES, **SYN_SMALL)
-    program = build_synthetic_program(
-        chains=SYN_SMALL["chains"],
-        modules_per_chain=SYN_SMALL["modules_per_chain"],
-        filters_per_module=SYN_SMALL["filters_per_module"],
-        steps=len(SYN_VALUES),
-    )
-    hosts = synthetic_hosts(SYN_SMALL["chains"], SYN_SMALL["modules_per_chain"])
-    plan = partition_program(program, 2, hosts=hosts)
-
-    def builder(ctx):
-        sched, runtime, _sinks = build_synthetic_pipeline(
-            SYN_VALUES, shard=ctx, **SYN_SMALL
-        )
-        return DataflowSession(Debugger(sched, runtime))
-
-    pool = ProcPoolRun(plan, builder)
-    assert pool.run() == "exited"
-    assert pool.fingerprint() == single
 
 
 def test_synthetic_1000_actor_fingerprint_matches_single_kernel():

@@ -10,6 +10,8 @@ side is gated through ``last_restore``: deterministic event counts, not
 wall clocks.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.apps.amodule import build_demo
@@ -18,7 +20,7 @@ from repro.apps.rle.app import RLE_HOSTS, build_rle_program
 from repro.core import DataflowSession, install_dataflow_commands
 from repro.core.shards import ShardedRun
 from repro.dbg import CommandCli, Debugger, StopKind
-from repro.errors import ReplayError
+from repro.errors import ReplayDivergenceError, ReplayError
 from repro.obs import derive_telemetry, to_chrome_trace
 from repro.rv import GraphView, derive_verdicts, parse_property
 from repro.sim.replay import ReplayJournal
@@ -171,7 +173,7 @@ def test_pool_off_forces_full_rebuild():
     run_to_exit(session.dbg)
     total = mgr.master.total_events
     assert mgr.set_pool_limit(0) == [
-        "Resident snapshots off (every hop re-executes from the start)."
+        "Resident snapshots off (every backward hop re-executes from the start)."
     ]
     mgr.replay_to("end")
     assert mgr.last_restore == (0, total, total)  # the old O(run) behaviour
@@ -194,6 +196,24 @@ def test_deep_snapshots_recorded_and_verified_on_replay():
     assert rec.divergence is None
     assert rec.snapshots_verified > 0
     assert rec.snapshots_verified <= len(master.state_snapshots)
+
+
+def test_divergent_deep_snapshot_is_reported_not_raised_as_a_crash():
+    """A replayed machine whose state differs from the recorded deep
+    snapshot at a dispatch stops the replay with the divergence report."""
+    session = rle_session()
+    mgr = session.replay
+    mgr.record_on(interval=16)
+    run_to_exit(session.dbg)
+    snapshots = mgr.master.state_snapshots
+    dispatch = min(snapshots)
+    # deliberate corruption: there is no public mutator, by design
+    state = snapshots[dispatch]
+    snapshots[dispatch] = dataclasses.replace(state, time=state.time + 977)
+    mgr.set_pool_limit(0)
+    with pytest.raises(ReplayDivergenceError, match=f"diverged at dispatch {dispatch}: recorded "
+                       r"snapshot @dispatch .* replayed snapshot @dispatch"):
+        mgr.replay_to("end")
 
 
 def test_journal_snapshots_are_tier_invariant():
@@ -305,7 +325,7 @@ def test_cli_segment_and_snapshot_options(tmp_path):
         "Resident snapshot pool: 2 machine(s)."
     ]
     assert cli.execute("replay snapshots off") == [
-        "Resident snapshots off (every hop re-executes from the start)."
+        "Resident snapshots off (every backward hop re-executes from the start)."
     ]
     out = cli.execute("replay snapshots maybe")
     assert out == ["error: usage: replay snapshots N|off"]

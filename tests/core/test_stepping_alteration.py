@@ -260,3 +260,16 @@ def test_dataflow_info_command():
     joined = "\n".join(out)
     assert "program: amodule_demo" in joined
     assert "actors: 5" in joined
+
+
+def test_graph_update_command_switches_mode_and_rejects_a_bad_one():
+    session, cli, dbg, *_ = make_session([1], stop_on_init=True)
+    assert cli.execute("dataflow update realtime") == ["graph update mode set to realtime"]
+    assert session.graph_update == "realtime"
+    assert cli.execute("dataflow update on-stop") == ["graph update mode set to on-stop"]
+    assert cli.execute("dataflow update sometimes") == [
+        "error: bad graph update mode 'sometimes' (use realtime or on-stop)"
+    ]
+    assert session.graph_update == "on-stop"
+    with pytest.raises(DataflowDebugError, match="bad graph update mode 'always'"):
+        make_session([1], graph_update="always")

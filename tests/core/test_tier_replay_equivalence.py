@@ -148,7 +148,7 @@ def _synthetic_fingerprint(tier):
     session = DataflowSession(Debugger(sched, runtime))
     rec = PushStreamRecorder(runtime)
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
-    golden = lcg_reference(values, 25 * 9, 1)
+    golden = lcg_reference(values, 25 * 9)
     for sink in sinks:
         assert [t.value for t in sink.received] == golden
     return fingerprint_streams(dict(rec.streams))

@@ -112,3 +112,31 @@ def test_enabled_property_roundtrip():
     bp.enabled = False
     assert dbg.run().kind == StopKind.EXITED
     assert bp.hit_count == 0
+
+
+def test_default_stop_methods_stop_and_breakpoints_list_their_location():
+    api, dbg, sink = make_api([1])
+    bp = api.Breakpoint(f"the_source.c:{LINE_READ_INPUT}")
+    push = api.Breakpoint(api_symbol=SYM_PUSH, actor="AModule.filter_1")
+    assert bp.enabled and push.enabled
+    assert api.execute("info breakpoints")[1:] == [
+        f"1\tsource\ty\tthe_source.c:{LINE_READ_INPUT}",
+        "2\tapi\ty\tpedf_rt_push (entry) [AModule.filter_1]",
+    ]
+    assert dbg.run().kind == StopKind.BREAKPOINT  # the default stop() stops
+    fin = api.FinishBreakpoint(internal=False)
+    assert fin.is_valid and fin.number == 3
+    assert api.execute("info breakpoints")[3] == f"3\tfinish\ty\tfinish of {WORK_F1}"
+    assert dbg.cont().kind == StopKind.API_BP  # the push inside work()
+    push.delete()
+    ev = dbg.cont()
+    assert ev.kind == StopKind.FINISH and fin.return_value == 0
+    assert not fin.is_valid  # temporary: gone once it fired
+
+
+def test_finish_breakpoint_needs_a_filter_c_actor():
+    api, dbg, sink = make_api([1])
+    api.Breakpoint(api_symbol=SYM_PUSH, actor="host.stim")
+    assert dbg.run().kind == StopKind.API_BP
+    with pytest.raises(DebuggerError, match="runs no Filter-C code"):
+        api.FinishBreakpoint()

@@ -87,6 +87,16 @@ def test_break_completion_offers_symbols():
     assert WORK_F1 in candidates
 
 
+def test_print_completion_offers_the_frame_variables():
+    cli, dbg, *_ = make_cli([1, 2, 3])
+    assert cli.complete("print v") == []  # no frame before the first stop
+    cli.execute(f"break the_source.c:{LINE_COMPUTE}")
+    ev = dbg.run()
+    while ev.kind != StopKind.BREAKPOINT:
+        ev = dbg.cont()
+    assert cli.complete("print v") == ["v"]
+
+
 def test_delete_enable_disable_ignore_condition():
     cli, dbg, *_ = make_cli([1, 2, 3])
     cli.execute(f"break the_source.c:{LINE_READ_INPUT}")
@@ -142,3 +152,36 @@ def test_comments_and_empty_lines_ignored():
     cli, *_ = make_cli()
     assert cli.execute("") == []
     assert cli.execute("# comment") == []
+
+
+def test_enable_rearms_a_disabled_breakpoint():
+    cli, dbg, *_ = make_cli([1, 2])
+    cli.execute(f"break the_source.c:{LINE_COMPUTE}")
+    cli.execute("disable 1")
+    assert not dbg.breakpoints.get(1).enabled
+    cli.execute("enable 1")
+    assert dbg.breakpoints.get(1).enabled
+    out = cli.execute("run")
+    assert out[0].startswith(f"Breakpoint 1, [AModule.filter_1] at the_source.c:{LINE_COMPUTE}")
+
+
+def test_up_selects_the_caller_and_fails_past_the_outermost_frame():
+    from .test_tier_debug_equivalence import _calls_cli
+
+    cli = _calls_cli("auto")
+    cli.execute("break scale")
+    cli.execute("run")
+    out = cli.execute("continue")
+    assert out[0].startswith("Function breakpoint 1, [AModule.filter_1] Filter1Filter_scale")
+    assert cli.execute("up") == [f"#1  {WORK_F1} () at the_source.c:10"]
+    assert cli.execute("up") == ["error: no frame #2 (stack depth 2)"]
+    assert cli.execute("down") == ["#0  Filter1Filter_scale () at the_source.c:2"]
+
+
+def test_a_string_literal_has_no_value():
+    cli, dbg, *_ = make_cli([1])
+    cli.execute(f"break the_source.c:{LINE_COMPUTE}")
+    cli.execute("run")
+    assert cli.execute('print "v"') == [
+        "error: string literals have no value in debugger expressions"
+    ]

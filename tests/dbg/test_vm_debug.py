@@ -364,3 +364,25 @@ def test_cli_rwatch_and_errors():
     assert bad and bad[0].startswith("error:")
     bad = cli.execute("breaki badspec")
     assert bad and bad[0].startswith("error:")
+
+
+def test_brk_in_actor_code_stops_the_debugger_and_resumes():
+    """A ``brk`` assembled into a filter's work function is an ISA stop of
+    that actor, once per firing, and resuming runs the program on."""
+    from repro.cminus.vm.asm import assemble, disassemble
+    from repro.cminus.vm.compiler import VmUnit
+
+    cli, dbg, runtime, sink = make_cli([1, 2, 3])
+    interp = runtime.find_actor("AModule.filter_1").interp
+    unit = VmUnit(interp.program)  # a private unit: the memoized one stays clean
+    listing = disassemble(unit.funcs[WORK_F1])
+    unit.funcs[WORK_F1] = assemble(listing.replace("stmt 6, 3, 2\n", "stmt 6, 3, 2\nbrk\n", 1))
+    interp._vm_unit = unit
+    stops = []
+    ev = dbg.run()
+    while ev.kind != StopKind.EXITED:
+        if ev.kind == StopKind.ISA_BP:
+            stops.append((ev.message, ev.actor, ev.line))
+        ev = dbg.cont()
+    assert stops == [(f"brk in {WORK_F1}+9", "AModule.filter_1", 6)] * 3
+    assert len(sink.values) == 3

@@ -10,7 +10,7 @@ from repro.eval import (
     run_localization_comparison,
     run_overhead_comparison,
 )
-from repro.eval.localization import SCENARIOS
+from repro.eval.localization import SCENARIOS, format_results
 from repro.eval.overhead import format_rows
 
 
@@ -97,3 +97,6 @@ def test_sec6_localization_dataflow_beats_plain():
         assert df < plain, f"{scenario}: dataflow={df} plain={plain}"
         # the paper's qualitative claim is a *substantial* gap
         assert plain / df >= 2, f"{scenario}: gap too small ({df} vs {plain})"
+    table = format_results(results)
+    assert table[0].split() == ["scenario", "strategy", "interactions", "located"]
+    assert len(table) == 1 + len(results)

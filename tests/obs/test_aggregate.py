@@ -162,7 +162,6 @@ def _synthetic_sharded(n_shards, values, **dims):
         modules_per_chain=dims.get("modules_per_chain", 25),
         filters_per_module=dims.get("filters_per_module", 9),
         steps=len(values),
-        work_iters=dims.get("work_iters", 1),
     )
     hosts = synthetic_hosts(dims.get("chains", 4), dims.get("modules_per_chain", 25))
     plan = partition_program(program, n_shards, hosts=hosts)

@@ -206,3 +206,13 @@ def test_trace_clear_keeps_the_ring_and_restarts_deltas(tmp_path):
     assert bundle["flight"]["telemetry_observed"] is True
     assert bundle["spans"] == [s.describe() for s in session.flight.sink.spans]
     assert bundle["metrics"] == session.telemetry.metrics.render()
+
+
+def test_info_flight_is_the_status_report():
+    session, cli = rle_session()
+    assert cli.execute("info flight") == session.flight.status_lines()
+    session.telemetry.enable()
+    run_to_exit(session.dbg)
+    status = cli.execute("flight status")
+    assert status[0] == "flight recorder: armed (always on)"
+    assert cli.execute("info flight") == status

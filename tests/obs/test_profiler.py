@@ -238,6 +238,7 @@ def test_prof_command_lifecycle_through_the_cli(tmp_path):
     assert cli.execute("prof status") == [
         "profiler: off", "  (nothing collected; use `prof on`)"
     ]
+    assert cli.execute("info profile") == cli.execute("prof status")
     assert cli.execute("prof top") == ["error: no profile collected (use `prof on` first)"]
 
     assert cli.execute("prof on")[0].startswith("profiler enabled")
@@ -245,6 +246,7 @@ def test_prof_command_lifecycle_through_the_cli(tmp_path):
     profile = session.prof.profile
     status = cli.execute("prof status")
     assert status[0] == "profiler: on"
+    assert cli.execute("info profile") == status
     assert status[1:1 + len(profile.render())] == profile.render()
 
     # top N renders exactly the profile's top rows; bare top means 10

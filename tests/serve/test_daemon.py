@@ -260,6 +260,51 @@ def test_sharded_session_over_the_wire(client):
     assert exc.value.code == 1003
 
 
+def test_sharded_amodule_session_stops_the_fabric_at_a_breakpoint(client):
+    created = client.create("amodule", sharded=True, shards=2)
+    sid = created["session"]
+    assert (created["program"], created["sharded"]) == ("amodule", True)
+    assert client.execute(sid, "break the_source.c:6")["ok"]
+    stop = client.run_sharded(sid)
+    assert stop["kind"] == "suspended" and stop["shard"] == 0, stop
+    assert stop["event"]["kind"] == "breakpoint"
+    assert (stop["event"]["actor"], stop["event"]["line"]) == ("AModule.filter_1", 6)
+    lines = client.execute(sid, "info shards")["lines"]
+    assert lines[:2] == ["shard 0: AModule", "shard 1: capture, stim"]
+
+
+def test_flight_dump_on_a_sharded_session_bundles_the_channels(client, tmp_path):
+    sid = client.create("amodule", sharded=True, shards=2)["session"]
+    assert client.execute(sid, "break the_source.c:6")["ok"]
+    client.run_sharded(sid)
+    bundle = tmp_path / "sharded.json"
+    assert client.execute(sid, f"flight dump {bundle}")["ok"]
+    sharding = json.loads(bundle.read_text())["sharding"]
+    channels = [line for line in sharding if line.startswith("channel ")]
+    # one line per cross-shard link, in link-name order, with its route
+    assert [c.split(" [")[0] for c in channels] == [
+        "channel filter_2::an_output->capture::in",
+        "channel stim::out->filter_1::an_input",
+    ]
+    assert "[1->0]: forwarded=" in channels[1]
+
+
+def test_wire_interrupt_pauses_a_running_sharded_session(daemon):
+    values = [1 + (i % 9) for i in range(20000)]
+    with daemon.connect() as a, daemon.connect() as b:
+        sid = a.create("rle", sharded=True, shards=2, values=values)["session"]
+        import threading
+
+        timer = threading.Timer(0.15, b.interrupt, args=(sid,))
+        timer.start()
+        stop = a.run_sharded(sid)
+        timer.join(10)
+        # the whole fabric parks at a consistent barrier, mid-run
+        assert stop["kind"] == "suspended", stop
+        assert stop["event"]["kind"] == "paused", stop
+        assert a.state(sid)["finished"] is False
+
+
 def test_wire_interrupt_parks_a_continue(daemon):
     with daemon.connect() as a, daemon.connect() as b:
         sid = a.create("rle", values=[1 + (i % 9) for i in range(20000)])["session"]

@@ -2,69 +2,9 @@
 configurationDone → stopped → stacks/scopes/variables → continue →
 terminated — plus the reverse pair (reverseContinue / replayTo)."""
 
-import itertools
-import json
-import socket
-
 import pytest
 
-
-class DapClient:
-    """Minimal scripted DAP front-end over one socket."""
-
-    def __init__(self, port: int, timeout: float = 30.0):
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
-        self.file = self.sock.makefile("rb")
-        self._seq = itertools.count(1)
-        self.events = []
-
-    def close(self):
-        self.file.close()
-        self.sock.close()
-
-    def send(self, command: str, arguments=None):
-        body = {"seq": next(self._seq), "type": "request", "command": command}
-        if arguments is not None:
-            body["arguments"] = arguments
-        data = json.dumps(body).encode()
-        self.sock.sendall(
-            f"Content-Length: {len(data)}\r\n\r\n".encode() + data
-        )
-
-    def recv(self):
-        length = None
-        while True:
-            line = self.file.readline()
-            if not line:
-                raise ConnectionError("daemon closed the DAP stream")
-            if line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.partition(b":")
-            if name.strip().lower() == b"content-length":
-                length = int(value.strip())
-        assert length is not None
-        return json.loads(self.file.read(length))
-
-    def request(self, command: str, arguments=None):
-        """Round trip; events arriving before the response are buffered."""
-        self.send(command, arguments)
-        while True:
-            message = self.recv()
-            if message["type"] == "response" and message["command"] == command:
-                return message
-            if message["type"] == "event":
-                self.events.append(message)
-
-    def wait_event(self, name: str):
-        for i, ev in enumerate(self.events):
-            if ev["event"] == name:
-                return self.events.pop(i)
-        while True:
-            message = self.recv()
-            if message["type"] == "event":
-                if message["event"] == name:
-                    return message
-                self.events.append(message)
+from repro.serve.client import DapClient
 
 
 @pytest.fixture
@@ -158,6 +98,47 @@ def test_function_breakpoints_and_stepping(dap):
     assert dap.wait_event("stopped")["body"]["reason"] == "step"
     dap.request("stepIn")
     assert dap.wait_event("stopped")["body"]["reason"] == "step"
+
+
+def test_step_out_returns_to_the_caller(dap):
+    _launch(dap, program="amodule")
+    dap.request("setBreakpoints", {
+        "source": {"path": "the_source.c"},
+        "breakpoints": [{"line": 6}],
+    })
+    dap.request("configurationDone")
+    stopped = dap.wait_event("stopped")["body"]
+    while stopped["reason"] != "breakpoint":
+        dap.request("continue")
+        stopped = dap.wait_event("stopped")["body"]
+    thread = stopped["threadId"]
+    assert dap.request("stepOut", {"threadId": thread})["success"]
+    stopped = dap.wait_event("stopped")["body"]
+    assert stopped["reason"] == "step"
+    assert stopped["text"].startswith("Run till exit [AModule.filter_1]")
+
+
+def test_register_watch_stop_is_a_data_breakpoint(dap, daemon):
+    sid = _launch(dap, program="amodule")
+    with daemon.connect() as client:
+        assert client.execute(sid, "rwatch Filter1Filter_work_function r3")["ok"]
+    dap.request("configurationDone")
+    stopped = dap.wait_event("stopped")["body"]
+    while stopped["text"].startswith("[Dataflow graph"):
+        dap.request("continue")
+        stopped = dap.wait_event("stopped")["body"]
+    assert stopped["reason"] == "data breakpoint"
+    assert stopped["text"].startswith("Register watchpoint 1: [AModule.filter_1] r3")
+
+
+def test_terminate_is_acknowledged_with_a_terminated_event(dap, daemon):
+    sid = _launch(dap)
+    assert dap.request("terminate")["success"]
+    dap.wait_event("terminated")
+    # the session lives until the client disconnects
+    assert sid in {s["id"] for s in daemon.daemon.registry.list()}
+    assert dap.request("disconnect")["success"]
+    assert sid not in {s["id"] for s in daemon.daemon.registry.list()}
 
 
 def test_run_to_completion_emits_terminated(dap):

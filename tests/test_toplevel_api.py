@@ -44,6 +44,16 @@ def test_build_debug_session_from_adl_text():
     assert sink.values == [2, 3]
 
 
+def test_print_in_filter_code_lands_in_the_console():
+    sources = dict(SOURCES, **{"inc.c": "void work() { U32 v = pedf.io.i[0]; print(v); "
+                                        "pedf.io.o[0] = v + 1; }"})
+    dbg, cli, session, runtime = build_debug_session(ADL, sources, stop_on_init=False)
+    runtime.add_source("s", "M", "min_", [1, 2])
+    runtime.add_sink("k", "M", "mout", expect=2)
+    assert dbg.run().kind == StopKind.EXITED
+    assert runtime.console == ["[M.inc] 1", "[M.inc] 2"]
+
+
 def test_build_debug_session_from_program_decl():
     from repro.apps.amodule import build_amodule_program
 
