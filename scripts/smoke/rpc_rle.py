@@ -26,6 +26,10 @@ with DaemonThread() as d:
     assert c.evaluate(sid, "value")["ok"]
     back = c.execute(sid, "replay to event 5")
     assert back["ok"] and back["stop"]["kind"] == "replay", back
+    # the breakpoint followed the hop onto the rebuilt machine
+    bps = c.breakpoints(sid)
+    assert bps == [{"id": 1, "kind": "source", "enabled": True, "what": "pack.c:7",
+                    "hits": 1}], bps
     # one event per stopping command: run, continue, replay to
     kinds = [e["type"] for e in c.drain_events()]
     assert kinds == ["stop", "stop", "stop"], kinds
@@ -57,10 +61,11 @@ with DaemonThread() as d:
     assert "codec.pack" in {a["qualname"] for a in c.actors(sid)}
     assert f'session="{sid}"' in c.metrics(sid)
     assert "stops" in c.flight(sid)
-    results = c.script(sid, ["break pack.c:7", "replay to end"])
+    results = c.script(sid, ["break pack.c:10", "replay to end"])
     assert [r["ok"] for r in results] == [True, True], results
     assert c.next_event(timeout=30)["data"]["kind"] == "replay"
-    assert [b["what"] for b in c.breakpoints(sid)] == ["pack.c:7"]
+    # neither breakpoint stopped the drive to the end, and both are kept
+    assert [b["what"] for b in c.breakpoints(sid)] == ["pack.c:7", "pack.c:10"]
     assert c.unsubscribe(sid) == {"unsubscribed": sid}
     assert c.detach(sid) == {"detached": True}
     # a session that outgrows its quota is refused (code 1002)

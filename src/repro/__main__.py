@@ -63,7 +63,28 @@ def _build_from_adl(adl_path: str, src_paths: List[str], values: List[int], tier
     return cli, None
 
 
+def bind_completion(readline, cli) -> None:
+    """Tab completes the line typed so far with ``cli.complete``."""
+    matches: List[str] = []
+
+    def complete(text: str, state: int) -> Optional[str]:
+        if state == 0:
+            matches[:] = cli.complete(readline.get_line_buffer()[: readline.get_endidx()])
+        return matches[state] if state < len(matches) else None
+
+    readline.set_completer(complete)
+    # words end only at spaces: ``pack::i`` and ``pack.c:7`` are one word
+    readline.set_completer_delims(" ")
+    readline.parse_and_bind("tab: complete")
+
+
 def repl(cli) -> None:
+    try:
+        import readline
+    except ImportError:  # a Python built without line editing
+        readline = None
+    if readline is not None:
+        bind_completion(readline, cli)
     print("dataflow debugger — type 'help' for commands, 'quit' to exit")
     while True:
         try:

@@ -619,7 +619,7 @@ class Interpreter:
         ref = yield from self._resolve_ref(target)
         if stmt.op != "=":
             old = self._ref_get(ref, target)
-            value = self._apply_binop(stmt.op[:-1], old, value, target.ctype, stmt.line)
+            value = apply_binop(stmt.op[:-1], old, value, target.ctype, stmt.line)
         self._ref_set(ref, value, target.ctype)
 
     # ----------------------------------------------------------- references
@@ -700,7 +700,7 @@ class Interpreter:
             return slot.data
         if isinstance(expr, ast.Unary):
             operand = yield from self._eval(expr.operand)
-            return self._apply_unop(expr.op, operand, expr.ctype)
+            return apply_unop(expr.op, operand, expr.ctype)
         if isinstance(expr, ast.Binary):
             if expr.op == "&&":
                 left = yield from self._eval(expr.left)
@@ -716,7 +716,7 @@ class Interpreter:
                 return bool(right)
             left = yield from self._eval(expr.left)
             right = yield from self._eval(expr.right)
-            return self._apply_binop(expr.op, left, right, expr.ctype, expr.line)
+            return apply_binop(expr.op, left, right, expr.ctype, expr.line)
         if isinstance(expr, ast.Ternary):
             cond = yield from self._eval(expr.cond)
             branch = expr.then if cond else expr.other
@@ -760,15 +760,9 @@ class Interpreter:
             args.append((yield from self._eval(a)))
         name = expr.name
         if expr.is_builtin:
-            if name == "abs":
-                return wrap_int(abs(args[0]), S32)
-            if name == "min":
-                return wrap_int(min(args[0], args[1]), S32)
-            if name == "max":
-                return wrap_int(max(args[0], args[1]), S32)
-            if name == "clip":
-                x, lo, hi = args
-                return wrap_int(max(lo, min(hi, x)), S32)
+            pure = PURE_BUILTINS.get(name)
+            if pure is not None:
+                return wrap_int(pure(*args), S32)
             if name == "print":
                 parts = []
                 for a, node in zip(args, expr.args):
@@ -794,69 +788,79 @@ class Interpreter:
         call_line = self.frames[-1].line if self.frames else 0
         return (yield from self._call_user(func, args, call_line))
 
-    # ------------------------------------------------------------ operators
 
-    def _apply_unop(self, op: str, operand: Raw, ctype: Optional[CType]) -> Raw:
-        if op == "!":
-            return not operand
-        if op == "~":
-            result = ~int(operand)
-        elif op == "-":
-            result = -int(operand)
-        else:  # '+'
-            result = int(operand)
-        if isinstance(ctype, IntType):
-            return wrap_int(result, ctype)
-        return wrap_int(result, S32)
+# ------------------------------------- operators and side-effect-free builtins
+# The tree walker and the debugger's ``print`` share these.
 
-    def _apply_binop(self, op: str, left: Raw, right: Raw, ctype: Optional[CType], line: int) -> Raw:
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            li, ri = int(left), int(right)
-            return {
-                "==": li == ri,
-                "!=": li != ri,
-                "<": li < ri,
-                ">": li > ri,
-                "<=": li <= ri,
-                ">=": li >= ri,
-            }[op]
+PURE_BUILTINS = {"abs": abs, "min": min, "max": max,
+                 "clip": lambda x, lo, hi: max(lo, min(hi, x))}
+
+
+def _at(line: Optional[int]) -> str:
+    return "" if line is None else f" at line {line}"
+
+
+def apply_unop(op: str, operand: Raw, ctype: Optional[CType]) -> Raw:
+    """``op operand`` wrapped to ``ctype`` (S32 if not an integer type)."""
+    if op == "!":
+        return not operand
+    if op == "~":
+        result = ~int(operand)
+    elif op == "-":
+        result = -int(operand)
+    else:  # '+'
+        result = int(operand)
+    return wrap_int(result, ctype if isinstance(ctype, IntType) else S32)
+
+
+def apply_binop(
+    op: str, left: Raw, right: Raw, ctype: Optional[CType], line: Optional[int] = None
+) -> Raw:
+    """``left op right`` (not ``&&``/``||``) wrapped to the result type
+    ``ctype``; raises :class:`CMinusRuntimeError` where C has no result."""
+    if op in ("==", "!=", "<", ">", "<=", ">="):
         li, ri = int(left), int(right)
-        if op == "+":
-            result = li + ri
-        elif op == "-":
-            result = li - ri
-        elif op == "*":
-            result = li * ri
-        elif op == "/":
-            if ri == 0:
-                raise CMinusRuntimeError(f"division by zero at line {line}")
-            result = abs(li) // abs(ri) * (1 if (li >= 0) == (ri >= 0) else -1)
-        elif op == "%":
-            if ri == 0:
-                raise CMinusRuntimeError(f"modulo by zero at line {line}")
-            result = abs(li) % abs(ri) * (1 if li >= 0 else -1)
-        elif op == "&":
-            result = li & ri
-        elif op == "|":
-            result = li | ri
-        elif op == "^":
-            result = li ^ ri
-        elif op == "<<":
-            if ri < 0 or ri > 32:
-                raise CMinusRuntimeError(f"shift amount {ri} out of range at line {line}")
+        return {
+            "==": li == ri,
+            "!=": li != ri,
+            "<": li < ri,
+            ">": li > ri,
+            "<=": li <= ri,
+            ">=": li >= ri,
+        }[op]
+    li, ri = int(left), int(right)
+    if op == "+":
+        result = li + ri
+    elif op == "-":
+        result = li - ri
+    elif op == "*":
+        result = li * ri
+    elif op == "/":
+        if ri == 0:
+            raise CMinusRuntimeError(f"division by zero{_at(line)}")
+        result = abs(li) // abs(ri) * (1 if (li >= 0) == (ri >= 0) else -1)
+    elif op == "%":
+        if ri == 0:
+            raise CMinusRuntimeError(f"modulo by zero{_at(line)}")
+        result = abs(li) % abs(ri) * (1 if li >= 0 else -1)
+    elif op == "&":
+        result = li & ri
+    elif op == "|":
+        result = li | ri
+    elif op == "^":
+        result = li ^ ri
+    elif op in ("<<", ">>"):
+        if ri < 0 or ri > 32:
+            raise CMinusRuntimeError(f"shift amount {ri} out of range{_at(line)}")
+        if op == "<<":
             result = li << ri
-        elif op == ">>":
-            if ri < 0 or ri > 32:
-                raise CMinusRuntimeError(f"shift amount {ri} out of range at line {line}")
-            if isinstance(ctype, IntType) and not ctype.signed:
-                result = (li & ((1 << ctype.bits) - 1)) >> ri
-            else:
-                result = li >> ri
-        else:  # pragma: no cover
-            raise CMinusRuntimeError(f"unknown operator {op!r}")
-        if isinstance(ctype, IntType):
-            return wrap_int(result, ctype)
-        return wrap_int(result, S32)
+        elif isinstance(ctype, IntType) and not ctype.signed:
+            result = (li & ((1 << ctype.bits) - 1)) >> ri
+        else:
+            result = li >> ri
+    else:  # pragma: no cover
+        raise CMinusRuntimeError(f"unknown operator {op!r}")
+    return wrap_int(result, ctype if isinstance(ctype, IntType) else S32)
 
 
 # -------------------------------------------------------------- pure driver

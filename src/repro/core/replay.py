@@ -548,7 +548,8 @@ class ReplayManager:
     def _time_travel(self, target: int) -> StopEvent:
         """One restore rule for every hop: start from the highest machine
         at or below ``target`` — a parked resident, the current replayed
-        machine, or a fresh build (position 0) — and re-execute the tail."""
+        machine, or a fresh build (position 0) — and re-execute the tail.
+        The user's breakpoints and ``$N`` history move to where it lands."""
         master = self._require_master()
         if self.builder is None:
             raise ReplayError(
@@ -556,6 +557,13 @@ class ReplayManager:
                 "session.replay.register_builder(fn) with a factory that "
                 "rebuilds this program"
             )
+        carried = self.session.dbg.lift_user_state()
+        try:
+            return self._hop(master, target)
+        finally:
+            self.session.dbg.land_user_state(carried)
+
+    def _hop(self, master: ReplayJournal, target: int) -> StopEvent:
         while True:
             current = self._current_position(target)
             resident = max(

@@ -14,11 +14,12 @@ debugger over :mod:`repro.sim` / :mod:`repro.pedf`:
 - :mod:`eval` — GDB-style expression evaluation against a stopped frame,
   with ``$N`` value history;
 - :mod:`cli` — the command-line front end with abbreviations and
-  completion;
-- :mod:`api` — the extension API mirroring ``import gdb``: subclassable
-  ``Breakpoint`` / ``FinishBreakpoint`` with a ``stop()`` method, and stop
-  /continue event registries.  The dataflow extension (:mod:`repro.core`)
-  is built exclusively on this API, like the paper's extension on GDB's.
+  completion.
+
+Extensions (:mod:`repro.core`, :mod:`repro.ccm`) use :class:`Debugger`'s
+own methods, as the paper's uses function and finish breakpoints:
+``break_api`` (a framework-symbol breakpoint whose ``stop_fn`` runs the
+semantic action), ``finish_breakpoint``, ``stop_callbacks``, ``eval_expr``.
 
 Two-level debugging (paper §VI-E) falls out of the design: all of these
 commands remain available while the dataflow extension is loaded.
@@ -37,7 +38,6 @@ from .breakpoints import (
 from .debugger import Debugger
 from .eval import EvalError, Evaluator, format_typed
 from .cli import CommandCli
-from .api import ExtensionAPI
 
 #: The capability constants are defined in exactly one place —
 #: :class:`repro.cminus.interp.DebugHook` — and re-exported here so
@@ -72,5 +72,4 @@ __all__ = [
     "Evaluator",
     "format_typed",
     "CommandCli",
-    "ExtensionAPI",
 ]

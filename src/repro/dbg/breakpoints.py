@@ -5,9 +5,6 @@ framework API symbols, entry or exit phase) together reproduce the
 paper's *function breakpoints* + *finish breakpoints* mechanism: a
 breakpoint carrying the semantic action to run when its location is hit,
 used by the dataflow extension to keep its internal model in sync.
-
-Any breakpoint subclass may override :meth:`BreakpointBase.stop`; the
-debugger stops only if it returns True (GDB Python API semantics).
 """
 
 from __future__ import annotations
@@ -60,14 +57,6 @@ class BreakpointBase:
         self._enabled = value
         if self._registry is not None:
             self._registry._on_enabled_toggle(self, value)
-
-    # -- overridable (GDB Python API style) --------------------------------
-
-    def stop(self, context: Any) -> bool:
-        """Decide whether this hit stops execution.  Subclasses may update
-        internal state here (the paper's 'semantic action') and return
-        False to keep the platform running."""
-        return True
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -128,18 +117,18 @@ class ApiBreakpoint(BreakpointBase):
     """Breaks on a framework API symbol (entry or exit phase).
 
     ``phase='exit'`` is the paper's *finish breakpoint* on a framework
-    function; ``arg_filters`` restrict hits to events whose arguments
-    match (e.g. ``{"iface": "an_input"}``).
+    function.  ``stop_fn(event)``, the semantic action, returns False to
+    keep running, True (as no ``stop_fn`` does) to stop with ``API_BP``,
+    or a :class:`~repro.dbg.stop.StopEvent` to stop with its own.
     """
 
     kind = "api"
-    index_category = "api"
 
     def __init__(
         self,
         symbol: str,
         phase: str = "entry",
-        arg_filters: Optional[Dict[str, Any]] = None,
+        stop_fn: Optional[Callable[["FrameworkEvent"], Any]] = None,
         **kwargs,
     ):
         super().__init__(**kwargs)
@@ -147,24 +136,13 @@ class ApiBreakpoint(BreakpointBase):
             raise DebuggerError(f"bad phase {phase!r}")
         self.symbol = symbol
         self.phase = phase
-        self.arg_filters = dict(arg_filters or {})
-        self.subscription = None  # set by the debugger
-
-    def matches(self, event: "FrameworkEvent") -> bool:
-        if self.phase != "both" and event.phase != self.phase:
-            return False
-        for key, want in self.arg_filters.items():
-            if str(event.args.get(key)) != str(want):
-                return False
-        return True
+        self.stop_fn = stop_fn
+        self.subscription = None  # the bus subscription, set by the debugger
 
     def what(self) -> str:
         s = f"{self.symbol} ({self.phase})"
         if self.actor:
             s += f" [{self.actor}]"
-        if self.arg_filters:
-            flt = ", ".join(f"{k}={v}" for k, v in self.arg_filters.items())
-            s += f" {{{flt}}}"
         return s
 
 
@@ -236,16 +214,10 @@ class FinishBreakpoint(BreakpointBase):
     kind = "finish"
     index_category = "finish"
 
-    def __init__(self, frame: "Frame", interp: "Interpreter", **kwargs):
-        kwargs.setdefault("temporary", True)
-        kwargs.setdefault("internal", True)
-        super().__init__(**kwargs)
+    def __init__(self, frame: "Frame", interp: "Interpreter"):
+        super().__init__(temporary=True, internal=True)
         self.frame = frame
         self.interp = interp
-        self.return_value = None
-
-    def what(self) -> str:
-        return f"finish of {self.frame.name}"
 
 
 class BreakpointRegistry:
@@ -258,7 +230,9 @@ class BreakpointRegistry:
     - function breakpoints by symbol;
     - watchpoints by actor qualname;
     - finish breakpoints by the interpreter they watch;
-    - dataflow catchpoints and API breakpoints in flat per-category lists.
+    - dataflow catchpoints in one flat list.
+
+    API breakpoints are not indexed: each is its own bus subscription.
 
     ``armed_count(category)`` answers "could anything of this kind fire?"
     without allocating; :attr:`on_change` (set by the debugger) fires on
@@ -266,7 +240,7 @@ class BreakpointRegistry:
     """
 
     def __init__(self) -> None:
-        self._next_id = itertools.count(1)
+        self.next_id = 1  # the number the next user breakpoint gets
         self._next_internal_id = itertools.count(-1, -1)
         self.all: Dict[int, BreakpointBase] = {}
         self._source_at: Dict[Tuple[str, int], List[SourceBreakpoint]] = {}
@@ -275,7 +249,7 @@ class BreakpointRegistry:
         self._isa_at: Dict[Tuple[str, int], List[IsaBreakpoint]] = {}
         self._rwatch_at: Dict[str, List[RegisterWatchpoint]] = {}
         self._finish_at: Dict[int, List[FinishBreakpoint]] = {}
-        self._flat: Dict[str, List[BreakpointBase]] = {}  # "api" / "catch"
+        self._flat: Dict[str, List[BreakpointBase]] = {}  # "catch"
         self._armed: Dict[str, int] = {}
         #: bumped on every structural mutation (add/remove/enable/disable)
         self.generation = 0
@@ -285,51 +259,24 @@ class BreakpointRegistry:
 
     # ------------------------------------------------------------- indices
 
-    def _bucket(self, bp: BreakpointBase) -> Optional[List]:
+    def _slot(self, bp: BreakpointBase) -> Optional[Tuple[Dict[Any, List], Any]]:
+        """The index table and key of ``bp``'s bucket (None: unindexed)."""
         cat = bp.index_category
         if cat == "source":
-            return self._source_at.setdefault((bp.filename, bp.line), [])
+            return self._source_at, (bp.filename, bp.line)
         if cat == "function":
-            return self._function_at.setdefault(bp.symbol, [])
+            return self._function_at, bp.symbol
         if cat == "watch":
-            return self._watch_at.setdefault(bp.actor, [])
+            return self._watch_at, bp.actor
         if cat == "isa":
-            return self._isa_at.setdefault((bp.func_name, bp.pc), [])
+            return self._isa_at, (bp.func_name, bp.pc)
         if cat == "rwatch":
-            return self._rwatch_at.setdefault(bp.func_name, [])
+            return self._rwatch_at, bp.func_name
         if cat == "finish":
-            return self._finish_at.setdefault(id(bp.interp), [])
+            return self._finish_at, id(bp.interp)
         if cat is not None:
-            return self._flat.setdefault(cat, [])
+            return self._flat, cat
         return None
-
-    def _drop_from_bucket(self, bp: BreakpointBase) -> None:
-        cat = bp.index_category
-        if cat == "source":
-            table, key = self._source_at, (bp.filename, bp.line)
-        elif cat == "function":
-            table, key = self._function_at, bp.symbol
-        elif cat == "watch":
-            table, key = self._watch_at, bp.actor
-        elif cat == "isa":
-            table, key = self._isa_at, (bp.func_name, bp.pc)
-        elif cat == "rwatch":
-            table, key = self._rwatch_at, bp.func_name
-        elif cat == "finish":
-            table, key = self._finish_at, id(bp.interp)
-        elif cat is not None:
-            table, key = self._flat, cat
-        else:
-            return
-        bucket = table.get(key)
-        if bucket is None:
-            return
-        try:
-            bucket.remove(bp)
-        except ValueError:  # pragma: no cover - defensive
-            pass
-        if not bucket:
-            del table[key]
 
     def _changed(self) -> None:
         self.generation += 1
@@ -354,31 +301,77 @@ class BreakpointRegistry:
         # internal breakpoints get negative numbers, like GDB's, so user
         # commands (`delete 1`) can never hit the extension's capture
         # breakpoints by accident
-        bp.id = next(self._next_internal_id) if bp.internal else next(self._next_id)
-        self.all[bp.id] = bp
-        bp._registry = self
-        bucket = self._bucket(bp)
-        if bucket is not None:
-            bucket.append(bp)
-            if bp.enabled:
-                cat = bp.index_category
-                self._armed[cat] = self._armed.get(cat, 0) + 1
+        if bp.internal:
+            bp.id = next(self._next_internal_id)
+        else:
+            bp.id = self.next_id
+            self.next_id += 1
+        self._attach(bp)
         self._changed()
         return bp
 
     def remove(self, bp_id: int) -> BreakpointBase:
-        bp = self.all.pop(bp_id, None)
+        bp = self.all.get(bp_id)
         if bp is None:
             raise DebuggerError(f"no breakpoint {bp_id}")
+        self._detach(bp)
         bp.deleted = True
-        self._drop_from_bucket(bp)
-        if bp.enabled and bp.index_category is not None:
-            self._armed[bp.index_category] = self._armed.get(bp.index_category, 1) - 1
-        bp._registry = None
-        if isinstance(bp, ApiBreakpoint) and bp.subscription is not None:
-            bp.subscription.unsubscribe()
         self._changed()
         return bp
+
+    def _attach(self, bp: BreakpointBase) -> None:
+        self.all[bp.id] = bp
+        bp._registry = self
+        slot = self._slot(bp)
+        if slot is not None:
+            table, key = slot
+            table.setdefault(key, []).append(bp)
+            if bp.enabled:
+                cat = bp.index_category
+                self._armed[cat] = self._armed.get(cat, 0) + 1
+
+    def _detach(self, bp: BreakpointBase) -> None:
+        del self.all[bp.id]
+        bp._registry = None
+        slot = self._slot(bp)
+        if slot is not None:
+            table, key = slot
+            bucket = table[key]
+            bucket.remove(bp)
+            if not bucket:
+                del table[key]
+            if bp.enabled:
+                self._armed[bp.index_category] -= 1
+        if isinstance(bp, ApiBreakpoint) and bp.subscription is not None:
+            bp.subscription.unsubscribe()
+            bp.subscription = None
+
+    def lift(self) -> List[BreakpointBase]:
+        """Take the user's breakpoints and catchpoints off this registry,
+        numbers, state and counts intact, for :meth:`land` on another
+        machine of the same program.  Finish breakpoints and watchpoints
+        on a local are deleted, as GDB deletes them with their frame."""
+        lifted, changed = [], False
+        for bp in list(self.all.values()):
+            dies = isinstance(bp, FinishBreakpoint) or (
+                isinstance(bp, Watchpoint) and bp.frame is not None
+            )
+            if dies or not bp.internal:
+                self._detach(bp)
+                bp.deleted, changed = dies, True
+                if not dies:
+                    lifted.append(bp)
+        if changed:
+            self._changed()
+        return lifted
+
+    def land(self, lifted: Sequence[BreakpointBase], next_id: int) -> None:
+        """Register what :meth:`lift` took off another registry, as numbered."""
+        self.next_id = next_id
+        if lifted:
+            for bp in lifted:
+                self._attach(bp)
+            self._changed()
 
     def get(self, bp_id: int) -> BreakpointBase:
         bp = self.all.get(bp_id)

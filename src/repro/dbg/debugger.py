@@ -11,7 +11,7 @@ replays anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cminus import ast as cast
 from ..cminus.interp import DebugHook, Frame, Interpreter
@@ -107,7 +107,7 @@ class Debugger:
         self._step: Optional[_StepState] = None
         self._pause_requested = False
         self._finished = False
-        #: callbacks run on every stop (the extension API's event registry)
+        #: callbacks run on every stop (extensions and in-process observers)
         self.stop_callbacks: List[Callable[[StopEvent], None]] = []
         scheduler.pre_dispatch_hook = self._pre_dispatch
         # fast path: keep the kernel's pre-dispatch callback disarmed until
@@ -334,8 +334,6 @@ class Debugger:
                     return None
             except EvalError as exc:
                 message = (message + f" (condition error: {exc})").strip()
-        if not bp.stop(frame):
-            return None
         if bp.temporary:
             self.breakpoints.remove(bp.id)
         ev = StopEvent(
@@ -373,8 +371,6 @@ class Debugger:
         new_text = format_typed(*current)
         wp.last = current
         if not wp.register_hit():
-            return None
-        if not wp.stop(current):
             return None
         ev = StopEvent(
             StopKind.WATCHPOINT,
@@ -428,11 +424,7 @@ class Debugger:
                 continue
             if not bp.register_hit():
                 continue
-            bp.return_value = value
-            if not bp.stop(value):
-                continue
-            if bp.temporary:
-                reg.remove(bp.id)
+            reg.remove(bp.id)  # always temporary
             ret_text = format_value(frame.func.ret, value)
             ev = StopEvent(
                 StopKind.FINISH,
@@ -489,8 +481,6 @@ class Debugger:
                     continue
                 if not bp.register_hit():
                     continue
-                if not bp.stop(act):
-                    continue
                 if bp.temporary:
                     self.breakpoints.remove(bp.id)
                 ev = StopEvent(
@@ -518,8 +508,6 @@ class Debugger:
                 old = wp.last[0] if wp.last is not None else "<unset>"
                 wp.last = (cur,)
                 if not wp.register_hit():
-                    continue
-                if not wp.stop(cur):
                     continue
                 ev = StopEvent(
                     StopKind.REGISTER_WATCH,
@@ -605,23 +593,26 @@ class Debugger:
         symbol: str,
         phase: str = "entry",
         actor: Optional[str] = None,
-        arg_filters: Optional[Dict[str, Any]] = None,
-        stop_fn: Optional[Callable[[FrameworkEvent], bool]] = None,
+        stop_fn: Optional[Callable[[FrameworkEvent], Any]] = None,
         **kwargs,
     ) -> ApiBreakpoint:
         """A function breakpoint on a framework API symbol (the paper's
         core capture mechanism).  ``phase='exit'`` = finish breakpoint."""
-        bp = ApiBreakpoint(symbol, phase=phase, arg_filters=arg_filters, actor=actor, **kwargs)
-        if stop_fn is not None:
-            bp.stop = stop_fn  # type: ignore[method-assign]
+        bp = ApiBreakpoint(symbol, phase=phase, stop_fn=stop_fn, actor=actor, **kwargs)
         self.breakpoints.add(bp)
+        self._subscribe_api(bp)
+        return bp
+
+    def _subscribe_api(self, bp: ApiBreakpoint) -> None:
+        """Subscribe ``bp`` to this machine's bus (again after a replay hop)."""
+        stop_fn = bp.stop_fn
 
         def listener(event: FrameworkEvent) -> Optional[Suspend]:
-            if bp.deleted or not bp.enabled or not bp.matches(event):
+            if bp.deleted or not bp.enabled:
                 return None
             if not bp.register_hit():
                 return None
-            decision = bp.stop(event)
+            decision = True if stop_fn is None else stop_fn(event)
             if not decision:
                 return None
             if bp.temporary:
@@ -651,9 +642,8 @@ class Debugger:
             return self._suspend(ev, actor_inst)
 
         bp.subscription = self.runtime.bus.subscribe(
-            symbol, listener, actor=actor, phase="both" if bp.phase == "both" else bp.phase
+            bp.symbol, listener, actor=bp.actor, phase=bp.phase
         )
-        return bp
 
     def watch(self, expr_text: str, actor: Optional[str] = None, **kwargs) -> Watchpoint:
         if actor is None:
@@ -706,7 +696,9 @@ class Debugger:
         self.breakpoints.add(wp)
         return wp
 
-    def finish_breakpoint(self, frame: Optional[Frame] = None, **kwargs) -> FinishBreakpoint:
+    def finish_breakpoint(self, frame: Optional[Frame] = None) -> FinishBreakpoint:
+        """Stop when ``frame`` (default: the selected one) of the selected
+        actor returns; the breakpoint is internal and deletes itself."""
         actor = self.selected_actor
         if actor is None:
             raise DebuggerError("no actor selected")
@@ -715,12 +707,30 @@ class Debugger:
         frame = frame or self.current_frame()
         if frame is None:
             raise DebuggerError("no frame to finish")
-        bp = FinishBreakpoint(frame, actor.interp, **kwargs)
+        bp = FinishBreakpoint(frame, actor.interp)
         self.breakpoints.add(bp)
         return bp
 
     def delete(self, bp_id: int) -> None:
         self.breakpoints.remove(bp_id)
+
+    # -------------------------------------------------------- time travel
+
+    def lift_user_state(self) -> Tuple[List[BreakpointBase], int, ValueHistory]:
+        """Lift what a replay hop carries to where it lands, so no drive sees
+        it: user breakpoints and catchpoints, the next number, ``$N``."""
+        return self.breakpoints.lift(), self.breakpoints.next_id, self.history
+
+    def land_user_state(self, state: Tuple[List[BreakpointBase], int, ValueHistory]) -> None:
+        """Put :meth:`lift_user_state`'s result on this machine."""
+        lifted, next_id, self.history = state
+        self.breakpoints.land(lifted, next_id)
+        for bp in lifted:
+            if isinstance(bp, ApiBreakpoint):
+                self._subscribe_api(bp)
+            elif isinstance(bp, (Watchpoint, RegisterWatchpoint)):
+                # the first check here reads the value anew, stopping nowhere
+                bp.primed, bp.last = False, None
 
     # ------------------------------------------------------------- control
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cminus import ast
-from ..cminus.interp import Frame, Interpreter
+from ..cminus.interp import PURE_BUILTINS, Frame, Interpreter, apply_binop, apply_unop
 from ..cminus.parser import parse_expression
+from ..cminus.sema import SHARED_BUILTINS
 from ..cminus.typesys import (
     BOOL,
     S32,
@@ -31,7 +32,7 @@ from ..cminus.typesys import (
     wrap_int,
 )
 from ..cminus.values import Raw, copy_raw, format_value
-from ..errors import DebuggerError
+from ..errors import CMinusRuntimeError, DebuggerError
 
 Typed = Tuple[CType, Raw]
 
@@ -69,9 +70,6 @@ class ValueHistory:
 class Evaluator:
     """Evaluates one parsed expression in a given context."""
 
-    #: pure builtins allowed in debugger expressions
-    _PURE_BUILTINS = {"abs", "min", "max", "clip"}
-
     def __init__(
         self,
         frame: Optional[Frame] = None,
@@ -92,13 +90,6 @@ class Evaluator:
 
     def eval_text(self, text: str) -> Typed:
         text = text.strip()
-        if text.startswith("$") and text[1:].isdigit():
-            # bare $N recall: returns the recorded value with its exact type
-            # (works for aggregates too)
-            if self.history is None:
-                raise EvalError("no value history available")
-            entry = self.history.get(int(text[1:]))
-            return entry.ctype, copy_raw(entry.raw)
         if "$" in text:
             text = self._substitute_history(text)
         try:
@@ -113,8 +104,6 @@ class Evaluator:
         with member/index access (``$1.Izz``, ``$2[3]``)."""
         import re
 
-        if self.history is None:
-            raise EvalError("no value history available")
         return re.sub(r"\$(\d+)", r"__hist_\1", text)
 
     # ------------------------------------------------------------- visitor
@@ -155,26 +144,14 @@ class Evaluator:
         if not isinstance(ctype, (IntType, BoolType)):
             raise EvalError(f"unary {e.op} on non-integer value")
         t = ctype if isinstance(ctype, IntType) else S32
-        value = int(raw)
-        if e.op == "~":
-            value = ~value
-        elif e.op == "-":
-            value = -value
-        return t, wrap_int(value, t)
+        return t, apply_unop(e.op, raw, t)
 
     def _eval_Binary(self, e: ast.Binary) -> Typed:
-        if e.op == "&&":
-            _, l = self.eval(e.left)
-            if not l:
-                return BOOL, False
-            _, r = self.eval(e.right)
-            return BOOL, bool(r)
-        if e.op == "||":
-            _, l = self.eval(e.left)
-            if l:
-                return BOOL, True
-            _, r = self.eval(e.right)
-            return BOOL, bool(r)
+        if e.op in ("&&", "||"):
+            left = bool(self.eval(e.left)[1])
+            if left == (e.op == "||"):  # short circuit
+                return BOOL, left
+            return BOOL, bool(self.eval(e.right)[1])
         lt, lraw = self.eval(e.left)
         rt, rraw = self.eval(e.right)
         if e.op in ("==", "!=", "<", ">", "<=", ">="):
@@ -183,38 +160,17 @@ class Evaluator:
                     eq = lraw == rraw
                     return BOOL, (eq if e.op == "==" else not eq)
                 raise EvalError(f"cannot order aggregate values with {e.op}")
-            li, ri = int(lraw), int(rraw)
-            return BOOL, {
-                "==": li == ri, "!=": li != ri, "<": li < ri,
-                ">": li > ri, "<=": li <= ri, ">=": li >= ri,
-            }[e.op]
-        if not isinstance(lraw, (int, bool)) or not isinstance(rraw, (int, bool)):
-            raise EvalError(f"arithmetic {e.op} on non-integer values")
-        lt2 = lt if isinstance(lt, IntType) else S32
-        rt2 = rt if isinstance(rt, IntType) else S32
-        out = common_type(lt2, rt2) if e.op not in ("<<", ">>") else common_type(lt2, lt2)
-        li, ri = int(lraw), int(rraw)
-        if e.op == "/":
-            if ri == 0:
-                raise EvalError("division by zero")
-            value = abs(li) // abs(ri) * (1 if (li >= 0) == (ri >= 0) else -1)
-        elif e.op == "%":
-            if ri == 0:
-                raise EvalError("modulo by zero")
-            value = abs(li) % abs(ri) * (1 if li >= 0 else -1)
-        elif e.op == "<<":
-            value = li << (ri & 31)
-        elif e.op == ">>":
-            if isinstance(out, IntType) and not out.signed:
-                value = (li & ((1 << out.bits) - 1)) >> (ri & 31)
-            else:
-                value = li >> (ri & 31)
+            out = BOOL
         else:
-            value = {
-                "+": li + ri, "-": li - ri, "*": li * ri,
-                "&": li & ri, "|": li | ri, "^": li ^ ri,
-            }[e.op]
-        return out, wrap_int(value, out)
+            if not isinstance(lraw, (int, bool)) or not isinstance(rraw, (int, bool)):
+                raise EvalError(f"arithmetic {e.op} on non-integer values")
+            lt2 = lt if isinstance(lt, IntType) else S32
+            rt2 = rt if isinstance(rt, IntType) else S32
+            out = common_type(lt2, lt2 if e.op in ("<<", ">>") else rt2)
+        try:
+            return out, apply_binop(e.op, lraw, rraw, out)
+        except CMinusRuntimeError as exc:
+            raise EvalError(str(exc)) from None
 
     def _eval_Ternary(self, e: ast.Ternary) -> Typed:
         _, cond = self.eval(e.cond)
@@ -250,22 +206,16 @@ class Evaluator:
         return (ft or S32), copy_raw(braw[e.member])
 
     def _eval_Call(self, e: ast.Call) -> Typed:
-        if e.name not in self._PURE_BUILTINS:
+        pure = PURE_BUILTINS.get(e.name)
+        if pure is None:
             raise EvalError(
                 f"cannot call {e.name}() in a debugger expression "
                 "(only pure builtins abs/min/max/clip are allowed)"
             )
-        args = [int(self.eval(a)[1]) for a in e.args]
-        if e.name == "abs":
-            value = abs(args[0])
-        elif e.name == "min":
-            value = min(args)
-        elif e.name == "max":
-            value = max(args)
-        else:  # clip
-            x, lo, hi = args
-            value = max(lo, min(hi, x))
-        return S32, wrap_int(value, S32)
+        want = len(SHARED_BUILTINS[e.name][1])
+        if len(e.args) != want:
+            raise EvalError(f"{e.name}() takes {want} argument(s), not {len(e.args)}")
+        return S32, wrap_int(pure(*(int(self.eval(a)[1]) for a in e.args)), S32)
 
     def _eval_PedfIo(self, e: ast.PedfIo) -> Typed:
         raise EvalError(

@@ -4,9 +4,10 @@ Enough of DAP for a stock front-end (VS Code with a trivial launch
 config) to drive a dataflow machine: initialize / launch /
 setBreakpoints / setFunctionBreakpoints / configurationDone / threads /
 stackTrace / scopes / variables / continue / next / stepIn / pause /
-evaluate / disconnect — plus the reverse-debugging pair the paper's
-record-replay machinery makes possible: the standard ``reverseContinue``
-request and a custom ``replayTo`` request (``{"target": "event 10"}``).
+evaluate / completions / disconnect — plus the reverse-debugging pair
+the paper's record-replay machinery makes possible: the standard
+``reverseContinue`` request and a custom ``replayTo`` request
+(``{"target": "event 10"}``).
 
 Mapping choices (the bridge is deliberately thin):
 
@@ -147,6 +148,7 @@ class DapBridge:
             "supportsConditionalBreakpoints": True,
             "supportsStepBack": True,  # reverseContinue via the journal
             "supportsEvaluateForHovers": True,
+            "supportsCompletionsRequest": True,
             "supportsTerminateRequest": True,
         })
         self._event("initialized")
@@ -341,6 +343,17 @@ class DapBridge:
             })
         else:
             self._respond(request, success=False, message=result.get("error"))
+
+    async def _req_completions(self, request, args) -> None:
+        """The CLI's Tab completion of a debug-console line (1-based columns)."""
+        text = args.get("text", "")
+        text = text[: max(0, args.get("column", len(text) + 1) - 1)]
+        candidates = await self.handle.worker.call(self.handle.service.cli.complete, text)
+        word = text.rpartition(" ")[2]
+        start = len(text) - len(word) + 1
+        self._respond(request, body={"targets": [
+            {"label": c, "start": start, "length": len(word)} for c in candidates
+        ]})
 
     async def _req_reverseContinue(self, request, args) -> None:
         self._respond(request)

@@ -73,6 +73,14 @@ def test_pure_builtins_allowed_others_rejected():
     assert "pure builtins" in str(e.value)
 
 
+def test_builtin_with_the_wrong_argument_count_is_an_error():
+    ev, _ = make_eval(n=(S32, -7))
+    with pytest.raises(EvalError, match=r"min\(\) takes 2 argument\(s\), not 1"):
+        ev.eval_text("min(n)")
+    with pytest.raises(EvalError, match=r"abs\(\) takes 1 argument\(s\), not 0"):
+        ev.eval_text("abs()")
+
+
 def test_division_and_modulo_guards():
     ev, _ = make_eval(z=(S32, 0))
     with pytest.raises(EvalError):
@@ -109,3 +117,24 @@ def test_unknown_symbol_message():
 def test_format_typed():
     assert format_typed(BOOL, True) == "true"
     assert format_typed(U32, 7) == "7"
+
+
+def pack_stop_cli():
+    """The rle demo stopped at pack.c:7."""
+    from repro.serve.builders import build_program_cli
+
+    cli, _sink = build_program_cli("rle")
+    for line in ("break pack.c:7", "run", "continue"):
+        cli.execute(line)
+    return cli
+
+
+def test_print_shift_by_the_width_computes_what_the_program_computes():
+    # both Filter-C tiers compute 0: the shift is not masked to 5 bits
+    assert pack_stop_cli().execute("print 1 << 32") == ["$1 = 0"]
+
+
+def test_print_shift_out_of_range_errors_as_the_program_does():
+    assert pack_stop_cli().execute("print 1 << 33") == [
+        "error: shift amount 33 out of range"
+    ]

@@ -47,6 +47,16 @@ def test_create_execute_inspect_destroy(client):
     assert exc.value.code == 1001
 
 
+def test_breakpoints_follow_a_replay_hop(client):
+    sid = client.create("rle")["session"]
+    for line in ("record on", "break pack.c:7", "run", "continue"):
+        assert client.execute(sid, line)["ok"]
+    assert client.execute(sid, "replay to event 5")["stop"]["kind"] == "replay"
+    assert client.breakpoints(sid) == [
+        {"id": 1, "kind": "source", "enabled": True, "what": "pack.c:7", "hits": 1}
+    ]
+
+
 def test_script_runs_commands_in_order(client):
     sid = client.create("rle")["session"]
     results = client.script(sid, ["break pack.c:7", "run", "continue"])

@@ -193,6 +193,23 @@ def test_replay_to_and_reverse_continue(dap, daemon):
         assert not result["ok"]
 
 
+def test_completions_answer_from_the_cli(dap):
+    init = dap.request("initialize", {"adapterID": "repro"})
+    assert init["body"]["supportsCompletionsRequest"]
+    dap.wait_event("initialized")
+    dap.request("launch", {"program": "rle"})
+    dap.request("configurationDone")
+    dap.wait_event("stopped")  # graph reconstruction: the model is known
+    targets = dap.request("completions", {"text": "filter pa", "column": 10})["body"]["targets"]
+    assert targets[0] == {"label": "pack", "start": 8, "length": 2}
+    assert {t["label"] for t in targets} == {"pack", "pack::i", "pack::o"}
+    # only the text left of the cursor counts
+    body = dap.request("completions", {"text": "info br xyz", "column": 8})["body"]
+    assert [t["label"] for t in body["targets"]] == ["breakpoints"]
+    labels = [t["label"] for t in dap.request("completions", {"text": "ba"})["body"]["targets"]]
+    assert labels == ["backtrace"]
+
+
 def test_unsupported_request_is_answered_not_fatal(dap):
     _launch(dap)
     resp = dap.request("restartFrame", {"frameId": 1})

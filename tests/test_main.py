@@ -95,3 +95,36 @@ def test_unknown_bug_variant_errors():
 def test_missing_arguments():
     result = run_main([])
     assert result.returncode == 2
+
+
+def test_tab_completes_the_line_typed_so_far():
+    from repro.__main__ import bind_completion
+    from repro.serve.builders import build_program_cli
+
+    class FakeReadline:
+        line = ""
+
+        def set_completer(self, fn):
+            self.completer = fn
+
+        def set_completer_delims(self, delims):
+            self.delims = delims
+
+        def parse_and_bind(self, text):
+            self.bound = text
+
+        def get_line_buffer(self):
+            return self.line
+
+        def get_endidx(self):
+            return len(self.line)
+
+    cli, _sink = build_program_cli("rle")
+    readline = FakeReadline()
+    bind_completion(readline, cli)
+    assert readline.bound == "tab: complete" and readline.delims == " "
+    readline.line = "break pa"
+    offered = []
+    while (word := readline.completer("pa", len(offered))) is not None:
+        offered.append(word)
+    assert offered == ["pack.c"]
