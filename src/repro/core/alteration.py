@@ -148,7 +148,6 @@ class Alteration:
                 pushed_at=self.session.dbg.scheduler.now,
                 injected=True,
             )
-            self.session.model.tokens[dbg_token.seq] = dbg_token
             pos = len(dbg_link.in_flight) if index is None else min(index, len(dbg_link.in_flight))
             dbg_link.in_flight.insert(pos, dbg_token)
             dbg_link.total_pushed += 1
@@ -158,10 +157,10 @@ class Alteration:
     def drop(self, conn_spec: str, index: int = 0):
         """Delete the token at ``index`` from the link's queue.
 
-        The debugger-side model is purged too: the token leaves the
-        tracked-token registry and the link's ``in_flight`` list, and the
-        deletion is counted in ``total_dropped`` so ``total_pushed -
-        total_popped - total_dropped == occupancy`` stays true.
+        The debugger-side model is purged too: the token leaves the link's
+        ``in_flight`` list, and the deletion is counted in
+        ``total_dropped`` so ``total_pushed - total_popped -
+        total_dropped == occupancy`` stays true.
         """
         iface = self._runtime_iface(conn_spec)
         link = iface.link
@@ -170,19 +169,16 @@ class Alteration:
                 f"link {link.name} holds {link.occupancy} token(s); no index {index}"
             )
         token = link.remove(index)
-        dbg_token = self.session.model.tokens.pop(token.seq, None)
-        if dbg_token is not None:
-            # mark consumed-by-the-debugger so any lingering reference
-            # (provenance parents, last_token_out) no longer reads in-flight
-            dbg_token.popped_at = self.session.dbg.scheduler.now
-            dbg_token.consumed_by = "<dropped>"
         dbg_link = self._model_link(link)
-        if dbg_link is not None:
-            for i, t in enumerate(dbg_link.in_flight):
-                if t.seq == token.seq:
-                    del dbg_link.in_flight[i]
-                    dbg_link.total_dropped += 1
-                    break
+        for i, t in enumerate(dbg_link.in_flight if dbg_link is not None else ()):
+            if t.seq == token.seq:
+                del dbg_link.in_flight[i]
+                dbg_link.total_dropped += 1
+                # mark consumed-by-the-debugger so any lingering reference
+                # (provenance parents, last_token_out) reads as consumed
+                t.popped_at = self.session.dbg.scheduler.now
+                t.consumed_by = "<dropped>"
+                break
         self.session.notify_alteration("drop", conn_spec, None, index)
         return token
 
@@ -196,9 +192,10 @@ class Alteration:
             )
         value = parse_value_literal(value_text, link.ctype)
         old = link.replace(index, value)
-        dbg_token = self.session.model.tokens.get(old.seq)
-        if dbg_token is not None:
-            dbg_token.value = value
+        dbg_link = self._model_link(link)
+        for t in dbg_link.in_flight if dbg_link is not None else ():
+            if t.seq == old.seq:
+                t.value = value
         self.session.notify_alteration("poke", conn_spec, value_text, index)
         return old
 

@@ -350,7 +350,6 @@ class EventCapture:
             parents=self._parents_for(actor),
             producer_state=self._state_snapshot(actor),
         )
-        self.model.tokens[token.seq] = token
         conn.pushed += 1
         actor.produced_this_work += 1
         actor.last_token_out = token
@@ -375,7 +374,13 @@ class EventCapture:
         conn = actor.inbound.get(event.args["iface"])
         if conn is None:
             return False
-        token = self.model.tokens.get(rt_token.seq)
+        token = None
+        if conn.link is not None:
+            conn.link.total_popped += 1
+            for i, t in enumerate(conn.link.in_flight):
+                if t.seq == rt_token.seq:
+                    token = conn.link.in_flight.pop(i)
+                    break
         if token is None:
             # pushed while data capture was narrowed, or injected by the
             # debugger: reconstruct what we can from the runtime token
@@ -390,18 +395,12 @@ class EventCapture:
                 pushed_at=rt_token.produced_at,
                 injected=rt_token.src_iface == "<debugger>",
             )
-            self.model.tokens[token.seq] = token
         token.popped_at = event.time
         token.consumed_by = actor.name
         conn.popped += 1
-        actor.consumed_this_work.append(token)
+        if actor.outbound:  # only _parents_for reads it, and a sink never enters WORK
+            actor.consumed_this_work.append(token)
         actor.last_token_in = token
-        if conn.link is not None:
-            conn.link.total_popped += 1
-            for i, t in enumerate(conn.link.in_flight):
-                if t.seq == token.seq:
-                    del conn.link.in_flight[i]
-                    break
         self.session.records.on_pop(conn, token)
         self.session.on_data_event()
         for cp in self._catchpoints():

@@ -334,15 +334,21 @@ class _Commands:
             return dot.splitlines()
         if topic == "links":
             return self.session.links_report()
+        model = self.session.model
+        in_flight = sorted((t for link in model.links for t in link.in_flight), key=lambda t: t.seq)
         if topic == "tokens":
-            tokens = [t for t in self.session.model.tokens.values() if t.in_flight]
-            return [str(t) for t in sorted(tokens, key=lambda t: t.seq)] or ["(no tokens in flight)"]
+            return [str(t) for t in in_flight] or ["(no tokens in flight)"]
         if topic == "token":
             if not rest.isdigit():
                 raise CommandError("usage: dataflow token SEQ")
-            token = self.session.model.tokens.get(int(rest))
+            lasts = [t for a in model.actors.values() for t in (a.last_token_in, a.last_token_out)]
+            token = next((t for t in in_flight + lasts if t is not None and t.seq == int(rest)), None)
             if token is None:
-                raise CommandError(f"no token with sequence number {rest} is tracked")
+                master = self.session.replay.master  # what `replay to seq` resolves against
+                if master is not None and master.index_for_seq(int(rest)) is not None:
+                    raise CommandError(f"token {rest} is not retained; `replay to seq {rest}` shows it")
+                raise CommandError(f"token {rest} is not retained (in-flight and last tokens "
+                                   "only; `record on` keeps the history)")
             lines = [str(token)]
             lines.append(f"  path: {token.src_iface} -> {token.dst_iface}")
             lines.append(f"  pushed at t={token.pushed_at}")
@@ -382,12 +388,11 @@ class _Commands:
             self.session.set_graph_update(rest)
             return [f"graph update mode set to {rest}"]
         if topic in ("info", ""):
-            model = self.session.model
             return [
                 f"program: {model.program_name or '<not initialized>'}",
                 f"modules: {', '.join(model.modules) or '-'}",
                 f"actors: {len(model.actors)}  links: {len(model.links)}",
-                f"tokens tracked: {len(model.tokens)}",
+                f"tokens in flight: {len(in_flight)}",
                 f"framework events processed: {self.session.capture.events_processed}",
                 f"data capture mode: {self.session.capture.data_mode}",
             ]

@@ -47,10 +47,6 @@ class DbgToken:
     producer_state: Optional[Dict[str, str]] = None
 
     @property
-    def in_flight(self) -> bool:
-        return self.popped_at is None
-
-    @property
     def primary_parent(self) -> Optional["DbgToken"]:
         return self.parents[0] if self.parents else None
 
@@ -77,7 +73,7 @@ class DbgToken:
             return "[...]"
         return str(value)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"#{self.seq} ({self.ctype_name}) {self.format_payload()}"
 
 
@@ -170,7 +166,7 @@ class DbgActor:
 
 
 class DataflowModel:
-    """The reconstructed application: actors + links + token registry."""
+    """The reconstructed application: actors, links and the tokens in flight."""
 
     def __init__(self) -> None:
         self.program_name: str = ""
@@ -178,7 +174,6 @@ class DataflowModel:
         self.modules: List[str] = []
         self.actors: Dict[str, DbgActor] = {}  # by qualname
         self.links: List[DbgLink] = []
-        self.tokens: Dict[int, DbgToken] = {}  # by global seq
         # controller step counters, by controller qualname
         self.steps: Dict[str, int] = {}
         # scheduling predicates, by module then name

@@ -181,7 +181,7 @@ class CommandCli:
         reg(Command("disas", self._cmd_disas,
                     "disas [FUNC] — disassemble bytecode (current frame by default)",
                     aliases=("disassemble",), completer=self._complete_location))
-        reg(Command("delete", self._cmd_delete, "delete N — delete breakpoint N", aliases=("d",)))
+        reg(Command("delete", self._cmd_delete, "delete [N] — delete breakpoint N (all when omitted)", aliases=("d",)))
         reg(Command("enable", self._cmd_enable, "enable N — enable breakpoint N"))
         reg(Command("disable", self._cmd_disable, "disable N — disable breakpoint N"))
         reg(Command("ignore", self._cmd_ignore, "ignore N COUNT — skip next COUNT hits of N"))
@@ -275,7 +275,11 @@ class CommandCli:
         return parse_int_arg(arg, what)
 
     def _cmd_delete(self, arg: str) -> List[str]:
-        self.dbg.delete(self._int_arg(arg, "delete"))
+        if arg.strip():
+            self.dbg.delete(self._int_arg(arg, "delete"))
+        else:  # every user breakpoint, watchpoint and catchpoint, as GDB does
+            for bp in self.dbg.breakpoints.visible():
+                self.dbg.delete(bp.id)
         return []
 
     def _cmd_enable(self, arg: str) -> List[str]:

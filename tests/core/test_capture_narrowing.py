@@ -23,8 +23,12 @@ def test_tokens_pushed_while_blind_are_reconstructed_on_pop():
     # blind but popped captured exist as reconstructed entries
     f1 = session.model.find_actor("filter_1")
     assert f1.last_token_in is not None
-    # every tracked token has consistent endpoints
-    for token in session.model.tokens.values():
+    # every retained token (in flight or last in/out) has consistent endpoints
+    retained = [t for link in session.model.links for t in link.in_flight]
+    for actor in session.model.actors.values():
+        retained += [t for t in (actor.last_token_in, actor.last_token_out) if t is not None]
+    assert retained
+    for token in retained:
         assert token.dst_iface
         assert token.src_iface
 

@@ -86,6 +86,10 @@ def test_property_pipeline_output_and_conservation(stage_specs, values, capacity
     sched, runtime, sink = build_pipeline(stage_specs, values, capacity)
     dbg = Debugger(sched, runtime)
     session = DataflowSession(dbg)
+    # ``iface ... record`` on every interface, unbounded (capacity 0)
+    stages = [f"s{i}" for i in range(len(stage_specs))]
+    for qual in ["stim::out", "cap::in"] + [f"{s}::{io}" for s in stages for io in "io"]:
+        session.records.enable(qual, 0)
     ev = dbg.run()
     assert ev.kind.value == "exited"
     # functional correctness against the golden fold
@@ -97,7 +101,9 @@ def test_property_pipeline_output_and_conservation(stage_specs, values, capacity
         assert link.occupancy == 0
     assert len(session.model.links) == len(runtime.links)
     # every token has a provenance parent except the source's
-    for token in session.model.tokens.values():
+    recorded = [t for buf in session.records.buffers.values() for t in buf.entries]
+    assert len({t.seq for t in recorded}) == len(values) * (len(stage_specs) + 1)
+    for token in recorded:
         if token.src_actor == "stim":
             assert token.parents == []
         else:

@@ -46,3 +46,23 @@ def test_dataflow_token_lookup():
     assert any("parent[0]" in line for line in out)
     out = cli.execute("dataflow token 99999")
     assert "error" in out[0]
+
+
+def test_delete_without_argument_deletes_every_user_breakpoint():
+    from repro.core import DataflowSession
+
+    cli, dbg, runtime, sink = make_cli([5, 6])
+    session = DataflowSession(dbg, cli=cli, stop_on_init=True)
+    cli.execute("run")
+    cli.execute(f"break the_source.c:{LINE_COMPUTE}")
+    cli.execute("filter filter_2 catch work")
+    cli.execute("sched catch step-begin")
+    assert len(cli.execute("info breakpoints")) == 4
+    events = session.capture.events_processed
+    assert cli.execute("delete") == []
+    assert cli.execute("info breakpoints") == ["No breakpoints or watchpoints."]
+    out = cli.execute("continue")
+    assert dbg.last_stop.kind == StopKind.EXITED, out
+    # the internal capture breakpoints stay
+    assert session.capture.events_processed > events
+    assert len(sink.values) == 2
