@@ -330,15 +330,17 @@ def _counted_rle_run(monkeypatch, telemetry):
 
 def test_telemetry_on_feeds_one_builder_once_per_event(monkeypatch):
     """The exact-count gate (runs under ``--benchmark-disable`` too):
-    with telemetry on, the session holds one span builder, it sees each
+    with telemetry on, the session holds one span builder, which is not
+    on the tap: the run feeds it nothing.  The first read feeds it each
     tap event exactly once, and each span it closes is inserted once
     into the telemetry sink and once into the flight ring."""
     session, counts = _counted_rle_run(monkeypatch, telemetry=True)
     assert counts["tap_events"] > 0
     assert counts["builders"] == 1
+    assert counts["feeds"] == counts["span_adds"] == 0
+    closed = sum(session.telemetry.sink.name_counts.values())
     assert counts["feeds"] == counts["tap_events"]
     assert session.telemetry.builder.events_fed == counts["tap_events"]
-    closed = sum(session.telemetry.sink.name_counts.values())
     assert closed > 0
     assert session.flight.sink.name_counts == session.telemetry.sink.name_counts
     assert counts["span_adds"] == 2 * closed
@@ -431,14 +433,15 @@ def test_profiler_off_calls_no_profile_sink(monkeypatch):
 
 
 def test_telemetry_and_rv_on_call_no_profile_sink(monkeypatch):
-    """The exact-count gate for the pure tap consumers (runs under
-    ``--benchmark-disable`` too): a full run with telemetry and a check
-    armed charges no cost flush and counts no opcode, because neither
-    touches an interpreter."""
+    """The exact-count gate for telemetry and the tap's RV consumer (runs
+    under ``--benchmark-disable`` too): a full run with telemetry and a
+    check armed charges no cost flush and counts no opcode, because
+    neither touches an interpreter."""
     session, interps, counts = _counted_profiler_run(
         monkeypatch, telemetry=True, check="occupancy pack::o->expand::i <= 999999"
     )
     assert session.telemetry.enabled and session.checks.armed
+    assert session.telemetry.sink is not None  # a read feeds the builder
     assert session.telemetry.builder.events_fed > 0
     assert counts == {"sink_calls": 0, "profile_adds": 0}
     assert all(interp._profile is None and not interp._vm_trace for interp in interps)

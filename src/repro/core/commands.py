@@ -41,7 +41,7 @@ def install_dataflow_commands(cli: CommandCli, session: DataflowSession) -> None
     # and the serve daemon all execute through this one service
     from .service import CommandService
 
-    cli.service = CommandService(cli, session)
+    cli.service = CommandService(cli)
     cli.register(Command(
         "filter", handler.cmd_filter,
         "filter NAME catch work|IF=N,...|*in=N|IFACE [if COND] "

@@ -426,6 +426,13 @@ class ReplayManager:
             self.mode = "off"
         return ["Recording off (journal kept for replay)."]
 
+    def close(self) -> None:
+        """Detach the recorder and every parked machine (session teardown)."""
+        if self.recorder is not None:
+            self.recorder.detach()
+            self.recorder = None
+        self._clear_pool()
+
     # ------------------------------------------------------- snapshot pool
 
     def set_pool_limit(self, limit: int) -> List[str]:
@@ -549,7 +556,9 @@ class ReplayManager:
         """One restore rule for every hop: start from the highest machine
         at or below ``target`` — a parked resident, the current replayed
         machine, or a fresh build (position 0) — and re-execute the tail.
-        The user's breakpoints and ``$N`` history move to where it lands."""
+        The user's breakpoints and ``$N`` history move to where it lands,
+        and so do the history views (telemetry and the event tail), which
+        re-read the landed machine's journal up to its position."""
         master = self._require_master()
         if self.builder is None:
             raise ReplayError(
@@ -558,10 +567,12 @@ class ReplayManager:
                 "rebuilds this program"
             )
         carried = self.session.dbg.lift_user_state()
+        views = self.session.tap.lift_views()
         try:
             return self._hop(master, target)
         finally:
             self.session.dbg.land_user_state(carried)
+            self.session.tap.land_views(views)
 
     def _hop(self, master: ReplayJournal, target: int) -> StopEvent:
         while True:

@@ -84,9 +84,8 @@ class CommandResult:
 class CommandService:
     """Reentrant structured command dispatch over one debug session."""
 
-    def __init__(self, cli, session=None):
+    def __init__(self, cli):
         self.cli = cli
-        self._session = session
         self._lock = threading.RLock()
         #: subscriber handle -> hook, replaced wholesale on every change
         #: (copy-on-write), so publishing iterates without a lock and a
@@ -108,9 +107,7 @@ class CommandService:
         """The live DataflowSession — re-read through the CLI's dataflow
         handler because replay adoption swaps it."""
         handler = getattr(self.cli, "dataflow_handler", None)
-        if handler is not None:
-            return handler.session
-        return self._session
+        return handler.session if handler is not None else None
 
     @property
     def dbg(self):

@@ -40,7 +40,7 @@ from .dot import render_dot
 from .model import DataflowModel, DbgActor, DbgConnection
 from .record import TokenRecorder
 from .replay import ReplayManager
-from .tap import EventTap
+from .tap import EventTail, EventTap
 
 BEHAVIORS = ("default", "splitter", "joiner", "map")
 
@@ -59,9 +59,12 @@ class DataflowSession:
         self.model = DataflowModel()
         self.records = TokenRecorder()
         self.alter = Alteration(self)
-        #: the session's one ``"*"`` bus subscription, feeding the
-        #: recorder, telemetry, RV and the event-journal tail
+        #: the session's one ``"*"`` bus subscription and event history:
+        #: it feeds the recorder and RV, telemetry and the event-journal
+        #: tail read from it
         self.tap = EventTap(self)
+        #: the ``dataflow events`` tail (off until ``enable_event_journal``)
+        self.event_tail = EventTail(self.tap)
         self.replay = ReplayManager(self)
         from ..obs.telemetry import Telemetry
 
@@ -105,6 +108,21 @@ class DataflowSession:
 
     # ----------------------------------------------------------- lifecycle
 
+    def close(self) -> None:
+        """Let reference counting alone free this session: detach the
+        recorder and the resident machines, and cut every reference back
+        to it — its stop callback, each part's ``session`` and the CLI's
+        dataflow handler (which the command service reads) — so it sits
+        on no reference cycle."""
+        self.replay.close()
+        self.dbg.stop_callbacks.remove(self._on_stop)
+        for part in list(vars(self).values()):
+            if getattr(part, "session", None) is self:
+                part.session = None
+        handler = getattr(self.cli, "dataflow_handler", None)
+        if handler is not None and handler.session is self:
+            handler.session = None
+
     def _on_stop(self, ev) -> None:
         if self.graph_update == "on-stop" and self.model.initialized:
             self.refresh_graph()
@@ -146,26 +164,22 @@ class DataflowSession:
     # -------------------------------------------------------- event journal
 
     def enable_event_journal(self, limit: int = 2000) -> None:
-        """Record a chronological journal of framework events (the
-        trace-tool complement to interactive stops).  Off by default —
-        it observes *every* event, so it costs like full capture.  The
-        normalised records are kept as-is and rendered only on demand."""
-        from collections import deque
-
-        if getattr(self, "_journal_feed", None) is not None:
-            return
-        journal = self.journal = deque(maxlen=limit)
-        self._journal_feed = lambda ev, position: journal.append(ev)
-        self.tap.arm(self._journal_feed)
+        """Keep a chronological tail of framework events (the trace-tool
+        complement to interactive stops), the newest ``limit`` of them.
+        Off by default.  The tail is a view of the session's history:
+        its records are read when it is, never appended per event."""
+        self.event_tail.enable(limit)
 
     def disable_event_journal(self) -> None:
-        feed = getattr(self, "_journal_feed", None)
-        if feed is not None:
-            self.tap.disarm(feed)
-            self._journal_feed = None
+        self.event_tail.close()
+
+    @property
+    def journal(self):
+        """The event tail's records, up to date (None until enabled)."""
+        return self.event_tail.read()
 
     def journal_tail(self, count: int = 20) -> List[str]:
-        journal = getattr(self, "journal", None)
+        journal = self.journal
         if journal is None:
             raise DataflowDebugError("event journal is off (dataflow events on)")
         items = list(journal)

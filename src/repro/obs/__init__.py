@@ -3,8 +3,9 @@
 The interactive debugger (the paper's contribution) requires stopping
 the machine to learn anything; this package adds the complementary
 *continuous* channel — hierarchical spans, per-actor/per-link metrics
-and a Perfetto-loadable trace export — a pure consumer of the session's
-event tap, so event-bus elision keeps the cost when disarmed ~zero.
+and a Perfetto-loadable trace export — a view of the session's event
+history, built when it is read, so a run pays nothing for it per event
+and event-bus elision keeps the cost when disarmed ~zero.
 Any recorded run can also be profiled after the fact:
 :func:`derive_telemetry` rebuilds identical telemetry from a
 ReplayJournal.

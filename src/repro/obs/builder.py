@@ -30,9 +30,10 @@ no actor land on ``pedf.init``)::
 The builder is tolerant of a mid-run start: an exit with no matching
 open is dropped rather than corrupting the stack.
 
-A session has one builder.  Live, it adds each span it closes to the
-telemetry sink and to the flight recorder's ring; the post-hoc deriver
-runs the same builder with no ring.
+A session has one builder, fed only by its telemetry view when the
+view is read (:mod:`repro.obs.telemetry`); it adds each span it closes
+to the telemetry sink and to the flight recorder's ring.  The post-hoc
+deriver runs the same builder with no ring.
 """
 
 from __future__ import annotations

@@ -7,14 +7,14 @@ a self-contained post-mortem bundle of the recent past can be written
 without anyone having thought to enable tracing first.
 
 Zero-cost discipline (§V) still holds: the recorder itself allocates a
-few bounded buffers and one stop callback.  It builds no spans and
-keeps no metrics of its own: while telemetry is armed, the session's
-one span builder adds each span it closes to this recorder's ring as
-well as to the telemetry sink (one bounded ring insert per closed span
-— no tap slot, no effect on the telemetry-off fast path, which stays
-event-free).  Per-stop deltas and the bundle's
-metrics read the telemetry registry; deltas are computed only at stops,
-and journal/shard state is referenced, not copied.  When telemetry never
+few bounded buffers and one stop callback, which logs the stop and its
+event position in O(1) and reads no metrics.  It builds no spans and
+keeps no metrics of its own: the ring is filled, and each stop's counter
+delta computed, when the session's telemetry view advances — which
+every reader of this recorder (a bundle, ``flight status``) makes it do
+first.  As the view's span builder passes a logged stop position it
+lets the recorder snapshot the counters there, so the deltas are the
+ones live per-stop snapshots would have taken.  When telemetry never
 ran, the bundle says so and still carries the stop log, journal tail
 refs and shard/channel state — always-on means "armed", not "observing
 for free".
@@ -61,10 +61,13 @@ class FlightRecorder:
         self.session = session
         #: the newest spans the telemetry builder closed (it adds each
         #: span here as well as to the telemetry sink)
-        self.sink = SpanSink(limit=span_limit, ring=True)
+        self.ring = SpanSink(limit=span_limit, ring=True)
         #: per-stop counter deltas, oldest evicted first
-        self.deltas: deque = deque(maxlen=delta_limit)
+        self._deltas: deque = deque(maxlen=delta_limit)
         self.stops: deque = deque(maxlen=STOP_LIMIT)
+        #: ``(position, time, kind)`` of the stops whose delta the
+        #: telemetry view has not reached yet, oldest first
+        self.pending: deque = deque()
         self._last_counts: Dict[str, tuple] = {}
         #: the registry ``_last_counts`` was read from (``trace clear``
         #: swaps in a fresh one, whose counts start again from zero)
@@ -81,6 +84,18 @@ class FlightRecorder:
         session.dbg.stop_callbacks.append(self._on_stop)
 
     # ------------------------------------------------------------ capture
+
+    @property
+    def sink(self) -> SpanSink:
+        """The ring, brought up to the current position."""
+        self.session.telemetry.advance()
+        return self.ring
+
+    @property
+    def deltas(self) -> deque:
+        """The per-stop counter deltas, every logged stop's included."""
+        self.session.telemetry.advance()
+        return self._deltas
 
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
@@ -109,7 +124,20 @@ class FlightRecorder:
                 "message": ev.message,
             }
         )
-        metrics = self.metrics
+        self.pending.append((self.session.tap.position, ev.time, ev.kind.value))
+        if len(self.pending) > self._deltas.maxlen:
+            self.session.telemetry.advance()  # keeps the log bounded
+        if self.auto_dump and ev.kind in AUTO_DUMP_KINDS:
+            try:
+                path = self.dump(reason=f"auto:{ev.kind.value}")
+            except OSError as exc:  # pragma: no cover - disk trouble
+                self._notice = f"flight recorder: dump failed: {exc}"
+            else:
+                self._notice = f"flight recorder: post-mortem bundle written to {path}"
+
+    def settle(self, time: int, kind: str, metrics: Optional[MetricsRegistry]) -> None:
+        """Record a logged stop's counter delta; the telemetry view calls
+        this with its registry standing at the stop's position."""
         if metrics is not self._counts_source:
             self._last_counts = {}
             self._counts_source = metrics
@@ -126,16 +154,14 @@ class FlightRecorder:
             if diff:
                 changed[name] = diff
         self._last_counts = now
-        self.deltas.append(
-            {"time": ev.time, "kind": ev.kind.value, "actors": changed}
-        )
-        if self.auto_dump and ev.kind in AUTO_DUMP_KINDS:
-            try:
-                path = self.dump(reason=f"auto:{ev.kind.value}")
-            except OSError as exc:  # pragma: no cover - disk trouble
-                self._notice = f"flight recorder: dump failed: {exc}"
-            else:
-                self._notice = f"flight recorder: post-mortem bundle written to {path}"
+        self._deltas.append({"time": time, "kind": kind, "actors": changed})
+
+    def restart(self) -> None:
+        """Empty the ring and restart the deltas' counts: the telemetry
+        view re-reads a landed machine's history from its start."""
+        self.ring = SpanSink(limit=self.ring.limit, ring=True)
+        self._last_counts = {}
+        self._counts_source = None
 
     def take_notice(self) -> Optional[str]:
         """One-shot CLI notice about an automatic dump (rendered by the
@@ -183,7 +209,7 @@ class FlightRecorder:
                 "version": 1,
                 "reason": reason,
                 "spans_stored": len(snapshot.spans),
-                "spans_evicted": self.sink.dropped,
+                "spans_evicted": self.ring.dropped,
                 "telemetry_observed": self.telemetry_observed,
             },
             "stops": list(self.stops),
@@ -231,7 +257,7 @@ class FlightRecorder:
         lines = [
             "flight recorder: armed (always on)",
             f"  spans: {len(snapshot.spans)} in ring "
-            f"(limit {self.sink.limit}), {self.sink.dropped} evicted",
+            f"(limit {self.ring.limit}), {self.ring.dropped} evicted",
             f"  stops: {len(self.stops)} remembered, "
             f"{len(self.deltas)} delta snapshot(s)",
             f"  auto-dump: {'on' if self.auto_dump else 'off'} "

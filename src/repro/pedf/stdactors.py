@@ -92,7 +92,7 @@ class SourceActor(_HostActorBase):
 
 
 class SinkActor(_HostActorBase):
-    """Drains one input interface, recording the tokens it receives.
+    """Drains one input interface, recording the payloads it receives.
 
     ``expect`` bounds the number of tokens (the process then terminates,
     letting the simulation end cleanly); ``None`` drains forever.
@@ -113,16 +113,14 @@ class SinkActor(_HostActorBase):
         decl = IfaceDecl(iface_name, "input", ctype)
         self.inp = IfaceInst(self, decl, runtime.api, runtime.next_seq)
         self.ifaces[iface_name] = self.inp
-        self.received: List[Token] = []
-
-    @property
-    def values(self) -> List[Raw]:
-        return [t.value for t in self.received]
+        #: the payloads received, in order; the tokens themselves are
+        #: not kept (provenance reads the last one, ``last_token_in``)
+        self.values: List[Raw] = []
 
     def body(self):
         index = 0
         while self.expect is None or index < self.expect:
             token = yield from self.inp.pop(index)
             self.note_token_in(token)
-            self.received.append(token)
+            self.values.append(token.value)
             index += 1

@@ -1,10 +1,10 @@
 """The session-facing runtime-verification facade: arm, judge, stop.
 
-Arming checks mirrors the telemetry facade, and is just as reversible:
-it arms :meth:`Checks.feed` on the session's event tap (so
-:meth:`FrameworkAPI.call` materialises events — when no checks and no
-other consumer listen, the §V elision fast path keeps framework calls
-event-free).  That is all it does: checks raise no bit in the
+Arming checks is reversible: it arms :meth:`Checks.feed` on the
+session's event tap, so :meth:`FrameworkAPI.call` materialises events
+(when nothing else listens, the §V elision fast path keeps framework
+calls event-free).  With the recorder, the monitors are the tap's only
+per-event work, because a violation must be able to stop the run.  That is all it does: checks raise no bit in the
 debugger's hook mask and never touch an interpreter.
 
 A violation freezes the check into its :class:`~repro.rv.monitors.Verdict`
@@ -127,10 +127,7 @@ class Checks:
         self._enabled = tuple(c for c in self.checks.values() if c.enabled)
         want = bool(self._enabled)
         if want != self.armed:
-            if want:
-                self.session.tap.arm(self.feed)
-            else:
-                self.session.tap.disarm(self.feed)
+            self.session.tap.arm(self.feed, want)
             self.armed = want
 
     # ------------------------------------------------------------- judging

@@ -368,6 +368,13 @@ class SessionHandle:
         self.closed = True
         self.service.publish("closed", {"session": self.id})
         self.service.unsubscribe_all()
+        if self.sharded is None:
+            # a queued job, after any command still running on the worker:
+            # the session then goes by reference counting, not the collector
+            try:
+                self.worker.submit(self.session.close)
+            except RuntimeError:  # a draining daemon already ran the queue
+                self.session.close()
         self.worker.shutdown(wait=False)
 
 

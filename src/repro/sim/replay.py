@@ -57,6 +57,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .segments import DEFAULT_SEGMENT_WINDOW, SegmentStore
@@ -264,6 +265,25 @@ class ReplayJournal:
                     continue
             yield self.record_at(index)
             index += 1
+
+    def records(self, first: int, last: int) -> Iterator[EventRecord]:
+        """The records at positions ``first..last`` (inclusive, clipped to
+        the journal), in order — the batch reader of the session's
+        history views.  The shared prefix comes from ``base``, rotated
+        positions one decoded segment at a time, the in-memory window by
+        one slice; the journal must not grow while this is read."""
+        index, last = max(first, 1), min(last, self._total)
+        if index <= min(last, self.shared):
+            yield from self.base.records(index, min(last, self.shared))
+            index = self.shared + 1
+        stored = self._stored_base()
+        while index <= min(last, stored):
+            seg = self.segments.segment_for(index)
+            end = min(last, seg.last)
+            yield from self.segments.load(seg).records[index - seg.first : end - seg.first + 1]
+            index = end + 1
+        if index <= last:
+            yield from islice(self.events, index - stored - 1, last - stored)
 
     def value_for_event(self, index: int) -> Optional[str]:
         """``event_values`` lookup that falls back to segments (and to

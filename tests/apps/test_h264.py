@@ -148,7 +148,7 @@ def test_dropped_token_deadlocks_and_injection_unties():
     assert runtime.classify_stop(stop) == "deadlock"
     ipred = runtime.modules["pred"].filters["ipred"]
     assert ipred.blocked
-    assert len(sink.received) == 5  # stalled before the last macroblock
+    assert len(sink.values) == 5  # stalled before the last macroblock
     # inject the missing configuration token and finish the sequence
     link = next(l for l in runtime.links if l.src and l.src.qualname == "hwcfg::HwCfg_out")
     link.inject(mbs[5].header, seq=runtime.next_seq())

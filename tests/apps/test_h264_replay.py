@@ -24,7 +24,7 @@ def test_replay_reproduces_40_macroblock_decode():
     assert ev.kind == StopKind.EXITED
 
     live_stream = mgr.master.token_stream()
-    live_decoded = [t.value for t in session.dbg.runtime.sinks[0].received]
+    live_decoded = session.dbg.runtime.sinks[0].values
     assert len(live_decoded) == 40
     assert len(live_stream) > 40
     assert mgr.master.checkpoints, "decode too short to cross a checkpoint boundary"

@@ -2,7 +2,8 @@
 
 Recording, telemetry, runtime verification and the event-journal tail
 all observe framework events through one ``"*"`` bus subscription owned
-by the session.  The subscription exists exactly while at least one of
+by the session: the recorder and RV per event, telemetry and the tail
+as views that read the tap's history when they are read.  The subscription exists exactly while at least one of
 them is armed, so with everything off the §V elision fast path keeps
 framework calls event-free; and arming them all at once changes nothing
 any of them would have seen alone.
@@ -115,9 +116,11 @@ def test_all_consumers_armed_live_equals_derived(app):
     master = session.replay.master
 
     tel = session.telemetry
+    # the builder is not on the tap: the run fed it nothing, a read does
+    assert tel.builder.events_fed == 0
     derived = derive_telemetry(master)
-    assert derived.events_fed == tel.builder.events_fed
     assert derived.sink.snapshot() == tel.sink.snapshot()
+    assert derived.events_fed == tel.builder.events_fed
     assert derived.metrics.render() == tel.metrics.render()
     assert to_chrome_trace(derived.sink.snapshot().spans, "app") == to_chrome_trace(
         tel.sink.snapshot().spans, "app"

@@ -56,7 +56,7 @@ def test_full_replay_reproduces_live_run():
         link.name: (link.total_pushed, link.total_popped)
         for link in session.model.links
     }
-    live_sunk = [t.value for t in session.dbg.runtime.sinks[0].received]
+    live_sunk = session.dbg.runtime.sinks[0].values
 
     ev = mgr.replay_to("end")
     assert ev.kind == StopKind.REPLAY
@@ -76,7 +76,7 @@ def test_full_replay_reproduces_live_run():
         for link in mgr.session.model.links
     }
     assert replayed_model == live_model
-    assert [t.value for t in mgr.session.dbg.runtime.sinks[0].received] == live_sunk
+    assert mgr.session.dbg.runtime.sinks[0].values == live_sunk
 
 
 def test_record_on_must_precede_first_run():
@@ -302,7 +302,7 @@ def test_recorded_alteration_is_reapplied_during_replay():
     run_to_exit(dbg)
     assert [a.kind for a in mgr.master.alterations] == ["insert"]
     live_stream = mgr.master.token_stream()
-    live_results = [t.value for t in sink.received]
+    live_results = sink.values
     assert live_results
 
     mgr.replay_to("end")
@@ -317,7 +317,7 @@ def test_recorded_alteration_is_reapplied_during_replay():
     # coroutine resumes; running off the journal's end finishes the program
     run_to_exit(mgr.session.dbg)
     replayed_sink = mgr.session.dbg.runtime.sinks[0]
-    assert [t.value for t in replayed_sink.received] == live_results
+    assert replayed_sink.values == live_results
 
 
 def test_new_alteration_in_replayed_past_forks_timeline():

@@ -51,7 +51,7 @@ def _single_rle_fingerprint(tier):
     session = DataflowSession(Debugger(sched, runtime))
     session.replay.record_on(interval=16)
     assert _run_to_exit(session.dbg).kind == StopKind.EXITED
-    assert [t.value for t in sink.received][: len(VALUES)] == list(VALUES)
+    assert sink.values[: len(VALUES)] == list(VALUES)
     return fingerprint_streams(session.replay.master.link_value_streams())
 
 
@@ -121,8 +121,8 @@ def test_sharded_sink_receives_identity_roundtrip():
     received = None
     for session in run.sessions:
         for actor in session.dbg.runtime.all_actors():
-            if actor.name == "cap" and hasattr(actor, "received"):
-                received = [t.value for t in actor.received]
+            if actor.name == "cap" and hasattr(actor, "values"):
+                received = actor.values
     assert received is not None and received[: len(VALUES)] == list(VALUES)
 
 
@@ -195,7 +195,7 @@ def _synthetic_single_fingerprint(values, **dims):
         dims.get("modules_per_chain", 25) * dims.get("filters_per_module", 9),
     )
     for sink in sinks:
-        assert [t.value for t in sink.received] == golden
+        assert sink.values == golden
     return fingerprint_streams(dict(rec.streams))
 
 

@@ -150,7 +150,7 @@ def test_drop_token():
     # deadlocks waiting for a second input, which is expected
     ev = dbg.cont()
     assert ev.kind == StopKind.DEADLOCK
-    assert [t.value for t in sink.received] == [(5 * 2 + 1) * 2 + 1]
+    assert sink.values == [(5 * 2 + 1) * 2 + 1]
 
 
 def test_alteration_errors():

@@ -104,9 +104,7 @@ def test_record_one_tier_replay_on_the_other(record_tier, replay_tier):
 
     # the replayed machine converges on the same final state
     run_to_exit(mgr.session.dbg)
-    assert [t.value for t in mgr.session.dbg.runtime.sinks[0].received] == [
-        t.value for t in session.dbg.runtime.sinks[0].received
-    ]
+    assert mgr.session.dbg.runtime.sinks[0].values == session.dbg.runtime.sinks[0].values
 
 
 # ------------------------------------------------- other application graphs
@@ -129,7 +127,7 @@ def _amodule_fingerprint(tier):
     mgr = session.replay
     mgr.record_on(interval=8)
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
-    return journal_fingerprint(mgr.master), [t.value for t in sink.received]
+    return journal_fingerprint(mgr.master), sink.values
 
 
 def test_amodule_journal_fingerprints_identical_across_tiers():
@@ -150,7 +148,7 @@ def _synthetic_fingerprint(tier):
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
     golden = lcg_reference(values, 25 * 9)
     for sink in sinks:
-        assert [t.value for t in sink.received] == golden
+        assert sink.values == golden
     return fingerprint_streams(dict(rec.streams))
 
 

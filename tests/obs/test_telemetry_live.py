@@ -42,8 +42,10 @@ def test_telemetry_off_by_default_and_armed_on_enable():
     assert session.tap.consumers == ()
     session.telemetry.enable()
     assert session.telemetry.enabled
-    assert session.tap.consumers == (session.telemetry.builder.feed,)
-    # telemetry is a pure tap consumer: no mask bit, no interpreter change
+    # telemetry is a view of the tap's history: the builder is not on the
+    # tap, and arming raises no mask bit and changes no interpreter
+    assert session.tap.consumers == ()
+    assert session.telemetry in session.tap.views and session.tap._sub is not None
     assert dbg.hook.capabilities == caps
     for actor in dbg.runtime.all_actors():
         interp = getattr(actor, "interp", None)

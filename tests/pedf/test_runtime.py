@@ -99,7 +99,7 @@ def test_link_counters_and_occupancy():
 
 def test_tokens_carry_provenance_fields():
     _, _, _, sink, _ = run_demo([1])
-    tok = sink.received[0]
+    tok = sink.last_token_in  # the only token (one value)
     assert tok.src_iface == "filter_2::an_output"
     assert tok.dst_iface == "capture::in"
     assert tok.seq > 0

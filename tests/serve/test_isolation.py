@@ -51,7 +51,9 @@ def test_capability_bits_do_not_leak(pair):
     assert b.execute("trace on").ok
     assert b.session.telemetry.enabled and not a.session.telemetry.enabled
     assert a.session.tap.consumers == (a.session.checks.feed,)
-    assert b.session.tap.consumers == (b.session.telemetry.builder.feed,)
+    # the span builder is not on the tap: telemetry reads B's history
+    assert b.session.tap.consumers == ()
+    assert b.session.telemetry.armed and not a.session.telemetry.armed
     # and the profiler in A only
     assert a.execute("prof on").ok
     assert a.service.dbg.hook.profile_sink is not None
@@ -113,3 +115,30 @@ def test_wire_isolation(daemon):
         # B's first breakpoint still gets id 1
         cb.execute(sb, "break pack.c:7")
         assert cb.breakpoints(sb)[0]["id"] == 1
+
+
+@pytest.mark.parametrize("commands", [
+    ("run", "break pack.c:7", "continue"),
+    ("record on", "trace on", "run", "break pack.c:7", "continue", "continue",
+     "replay to event 5", "trace status"),
+], ids=["plain", "recorded-hop"])
+def test_destroy_frees_the_session_without_the_collector(commands):
+    """A destroyed session sits on no reference cycle: with the cyclic
+    collector off, dropping the handle frees the DataflowSession."""
+    import gc
+    import weakref
+
+    registry = SessionRegistry()
+    handle = registry.create("rle")
+    for command in commands:
+        assert handle.execute(command).ok, command
+    session = weakref.ref(handle.session)
+    gc.collect()
+    gc.disable()
+    try:
+        registry.destroy(handle.id)
+        handle.worker.shutdown(wait=True)  # the close job has run
+        del handle
+        assert session() is None
+    finally:
+        gc.enable()
