@@ -25,8 +25,7 @@ def _fresh_stack(fn):
     call nests a generator) can swing ~2x depending on how deep the
     *harness* stack happens to be when the measurement starts (pytest sits right
     in the pathological band).  A fresh thread starts with fresh chunks,
-    making the measurement independent of harness stack depth — for
-    every tier alike, so comparisons stay apples-to-apples.
+    making the measurement independent of harness stack depth.
     """
     box = []
 
@@ -101,25 +100,12 @@ U32 main() {
 """
 
 
-#: the CI bar on recursion: with no debugger attached, the register VM
-#: must beat the per-statement resumable interpreter by at least this
-#: factor on fib15 (measured ~3.3x; recorded conservatively)
-RECORDED_SPEEDUP_MARGIN = 2.0
-
-#: the CI bar on the straight-line hot loop: the VM must beat the tree
-#: interpreter by at least this factor on loop5k (measured 8.4-8.9x).
-#: 3.0 is the product of the two rungs it replaces — closures over tree
-#: (2.0x) times VM over closures (1.5x) — so the gate is no looser.
-VM_SPEEDUP_MARGIN = 3.0
-
-
 @pytest.mark.parametrize("timed", [False, True], ids=["untimed", "timed"])
-@pytest.mark.parametrize("tier", ["vm", "slow"])
 @pytest.mark.parametrize("name,src,expected", [
     ("fib15", FIB_SRC, 610),
     ("loop5k", LOOP_SRC, None),
 ])
-def test_interpreter_throughput(benchmark, name, src, expected, tier, timed):
+def test_interpreter_throughput(benchmark, name, src, expected, timed):
     """``timed`` rows charge statement cycles as the runtime does for
     every actor it builds; untimed rows skip the cost accounting."""
     prog = parse_program(src)
@@ -127,71 +113,12 @@ def test_interpreter_throughput(benchmark, name, src, expected, tier, timed):
 
     def work():
         interp = Interpreter(prog, info, env=NullEnvironment(), timed=timed)
-        interp.tier = tier
         return run_sync(interp.run_function("main")), interp.state.statements_executed
 
     (value, stmts) = benchmark(lambda: _fresh_stack(work))
     if expected is not None:
         assert value == expected
     assert stmts > 1000
-
-
-def _best_of(fn, rounds=3, iterations=5):
-    import time
-
-    fn()  # warm-up (lowers the unit to bytecode on the VM tier)
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / iterations)
-    return best
-
-
-def test_vm_tier_margin_fib15():
-    """The bench-smoke acceptance bar, independent of pytest-benchmark
-    (also runs under ``--benchmark-disable``): on recursion the
-    no-debugger VM tier beats the interpreted tier by the recorded
-    margin."""
-    prog = parse_program(FIB_SRC)
-    info = analyze(prog, None, FIB_SRC)
-
-    def run(tier):
-        interp = Interpreter(prog, info, env=NullEnvironment(), timed=False)
-        interp.tier = tier
-        value = run_sync(interp.run_function("main"))
-        assert value == 610
-        return value
-
-    vm = _fresh_stack(lambda: _best_of(lambda: run("auto")))
-    slow = _fresh_stack(lambda: _best_of(lambda: run("slow")))
-    assert slow >= RECORDED_SPEEDUP_MARGIN * vm, (
-        f"vm tier speedup {slow / vm:.2f}x below the recorded "
-        f"{RECORDED_SPEEDUP_MARGIN}x margin (vm {vm:.4f}s, slow {slow:.4f}s)"
-    )
-
-
-def test_vm_tier_margin():
-    """The bytecode-tier acceptance bar, independent of pytest-benchmark
-    (also runs under ``--benchmark-disable``): on the straight-line hot
-    loop the register VM beats the tree interpreter by the recorded
-    margin."""
-    prog = parse_program(LOOP_SRC)
-    info = analyze(prog, None, LOOP_SRC)
-
-    def run(tier):
-        interp = Interpreter(prog, info, env=NullEnvironment(), timed=False)
-        interp.tier = tier
-        return run_sync(interp.run_function("main"))
-
-    assert run("auto") == run("slow")  # same value before we time anything
-    vm = _fresh_stack(lambda: _best_of(lambda: run("auto")))
-    slow = _fresh_stack(lambda: _best_of(lambda: run("slow")))
-    assert slow >= VM_SPEEDUP_MARGIN * vm, (
-        f"vm tier speedup {slow / vm:.2f}x below the recorded "
-        f"{VM_SPEEDUP_MARGIN}x margin (vm {vm:.4f}s, slow {slow:.4f}s)"
-    )
 
 
 class _CapHook(DebugHook):
@@ -359,7 +286,7 @@ def test_telemetry_off_builds_no_span(monkeypatch):
 
 def test_profiler_on_attribution_row(benchmark):
     """The profiler-on row: timed VM tier with a live ``profile_sink``
-    attributing every flushed cycle to an (actor, function, tier)
+    attributing every flushed cycle to an (actor, call path)
     call-tree node."""
     from repro.obs.prof import Profile
 
@@ -369,7 +296,7 @@ def test_profiler_on_attribution_row(benchmark):
 
     def charge(interp, cycles):
         path = tuple(f.func.name for f in interp.frames) or ("<entry>",)
-        profile.add("bench", "vm", path, cycles)
+        profile.add("bench", path, cycles)
 
     def run():
         hook = _CapHook(0)

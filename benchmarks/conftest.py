@@ -60,9 +60,7 @@ def _bench_rows(benchmarks):
             "stddev": getattr(stats, "stddev", None),
             "rounds": getattr(stats, "rounds", None),
         }
-        if "tier" in params:  # tiered rows are comparable by tier key
-            row["tier"] = params["tier"]
-        if "timed" in params:  # ... and by whether cycles are charged
+        if "timed" in params:  # rows are comparable by whether cycles are charged
             row["timed"] = params["timed"]
         by_file.setdefault(stem, []).append(row)
     return by_file

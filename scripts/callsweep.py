@@ -52,7 +52,7 @@ PACKAGE = os.path.join(SRC, "repro")
 SMOKE = os.path.join(ROOT, "scripts", "smoke")
 
 #: the unreached count this sweep was committed at; more fails the run
-MAX_UNREACHED = 212
+MAX_UNREACHED = 209
 
 #: why a function no user path enters still stays: reason -> the
 #: functions it covers, each named ``path::qualname`` (the path relative
@@ -207,7 +207,6 @@ REASONS: Dict[str, Tuple[str, ...]] = {
         "obs/metrics.py::Histogram.percentile",
         "obs/metrics.py::Histogram.summary",
         "obs/metrics.py::MetricsRegistry.render",
-        "obs/prof.py::Profile.tier_cycles",
         "obs/prof.py::Profile.render",
         "obs/prof.py::derive_profile",
         "obs/spans.py::SpanSink.spans",
@@ -321,6 +320,7 @@ REASONS: Dict[str, Tuple[str, ...]] = {
         "dbg/eval.py::Evaluator._eval_Call",
         "dbg/eval.py::Evaluator._eval_PedfIo",
         "dbg/eval.py::Evaluator._eval_StringLit",
+        "cminus/interp.py::apply_unop",
     ),
     "debug-info queries; tests/cminus/test_debuginfo.py": (
         "cminus/debuginfo.py::FunctionSymbol.variable",
@@ -332,11 +332,6 @@ REASONS: Dict[str, Tuple[str, ...]] = {
     "front-end cache statistics; tests/pedf/test_frontend_cache.py": (
         "cminus/frontend.py::FrontendCache.__len__",
         "cminus/frontend.py::FrontendCache.stats",
-    ),
-    "the slow reference tier: forms no smoke script runs on it; tests/cminus": (
-        "cminus/interp.py::_Return.__init__",
-        "cminus/interp.py::Interpreter._ref_get",
-        "cminus/interp.py::apply_unop",
     ),
     (
         "the assembler, the disassembler's inverse: the round-trip oracle of "

@@ -23,7 +23,7 @@ from . import build_debug_session
 from .errors import ReproError
 
 
-def _build_demo(name: str, bug: Optional[str], tier: str = "auto"):
+def _build_demo(name: str, bug: Optional[str]):
     from .serve.builders import build_program_cli
 
     if name == "h264" and bug is not None:
@@ -32,18 +32,15 @@ def _build_demo(name: str, bug: Optional[str], tier: str = "auto"):
         variant = BUG_VARIANTS.get(bug)
         if variant is not None:
             print(f"[loaded h264 decoder with injected bug: {variant.symptom}]")
-    return build_program_cli(name, bug=bug, tier=tier)
+    return build_program_cli(name, bug=bug)
 
 
-def _build_from_adl(adl_path: str, src_paths: List[str], values: List[int], tier: str = "auto"):
-    from .serve.builders import apply_tier
-
+def _build_from_adl(adl_path: str, src_paths: List[str], values: List[int]):
     adl_text = Path(adl_path).read_text()
     sources = {Path(p).name: Path(p).read_text() for p in src_paths}
 
     def fresh():
         dbg, cli, session, runtime = build_debug_session(adl_text, sources)
-        apply_tier(session, tier)
         if values:
             # feed the first module input found
             for module in runtime.decl.modules.values():
@@ -116,12 +113,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--source-values", default="",
                         help="comma-separated integers fed to the first module input")
     parser.add_argument("--script", help="run commands from this file instead of a REPL")
-    parser.add_argument("--interp-tier", choices=["auto", "vm", "slow"], default="auto",
-                        help="Filter-C execution tier: 'auto' runs the register-"
-                             "machine bytecode tier, which serves every debugger "
-                             "hook and adds disas/stepi/ISA breakpoints; 'vm' is "
-                             "an alias of 'auto'; 'slow' forces the tree-walking "
-                             "interpreter (the reference tier)")
     parser.add_argument("--trace-out", metavar="FILE",
                         help="enable telemetry from the start and write a "
                              "Perfetto-loadable Chrome trace-event JSON on exit")
@@ -142,10 +133,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.demo:
-            cli, _ = _build_demo(args.demo, args.bug, args.interp_tier)
+            cli, _ = _build_demo(args.demo, args.bug)
         elif args.adl:
             values = [int(v, 0) for v in args.source_values.split(",") if v.strip()]
-            cli, _ = _build_from_adl(args.adl, args.src, values, args.interp_tier)
+            cli, _ = _build_from_adl(args.adl, args.src, values)
         else:
             parser.error("give --demo or --adl")
             return 2

@@ -8,11 +8,12 @@ scheduler with ``yield from``, which is what lets the debugger pause an
 actor in the middle of its WORK method and later resume it exactly there —
 no unwinding, no re-execution.
 
-An :class:`Interpreter` runs on one of two tiers.  The default (``auto``)
-is the register-machine bytecode tier in :mod:`repro.cminus.vm`, which
-serves every debugger hook itself.  The tree walker in this module is the
-``slow`` tier: the reference the differential suites compare the VM
-against, with the same statement boundaries, hook order and cost flushes.
+An :class:`Interpreter` owns the state of one actor's program (frames,
+globals, counters, the batched cost) and runs it on the register-machine
+bytecode tier of :mod:`repro.cminus.vm`, which serves every debugger
+hook itself.  This module keeps what the tier and the debugger share:
+the plug-in interfaces, frames, cost flushes and the environment access
+points, the operator semantics and the synchronous driver.
 
 Three collaborators plug in:
 
@@ -28,43 +29,15 @@ Three collaborators plug in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import GeneratorType
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import CMinusRuntimeError
 from ..sim.process import Delay, Suspend
 from . import ast
 from .debuginfo import DebugInfo, FunctionSymbol
-from .typesys import (
-    BOOL,
-    S32,
-    STRING,
-    ArrayType,
-    BoolType,
-    CType,
-    IntType,
-    StructType,
-    VoidType,
-    wrap_int,
-)
-from .values import Raw, Value, coerce, copy_raw, default_value, format_value
-
-
-# --------------------------------------------------------------------- flow
-
-
-class _Return(Exception):
-    def __init__(self, value: Raw):
-        self.value = value
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
+from .typesys import S32, CType, IntType, wrap_int
+from .values import Raw, Value, default_value
 
 
 # ----------------------------------------------------------------- plug-ins
@@ -202,13 +175,6 @@ class CostModel:
     batch_cycles: int = 64
 
 
-#: accepted values of ``Interpreter.tier`` / ``RuntimeConfig.interp_tier``:
-#: "auto" runs the register-machine bytecode tier, debugger hooks included
-#: ("vm" is an alias of it, kept for wire clients and scripts), "slow"
-#: always tree-walks
-VALID_TIERS = ("auto", "vm", "slow")
-
-
 # -------------------------------------------------------------------- frames
 
 
@@ -221,9 +187,8 @@ class Frame:
     depth: int
     line: int
     call_line: int = 0  # line in the *caller* where this call was made
-    scopes: List[Dict[str, Value]] = field(default_factory=list)
     #: the VM :class:`~repro.cminus.vm.emulator.Activation` running this
-    #: frame, or None on the slow tier
+    #: frame (attached right after the frame is made)
     vm: Any = None
 
     @property
@@ -235,9 +200,8 @@ class Frame:
         return self.func.filename
 
     def _visible(self) -> List[Dict[str, Value]]:
-        """The scope stack in force: a VM frame keeps none, so it is read
-        from the registers on demand."""
-        return self.scopes if self.vm is None else self.vm.scopes()
+        """The scope stack in force, read from the registers on demand."""
+        return self.vm.scopes()
 
     def lookup(self, name: str) -> Optional[Value]:
         for scope in reversed(self._visible()):
@@ -291,19 +255,16 @@ class Interpreter:
         self.globals: Dict[str, Value] = {}
         self.state = CallState()
         self._globals_ready = False
-        #: tier override: "auto" (or its alias "vm") runs the bytecode tier;
-        #: "slow" always tree-walks
-        self.tier = "auto"
         # batched-Delay accumulator (cycles charged but not yet yielded)
         self._pending = 0
         self._batch_limit = max(1, self.cost.batch_cycles)
         self._profile = None
         self._isa_armed = False
         self._vm_trace = False
-        self._vm_unit = None  # lazily built VmUnit (bytecode tier)
+        self._vm_unit = None  # the program's VmUnit, fetched on first run
         #: simulated cycles attributed per executed VM opcode (keyed by
         #: opcode number), counted only while the profiler is armed —
-        #: never added to ``_pending``, so Delay streams stay tier-exact
+        #: never added to ``_pending``, so Delay streams do not move
         self.opcode_cycles: Dict[int, int] = {}
         # hook-elision fast-path flags, cached from hook.capabilities so the
         # per-statement checkpoint is one attribute test when disarmed
@@ -317,7 +278,7 @@ class Interpreter:
         (:meth:`DebugHook.capabilities_for`) and its profile sink (call
         after changing ``self.hook``, ``hook.capabilities`` or
         ``hook.profile_sink``).  With no hook nothing is wanted, so each
-        tier's hook sites test one cached flag.
+        hook site tests one cached flag.
         """
         caps = 0 if self.hook is None else self.hook.capabilities_for(self)
         self._want_stmt = bool(caps & DebugHook.CAP_STATEMENTS)
@@ -346,10 +307,7 @@ class Interpreter:
         first — the interpreter's contribution to a deep machine-state
         snapshot.  Execution *position* lives in Python generator frames
         and cannot be pickled; this captures the observable summary used
-        to fingerprint a parked resident machine.  Tier-variant: the
-        tiers update a frame's line at different points of a statement
-        boundary, so a summary taken mid-boundary can differ between
-        them."""
+        to fingerprint a parked resident machine."""
         return tuple((f.name, f.line) for f in self.frames)
 
     # --------------------------------------------------------------- entry
@@ -359,130 +317,33 @@ class Interpreter:
 
         Returns the function's raw return value.  Drive it inside a
         simulation process (``yield from interp.run_function(...)``) or
-        synchronously with :func:`run_sync`.
+        synchronously with :func:`run_sync`.  A program with a function
+        the compiler could not lower raises
+        :class:`~repro.errors.CMinusLoweringError` here.
         """
+        from .vm.emulator import call_vm
+
         func = self.program.function(name)
         if func is None:
             raise CMinusRuntimeError(f"no function {name!r} in {self.program.filename}")
-        if not self._globals_ready:
-            yield from self._init_globals()
-        if self._use_vm():
-            from .vm.emulator import call_vm
-
-            ret = yield from call_vm(self, func.name, list(args))
-        else:
-            ret = yield from self._call_user(func, list(args), call_line=0)
-        if self._pending:
-            yield from self._flush_cost()
-        return ret
-
-    def _use_vm(self) -> bool:
-        """Tier selection: the bytecode tier unless the tier is forced
-        slow.  A program with a function the compiler could not lower
-        raises :class:`~repro.errors.CMinusLoweringError` here."""
-        if self.tier == "slow":
-            return False
         if self._vm_unit is None:
             from .vm.compiler import vm_unit
 
             vu = vm_unit(self.program)
             vu.require_complete()
             self._vm_unit = vu
-        return True
+        if not self._globals_ready:
+            self._globals_ready = True
+            for g in self.program.globals:
+                self.globals[g.name] = Value(g.ctype, default_value(g.ctype))
+            if self._vm_unit.init is not None:
+                from .vm.emulator import run_init
 
-    def _init_globals(self):
-        self._globals_ready = True
-        for g in self.program.globals:
-            raw = default_value(g.ctype)
-            if g.init is not None:
-                raw = coerce((yield from self._eval(g.init)), g.ctype)
-            self.globals[g.name] = Value(g.ctype, raw)
-
-    # ---------------------------------------------------------------- calls
-
-    def _call_user(self, func: ast.FuncDef, args: List[Raw], call_line: int):
-        if len(args) != len(func.params):
-            raise CMinusRuntimeError(
-                f"{func.name}() expects {len(func.params)} args, got {len(args)}"
-            )
-        frame = Frame(
-            func=func,
-            fsym=self.debug_info.functions.get(func.name),
-            depth=len(self.frames),
-            line=func.line,
-            call_line=call_line,
-        )
-        params = {p.name: Value(p.ctype, coerce(a, p.ctype)) for p, a in zip(func.params, args)}
-        frame.scopes.append(params)
-        self.frames.append(frame)
-        self.state.calls_made += 1
-        hook = self.hook
-        if hook is not None and self._want_call:
-            req = hook.on_call(self, frame)
-            if req is not None:
-                yield req
-        if self.timed and self.cost.call_overhead:
-            self._pending += self.cost.call_overhead
-        ret: Raw = 0 if not isinstance(func.ret, VoidType) else 0
-        try:
-            yield from self._exec_block(func.body, new_scope=True)
-            if not isinstance(func.ret, VoidType):
-                ret = default_value(func.ret)
-        except _Return as r:
-            ret = r.value if r.value is not None else 0
-        hook = self.hook
-        if hook is not None and self._want_ret:
-            req = hook.on_return(self, frame, ret)
-            self.frames.pop()
-            if req is not None:
-                yield req
-        else:
-            self.frames.pop()
+                yield from run_init(self)
+        ret = yield from call_vm(self, func.name, list(args))
+        if self._pending:
+            yield from self._flush_cost()
         return ret
-
-    # ----------------------------------------------------------- statements
-
-    def _exec_block(self, block: ast.Block, new_scope: bool = True):
-        frame = self.frames[-1]
-        if new_scope:
-            frame.scopes.append({})
-        try:
-            for stmt in block.body:
-                yield from self._exec_stmt(stmt)
-        finally:
-            if new_scope:
-                frame.scopes.pop()
-
-    def _checkpoint(self, stmt: ast.Stmt):
-        """Per-statement debugger + cost hook (the pause point).
-
-        Statement costs are *charged* here but only *flushed* to the
-        kernel (as one batched ``Delay``) once ``batch_cycles`` have
-        accumulated; genuine blocking points flush eagerly via
-        :meth:`_io_read` / :meth:`_io_write` / :meth:`_intrinsic`, and
-        :meth:`run_function` flushes the remainder on exit.  The flush
-        points are purely structural (never hook- or stop-dependent) so
-        both execution tiers issue byte-identical kernel-request streams
-        and dispatch counting stays stop-invariant for the replay
-        journal.
-        """
-        frame = self.frames[-1]
-        frame.line = stmt.line
-        self.state.statements_executed += 1
-        timed = self.timed
-        if timed and self._pending >= self._batch_limit:
-            p = self._pending
-            self._pending = 0
-            if self._profile is not None:
-                self._profile(self, p)
-            yield Delay(p)
-        hook = self.hook
-        if hook is not None and self._want_stmt:
-            req = hook.on_statement(self, stmt)
-            if req is not None:
-                yield req
-        if timed:
-            self._pending += self.cost.default_stmt
 
     def _flush_cost(self):
         """Yield the accumulated statement cost as one kernel request."""
@@ -493,9 +354,9 @@ class Interpreter:
                 self._profile(self, p)
             yield Delay(p)
 
-    # Environment access points shared by both tiers: every genuine
-    # blocking point flushes pending cost first, so the kernel observes
-    # time in the same order as token traffic regardless of batching.
+    # Environment access points the VM calls: every genuine blocking
+    # point flushes pending cost first, so the kernel observes time in
+    # the same order as token traffic regardless of batching.
 
     def _io_read(self, iface: str, index: int, ctype: Optional[CType]):
         if self._pending:
@@ -512,285 +373,9 @@ class Interpreter:
             yield from self._flush_cost()
         return (yield from self.env.intrinsic(name, args))
 
-    def _exec_stmt(self, stmt: ast.Stmt):
-        if isinstance(stmt, ast.Block):
-            yield from self._exec_block(stmt)
-            return
-        if isinstance(stmt, ast.If):
-            yield from self._checkpoint(stmt)
-            cond = yield from self._eval(stmt.cond)
-            if cond:
-                yield from self._exec_stmt(stmt.then)
-            elif stmt.other is not None:
-                yield from self._exec_stmt(stmt.other)
-            return
-        if isinstance(stmt, ast.While):
-            while True:
-                yield from self._checkpoint(stmt)
-                cond = yield from self._eval(stmt.cond)
-                if not cond:
-                    return
-                try:
-                    yield from self._exec_stmt(stmt.body)
-                except _Break:
-                    return
-                except _Continue:
-                    continue
-        if isinstance(stmt, ast.DoWhile):
-            while True:
-                try:
-                    yield from self._exec_stmt(stmt.body)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
-                yield from self._checkpoint(stmt)
-                cond = yield from self._eval(stmt.cond)
-                if not cond:
-                    return
-        if isinstance(stmt, ast.For):
-            frame = self.frames[-1]
-            frame.scopes.append({})
-            try:
-                if stmt.init is not None:
-                    yield from self._exec_stmt(stmt.init)
-                while True:
-                    yield from self._checkpoint(stmt)
-                    if stmt.cond is not None:
-                        cond = yield from self._eval(stmt.cond)
-                        if not cond:
-                            return
-                    try:
-                        yield from self._exec_stmt(stmt.body)
-                    except _Break:
-                        return
-                    except _Continue:
-                        pass
-                    if stmt.step is not None:
-                        yield from self._exec_stmt(stmt.step)
-            finally:
-                frame.scopes.pop()
-        if isinstance(stmt, ast.Decl):
-            yield from self._checkpoint(stmt)
-            raw = default_value(stmt.ctype)
-            if stmt.init is not None:
-                raw = coerce((yield from self._eval(stmt.init)), stmt.ctype)
-            self.frames[-1].scopes[-1][stmt.name] = Value(stmt.ctype, raw)
-            return
-        if isinstance(stmt, ast.Assign):
-            yield from self._checkpoint(stmt)
-            yield from self._exec_assign(stmt)
-            return
-        if isinstance(stmt, ast.IncDec):
-            yield from self._checkpoint(stmt)
-            ref = yield from self._resolve_ref(stmt.target)
-            old = self._ref_get(ref, stmt.target)
-            delta = 1 if stmt.op == "++" else -1
-            self._ref_set(ref, old + delta, stmt.target.ctype)
-            return
-        if isinstance(stmt, ast.ExprStmt):
-            yield from self._checkpoint(stmt)
-            yield from self._eval(stmt.expr)
-            return
-        if isinstance(stmt, ast.Return):
-            yield from self._checkpoint(stmt)
-            value: Raw = 0
-            if stmt.value is not None:
-                func = self.frames[-1].func
-                value = coerce((yield from self._eval(stmt.value)), func.ret)
-            raise _Return(value)
-        if isinstance(stmt, ast.Break):
-            yield from self._checkpoint(stmt)
-            raise _Break()
-        if isinstance(stmt, ast.Continue):
-            yield from self._checkpoint(stmt)
-            raise _Continue()
-        raise CMinusRuntimeError(f"unknown statement {type(stmt).__name__}")  # pragma: no cover
-
-    def _exec_assign(self, stmt: ast.Assign):
-        value = yield from self._eval(stmt.value)
-        target = stmt.target
-        # dataflow assignment: pushing a token
-        if isinstance(target, ast.PedfIo):
-            index = yield from self._eval(target.index)
-            raw = coerce(value, target.ctype)
-            yield from self._io_write(target.iface, index, raw, target.ctype)
-            return
-        ref = yield from self._resolve_ref(target)
-        if stmt.op != "=":
-            old = self._ref_get(ref, target)
-            value = apply_binop(stmt.op[:-1], old, value, target.ctype, stmt.line)
-        self._ref_set(ref, value, target.ctype)
-
-    # ----------------------------------------------------------- references
-
-    def _resolve_ref(self, expr: ast.Expr):
-        """Coroutine resolving an lvalue to a (kind, ...) reference tuple."""
-        if isinstance(expr, ast.Ident):
-            slot = self.frames[-1].lookup(expr.name) or self.globals.get(expr.name)
-            if slot is None:
-                raise CMinusRuntimeError(f"undefined variable {expr.name!r}")
-            return ("slot", slot)
-        if isinstance(expr, ast.Index):
-            base_ref = yield from self._resolve_ref(expr.base)
-            container = self._ref_get(base_ref, expr.base)
-            index = yield from self._eval(expr.index)
-            if not isinstance(container, list):
-                raise CMinusRuntimeError("indexing a non-array value")
-            if not 0 <= index < len(container):
-                raise CMinusRuntimeError(
-                    f"array index {index} out of bounds [0, {len(container)}) "
-                    f"at {self.frames[-1].filename}:{expr.line}"
-                )
-            return ("elem", container, index)
-        if isinstance(expr, ast.Member):
-            base_ref = yield from self._resolve_ref(expr.base)
-            container = self._ref_get(base_ref, expr.base)
-            if not isinstance(container, dict):
-                raise CMinusRuntimeError("member access on a non-struct value")
-            return ("field", container, expr.member)
-        if isinstance(expr, ast.PedfData):
-            return ("data", expr.name)
-        raise CMinusRuntimeError(f"not an lvalue: {type(expr).__name__}")
-
-    def _ref_get(self, ref, expr: ast.Expr) -> Raw:
-        kind = ref[0]
-        if kind == "slot":
-            return ref[1].data
-        if kind == "elem":
-            return ref[1][ref[2]]
-        if kind == "field":
-            return ref[1][ref[2]]
-        if kind == "data":
-            return self.env.data_get(ref[1])
-        raise CMinusRuntimeError(f"bad reference {ref!r}")  # pragma: no cover
-
-    def _ref_set(self, ref, value: Raw, ctype: Optional[CType]) -> None:
-        kind = ref[0]
-        if kind == "slot":
-            slot: Value = ref[1]
-            slot.data = coerce(value, slot.ctype)
-        elif kind == "elem":
-            ref[1][ref[2]] = coerce(value, ctype) if ctype else value
-        elif kind == "field":
-            ref[1][ref[2]] = coerce(value, ctype) if ctype else value
-        elif kind == "data":
-            self.env.data_set(ref[1], value)
-        else:  # pragma: no cover
-            raise CMinusRuntimeError(f"bad reference {ref!r}")
-
-    # ---------------------------------------------------------- expressions
-
-    def _eval(self, expr: ast.Expr):
-        """Coroutine evaluating an expression to a raw value."""
-        if isinstance(expr, ast.NumberLit):
-            return expr.value
-        if isinstance(expr, ast.BoolLit):
-            return expr.value
-        if isinstance(expr, ast.StringLit):
-            return expr.value
-        if isinstance(expr, ast.Ident):
-            slot = None
-            if self.frames:
-                slot = self.frames[-1].lookup(expr.name)
-            if slot is None:
-                slot = self.globals.get(expr.name)
-            if slot is None:
-                raise CMinusRuntimeError(f"undefined variable {expr.name!r}")
-            return slot.data
-        if isinstance(expr, ast.Unary):
-            operand = yield from self._eval(expr.operand)
-            return apply_unop(expr.op, operand, expr.ctype)
-        if isinstance(expr, ast.Binary):
-            if expr.op == "&&":
-                left = yield from self._eval(expr.left)
-                if not left:
-                    return False
-                right = yield from self._eval(expr.right)
-                return bool(right)
-            if expr.op == "||":
-                left = yield from self._eval(expr.left)
-                if left:
-                    return True
-                right = yield from self._eval(expr.right)
-                return bool(right)
-            left = yield from self._eval(expr.left)
-            right = yield from self._eval(expr.right)
-            return apply_binop(expr.op, left, right, expr.ctype, expr.line)
-        if isinstance(expr, ast.Ternary):
-            cond = yield from self._eval(expr.cond)
-            branch = expr.then if cond else expr.other
-            value = yield from self._eval(branch)
-            if isinstance(expr.ctype, (IntType, BoolType)):
-                return coerce(value, expr.ctype)
-            return value
-        if isinstance(expr, ast.Cast):
-            value = yield from self._eval(expr.operand)
-            return coerce(value, expr.target)
-        if isinstance(expr, ast.Index):
-            base = yield from self._eval(expr.base)
-            index = yield from self._eval(expr.index)
-            if not isinstance(base, list):
-                raise CMinusRuntimeError("indexing a non-array value")
-            if not 0 <= index < len(base):
-                raise CMinusRuntimeError(
-                    f"array index {index} out of bounds [0, {len(base)}) "
-                    f"at {self.frames[-1].filename}:{expr.line}"
-                )
-            return base[index]
-        if isinstance(expr, ast.Member):
-            base = yield from self._eval(expr.base)
-            if not isinstance(base, dict):
-                raise CMinusRuntimeError("member access on a non-struct value")
-            return base[expr.member]
-        if isinstance(expr, ast.Call):
-            return (yield from self._eval_call(expr))
-        if isinstance(expr, ast.PedfIo):
-            index = yield from self._eval(expr.index)
-            return (yield from self._io_read(expr.iface, index, expr.ctype))
-        if isinstance(expr, ast.PedfData):
-            return self.env.data_get(expr.name)
-        if isinstance(expr, ast.PedfAttr):
-            return self.env.attr_get(expr.name)
-        raise CMinusRuntimeError(f"unknown expression {type(expr).__name__}")  # pragma: no cover
-
-    def _eval_call(self, expr: ast.Call):
-        args: List[Raw] = []
-        for a in expr.args:
-            args.append((yield from self._eval(a)))
-        name = expr.name
-        if expr.is_builtin:
-            pure = PURE_BUILTINS.get(name)
-            if pure is not None:
-                return wrap_int(pure(*args), S32)
-            if name == "print":
-                parts = []
-                for a, node in zip(args, expr.args):
-                    if isinstance(node.ctype, StructType):
-                        parts.append(format_value(node.ctype, a))
-                    elif isinstance(a, bool):
-                        parts.append("true" if a else "false")
-                    else:
-                        parts.append(str(a))
-                self.env.print_out(" ".join(parts))
-                return 0
-            if name == "trap":
-                if self.hook:
-                    req = self.hook.on_trap(self)
-                    if req is not None:
-                        yield req
-                return 0
-            # controller intrinsic
-            return (yield from self._intrinsic(name, args))
-        func = self.program.function(name)
-        if func is None:
-            raise CMinusRuntimeError(f"call to undefined function {name!r}")
-        call_line = self.frames[-1].line if self.frames else 0
-        return (yield from self._call_user(func, args, call_line))
-
 
 # ------------------------------------- operators and side-effect-free builtins
-# The tree walker and the debugger's ``print`` share these.
+# The debugger's ``print`` evaluates expressions with these.
 
 PURE_BUILTINS = {"abs": abs, "min": min, "max": max,
                  "clip": lambda x, lo, hi: max(lo, min(hi, x))}

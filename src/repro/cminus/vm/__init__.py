@@ -5,8 +5,8 @@ Layout:
 - :mod:`~repro.cminus.vm.isa` — opcodes, operand specs, cycle costs;
 - :mod:`~repro.cminus.vm.compiler` — AST → :class:`VmFunction` lowering
   (register allocation, constant pool, boundary/line/scope-shape tables);
-- :mod:`~repro.cminus.vm.emulator` — the dispatch-loop generator that
-  runs as the default interpreter tier (``tier == "auto"``);
+- :mod:`~repro.cminus.vm.emulator` — the dispatch-loop generator every
+  :class:`~repro.cminus.interp.Interpreter` runs;
 - :mod:`~repro.cminus.vm.asm` — textual assembler/disassembler.
 """
 

@@ -12,10 +12,15 @@ line table), the AST node index (what the statement hook is handed) and
 the scope-shape index — the table that names the registers holding the
 variables in scope, which a debugger reads a VM frame's locals through.
 
+The global initialisers lower into one more activation,
+:attr:`VmUnit.init`: each initialiser evaluated and stored in declaration
+order, with no statement boundary, run once before the program's first
+function.
+
 Compilation is failure-tolerant at the unit level: a function the
 compiler cannot lower is absent from the unit and recorded with its
 reason in :attr:`VmUnit.failed`; :meth:`VmUnit.require_complete` turns
-that into the error the VM tier raises instead of running the program.
+that into the error raised instead of running the program.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ...errors import CMinusLoweringError, CMinusRuntimeError
 from .. import ast
-from ..typesys import BoolType, IntType, S32, StructType, VoidType
+from ..typesys import VOID, BoolType, IntType, S32, StructType, VoidType
 from ..values import coerce, default_value
 from . import isa
 
@@ -241,7 +246,7 @@ class _FnCompiler:
     def _boundary(self, node: ast.Stmt) -> None:
         """Emit a statement boundary with the scope shape in force before
         the statement runs (a declaration's own variable is not yet in
-        scope, as on the tree tier)."""
+        scope)."""
         self.out.nodes.append(node)
         self._emit(isa.STMT, node.line, len(self.out.nodes) - 1, self._varmap())
 
@@ -487,7 +492,7 @@ class _FnCompiler:
     # ------------------------------------------------------------- lvalues
 
     def _store(self, target: ast.Expr, src: int, src_ct) -> None:
-        """Store ``src`` into ``target``, mirroring ``_ref_set`` coercion."""
+        """Store ``src`` into ``target``, coerced to the target's type."""
         if isinstance(target, ast.Ident):
             hit = self._lookup(target.name)
             if hit is not None:
@@ -515,7 +520,7 @@ class _FnCompiler:
             self._release(base)
             return
         if isinstance(target, ast.PedfData):
-            # raw store — the tree tier's data ref never coerces
+            # raw store: the data store keeps what the program wrote
             self._emit(isa.DSET, target.name, src)
             return
         raise VmCompileError(f"unsupported lvalue {type(target).__name__}")
@@ -676,7 +681,7 @@ class _FnCompiler:
         raise VmCompileError(f"unsupported statement {type(s).__name__}")
 
     def _assign(self, s: ast.Assign) -> None:
-        # value first, then the target chain — the tree tier's exact order
+        # value first, then the target chain
         if isinstance(s.target, ast.PedfIo):
             v = self._expr(s.value)
             idx = self._expr(s.target.index)
@@ -779,7 +784,7 @@ class _FnCompiler:
 
     def compile(self) -> VmFunction:
         body = self.func.body
-        self.scopes.append([])  # the body's own scope, like _exec_block
+        self.scopes.append([])  # the body's own scope, nested in the params'
         try:
             for child in body.body:
                 self._stmt(child)
@@ -789,6 +794,20 @@ class _FnCompiler:
             self._emit(isa.RETI, 0)
         else:
             self._emit(isa.RETD)
+        return self._finish()
+
+    def compile_init(self, globals_: List[ast.GlobalDecl]) -> VmFunction:
+        """The initialiser activation: no boundary, a ``gset`` per
+        initialised global (coercing to its declared type)."""
+        for g in globals_:
+            if g.init is not None:
+                v = self._expr(g.init)
+                self._emit(isa.GSET, g.name, v)
+                self._release(v)
+        self._emit(isa.RETI, 0)
+        return self._finish()
+
+    def _finish(self) -> VmFunction:
         out = self.out
         out.code = tuple(tuple(ins) for ins in self.code)
         out.consts = tuple(self.const_list)
@@ -800,29 +819,44 @@ class _FnCompiler:
         return out
 
 
+#: the name the initialiser activation runs (and fails) under
+INIT_NAME = "<globals>"
+
+
 class VmUnit:
-    """All VM-compiled functions of one Program.  Failure-tolerant: an
-    unlowerable function is absent from ``funcs`` and its reason is kept
-    in ``failed``; the VM tier refuses such a unit (:meth:`require_complete`)."""
+    """All VM-compiled functions of one Program, plus its initialiser
+    activation (:attr:`init`, None when no global has an initialiser).
+    Failure-tolerant: an unlowerable function is absent from ``funcs``
+    and its reason is kept in ``failed``; an interpreter refuses such a
+    unit (:meth:`require_complete`)."""
 
     def __init__(self, program: ast.Program):
         self.program = program
         self.funcs: Dict[str, VmFunction] = {}
         self.failed: Dict[str, str] = {}
+        self.init: Optional[VmFunction] = None
         gtypes = {g.name: g.ctype for g in program.globals}
         for fdef in program.functions:
             try:
                 self.funcs[fdef.name] = _FnCompiler(fdef, gtypes).compile()
-            except Exception as exc:  # keep the program runnable
+            except Exception as exc:  # keep the unit inspectable
                 self.failed[fdef.name] = f"{type(exc).__name__}: {exc}"
+        if any(g.init is not None for g in program.globals):
+            init = ast.FuncDef(
+                line=0, ret=VOID, name=INIT_NAME, body=ast.Block(), filename=program.filename
+            )
+            try:
+                self.init = _FnCompiler(init, gtypes).compile_init(program.globals)
+            except Exception as exc:
+                self.failed[INIT_NAME] = f"{type(exc).__name__}: {exc}"
 
     def supports(self, name: str) -> bool:
         return name in self.funcs
 
     def require_complete(self) -> None:
         """Raise :class:`~repro.errors.CMinusLoweringError` for the first
-        function the compiler could not lower: the VM tier never runs a
-        program it lowered only in part."""
+        function the compiler could not lower: a program lowered only in
+        part never runs."""
         for name, reason in self.failed.items():
             func = self.program.function(name)
             filename = func.filename if func is not None else self.program.filename

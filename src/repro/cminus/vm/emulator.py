@@ -1,17 +1,17 @@
 """The PE ISA emulator: a dispatch-loop generator over compiled bytecode.
 
-This is the default (``auto``) interpreter tier, and it serves every
-debugger hook itself; the tree-walking interpreter is only the ``slow``
-tier, the reference the differential suites compare against.
+This is the one Filter-C execution tier, and it serves every debugger
+hook itself.
 
 - **Boundary protocol** — every ``stmt`` instruction performs, in order:
   batched-Delay flush check, line-table update, statement count, the
   statement hook (when ``interp._want_stmt`` is cached) and the cost
-  charge.  Flushes happen at the same structural points as the tree tier
-  (boundary threshold, before dataflow I/O and intrinsics, function exit
-  via ``run_function``) so kernel request streams, dispatch counts and
-  replay journal fingerprints are byte-identical across both tiers.
-  Calls and returns reach ``on_call``/``on_return`` in :func:`_activate`.
+  charge.  Flushes happen only at structural points (boundary threshold,
+  before dataflow I/O and intrinsics, function exit via
+  ``run_function``), never at hook- or stop-dependent ones, so kernel
+  request streams, dispatch counts and replay journal fingerprints do
+  not depend on what the debugger has armed.  Calls and returns reach
+  ``on_call``/``on_return`` in :func:`_activate`.
 
 - **Inspection** — a VM frame keeps no interpreter scopes: the debugger
   reads its locals from the registers through the scope shape governing
@@ -72,15 +72,24 @@ class Activation:
 
 
 def call_vm(interp, name: str, args: List):
-    """Entry point used by ``Interpreter.run_function`` on every tier but
-    ``slow``."""
+    """Entry point used by ``Interpreter.run_function``."""
     vmf = interp._vm_unit.funcs[name]
     return (yield from _activate(interp, vmf, args, 0))
 
 
+def run_init(interp):
+    """Run the unit's initialiser activation once.  It is no call: no
+    frame joins the stack, no call is counted and no call or return hook
+    fires; a call it makes is an ordinary activation."""
+    vmf = interp._vm_unit.init
+    frame = Frame(vmf.func, None, 0, 0)
+    frame.vm = Activation(vmf, vmf.reg_init[:], frame)
+    yield from _run(interp, frame.vm)
+
+
 def _activate(interp, vmf: VmFunction, args: List, call_line: int):
-    """One VM activation: mirrors ``Interpreter._call_user`` exactly
-    (frame shape, hook elision, cost charging, return protocol)."""
+    """One VM activation: frame push, call hook, call cost, the dispatch
+    loop, return hook, frame pop."""
     func = vmf.func
     if len(args) != vmf.nparams:
         raise CMinusRuntimeError(
@@ -90,14 +99,7 @@ def _activate(interp, vmf: VmFunction, args: List, call_line: int):
     convs = vmf.param_convs
     for i in range(vmf.nparams):
         regs[i] = convs[i](args[i])
-    frame = Frame(
-        func,
-        vmf.fsym(interp),
-        len(interp.frames),
-        func.line,
-        call_line,
-        [],
-    )
+    frame = Frame(func, vmf.fsym(interp), len(interp.frames), func.line, call_line)
     act = Activation(vmf, regs, frame)
     frame.vm = act
     interp.frames.append(frame)
@@ -433,7 +435,7 @@ def _run(interp, act: Activation):
             regs[ins[1]] = interp.env.data_get(ins[2])
             pc += 1
             continue
-        if op == 66:  # DSET — raw store, like the tree tier's data ref
+        if op == 66:  # DSET — raw store
             interp.env.data_set(ins[1], regs[ins[2]])
             pc += 1
             continue

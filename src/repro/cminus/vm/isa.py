@@ -125,7 +125,7 @@ NAMES = [""] * N_OPCODES
 SPEC = [""] * N_OPCODES
 #: simulated cycles per executed instruction — the telemetry attribution
 #: table (NOT part of the Delay/cost contract: statement costs still come
-#: from the CostModel at boundaries, so kernel streams stay tier-exact)
+#: from the CostModel at boundaries, so profiling moves no kernel stream)
 COST = [1] * N_OPCODES
 
 

@@ -3,7 +3,7 @@
 While the profiler's ``profile_sink`` is armed the VM dispatch loop runs
 its instrumented prelude and attributes each executed instruction's ISA
 cost to ``Interpreter.opcode_cycles`` (keyed by opcode number — never
-added to ``_pending``, so Delay streams stay tier-exact).  This module
+added to ``_pending``, so profiling moves no Delay stream).  This module
 is the read side: mnemonic-keyed tables for the attributed profiler
 (``prof`` status, ``info opcodes``) and its replay-side deriver.
 Everything here is a pure fold over interpreter state, so live and

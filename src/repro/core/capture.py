@@ -182,7 +182,9 @@ class EventCapture:
             self.model.program_name = event.args["program"]
         else:
             self.model.initialized = True
-            if self.session.stop_on_init:
+            dbg = self.session.dbg
+            if self.session.stop_on_init and not dbg.init_stop_taken:
+                dbg.init_stop_taken = True
                 return StopEvent(  # type: ignore[return-value]
                     StopKind.DATAFLOW,
                     message=f"[Dataflow graph of `{self.model.program_name}' reconstructed: "

@@ -111,7 +111,7 @@ def install_dataflow_commands(cli: CommandCli, session: DataflowSession) -> None
         "prof", handler.cmd_prof,
         "prof on | off | clear | status | top N | export FILE [force] | "
         "flame FILE [force] — attributed profiler: flushed interpreter "
-        "cycles charged to (actor, function, tier), collapsed-stack and "
+        "cycles charged to (actor, call path), collapsed-stack and "
         "flamegraph export; arms no hook",
         completer=lambda t: [s for s in ("on", "off", "clear", "status", "top",
                                          "export", "flame") if s.startswith(t)],
@@ -586,10 +586,10 @@ class _Commands:
         return lines
 
     def cmd_info_opcodes(self, arg: str) -> List[str]:
-        """Per-opcode cycle attribution from the bytecode tier."""
+        """Per-opcode cycle attribution from the VM."""
         cycles = self.session.prof.opcode_totals()
         if not cycles:
-            return ["no opcode cycles counted (needs `prof on`; the slow tier runs no bytecode)"]
+            return ["no opcode cycles counted (needs `prof on`)"]
         out = [f"{'opcode':<10} {'cycles':>12}"]
         for name, cyc in sorted(cycles.items(), key=lambda kv: (-kv[1], kv[0])):
             out.append(f"{name:<10} {cyc:>12}")
@@ -617,13 +617,13 @@ class _Commands:
         raise CommandError("usage: metrics export FILE [force] | metrics show")
 
     def cmd_prof(self, arg: str) -> List[str]:
-        """The attributed profiler (cycles → actor/function/tier)."""
+        """The attributed profiler (cycles → actor/call path)."""
         prof = self.session.prof
         verb, _, rest = arg.strip().partition(" ")
         rest = rest.strip()
         if verb == "on":
             prof.enable()
-            return ["profiler enabled (attributing flushed cycles; tiers unchanged)"]
+            return ["profiler enabled (attributing flushed cycles; no hook armed)"]
         if verb == "off":
             prof.disable()
             return ["profiler disabled (profile retained)"]

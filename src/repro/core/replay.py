@@ -197,8 +197,8 @@ class RunRecorder:
             self._take_snapshot(count)
 
     def _take_snapshot(self, count: int) -> None:
-        # journal-recorded snapshots must stay tier-invariant (journals are
-        # compared across interpreter tiers), so no interpreter frames here
+        # journal-recorded snapshots carry no interpreter frames: those
+        # only fingerprint a parked resident machine, never a journal
         state = capture_machine_state(self.dbg.scheduler, self.dbg.runtime)
         ref = self.reference
         if ref is not None and self.divergence is None:

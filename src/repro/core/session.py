@@ -79,7 +79,7 @@ class DataflowSession:
         self.flight = FlightRecorder(self)
         from ..obs.prof import Profiler
 
-        #: attributed profiler (cycles → actor/function/tier call tree)
+        #: attributed profiler (cycles → actor/call-path tree)
         #: — off until ``prof.enable()`` / the ``prof on`` command
         self.prof = Profiler(self)
         from ..rv.checks import Checks

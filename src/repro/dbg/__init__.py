@@ -42,9 +42,9 @@ from .cli import CommandCli
 #: The capability constants are defined in exactly one place —
 #: :class:`repro.cminus.interp.DebugHook` — and re-exported here so
 #: debugger-side code has a single import path for the whole mask
-#: vocabulary.  CAP_ALL covers the statement/call/return hooks both tiers
-#: serve; CAP_ISA rides the same mask but stays outside it, because only
-#: the VM tier has instructions to observe.  Telemetry, RV and the profiler raise no bit: the
+#: vocabulary.  CAP_ALL covers the statement/call/return hooks; CAP_ISA
+#: rides the same mask but stays outside it, because it flips the VM into
+#: its per-instruction prelude.  Telemetry, RV and the profiler raise no bit: the
 #: first two consume the event tap, the profiler sets ``profile_sink``.
 CAP_STATEMENTS = DebugHook.CAP_STATEMENTS
 CAP_CALLS = DebugHook.CAP_CALLS

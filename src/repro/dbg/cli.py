@@ -158,7 +158,7 @@ class CommandCli:
         reg(Command("step", self._cmd_step, "step — step one source line, entering calls", aliases=("s",)))
         reg(Command("next", self._cmd_next, "next — step one source line, over calls", aliases=("n",)))
         reg(Command("stepi", self._cmd_stepi,
-                    "stepi — execute one statement (one ISA instruction on the bytecode tier)",
+                    "stepi — execute one ISA instruction",
                     aliases=("si",)))
         reg(Command("finish", self._cmd_finish, "finish — run until the selected frame returns"))
         reg(Command("until", self._cmd_until,

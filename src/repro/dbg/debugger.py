@@ -107,6 +107,9 @@ class Debugger:
         self._step: Optional[_StepState] = None
         self._pause_requested = False
         self._finished = False
+        #: the session's one graph-reconstruction stop (``stop_on_init``)
+        #: was reported; a replay hop carries it with the user state
+        self.init_stop_taken = False
         #: callbacks run on every stop (extensions and in-process observers)
         self.stop_callbacks: List[Callable[[StopEvent], None]] = []
         scheduler.pre_dispatch_hook = self._pre_dispatch
@@ -716,14 +719,16 @@ class Debugger:
 
     # -------------------------------------------------------- time travel
 
-    def lift_user_state(self) -> Tuple[List[BreakpointBase], int, ValueHistory]:
+    def lift_user_state(self) -> Tuple[List[BreakpointBase], int, ValueHistory, bool]:
         """Lift what a replay hop carries to where it lands, so no drive sees
-        it: user breakpoints and catchpoints, the next number, ``$N``."""
-        return self.breakpoints.lift(), self.breakpoints.next_id, self.history
+        it: user breakpoints and catchpoints, the next number, ``$N`` and
+        whether the init stop was taken."""
+        return (self.breakpoints.lift(), self.breakpoints.next_id, self.history,
+                self.init_stop_taken)
 
-    def land_user_state(self, state: Tuple[List[BreakpointBase], int, ValueHistory]) -> None:
+    def land_user_state(self, state: Tuple[List[BreakpointBase], int, ValueHistory, bool]) -> None:
         """Put :meth:`lift_user_state`'s result on this machine."""
-        lifted, next_id, self.history = state
+        lifted, next_id, self.history, self.init_stop_taken = state
         self.breakpoints.land(lifted, next_id)
         for bp in lifted:
             if isinstance(bp, ApiBreakpoint):
@@ -835,9 +840,9 @@ class Debugger:
         return self._begin_step("next")
 
     def stepi(self) -> StopEvent:
-        """Execute exactly one statement of the selected actor — or, when
-        the selected frame is live on the bytecode tier, exactly one VM
-        instruction (GDB's ``si`` at the ISA level)."""
+        """Execute exactly one VM instruction of the selected frame (GDB's
+        ``si`` at the ISA level) — or, with no frame live, run the
+        selected actor to its next statement."""
         if self.vm_activation() is not None:
             return self._begin_step("isi")
         return self._begin_step("stepi")
@@ -932,14 +937,13 @@ class Debugger:
 
     def vm_activation(self, frame: Optional[Frame] = None):
         """The VM :class:`~repro.cminus.vm.emulator.Activation` behind a
-        frame, or None when the frame runs on the slow tier."""
+        frame (default: the selected actor's innermost), or None with no
+        frame live."""
         if frame is None:
             actor = self.selected_actor
             interp = getattr(actor, "interp", None) if actor is not None else None
             frame = interp.frame if interp is not None else None
-        if frame is None:
-            return None
-        return getattr(frame, "vm", None)
+        return None if frame is None else frame.vm
 
     def disas_text(self, func_name: Optional[str] = None) -> str:
         """Pretty listing of one bytecode function (``disas [FUNC]``).
@@ -953,10 +957,7 @@ class Debugger:
         act = self.vm_activation(self.current_frame())
         if func_name is None:
             if act is None:
-                raise DebuggerError(
-                    "selected frame is not running on the bytecode tier "
-                    "(give an explicit function name)"
-                )
+                raise DebuggerError("no frame selected (give an explicit function name)")
             vmf, pc = act.vmf, act.pc
         else:
             actor = self.selected_actor
@@ -979,11 +980,11 @@ class Debugger:
         return disassemble(vmf, pretty=True, source_lines=source, pc=pc)
 
     def register_rows(self) -> List[tuple]:
-        """``(index, name, value)`` rows for ``info registers`` — the
-        selected frame must be live on the bytecode tier."""
+        """``(index, name, value)`` rows for ``info registers`` of the
+        selected frame."""
         act = self.vm_activation(self.current_frame())
         if act is None:
-            raise DebuggerError("selected frame is not running on the bytecode tier")
+            raise DebuggerError("no frame selected")
         return act.registers()
 
     @property

@@ -56,16 +56,15 @@ class CMinusRuntimeError(CMinusError):
 
 
 class CMinusLoweringError(CMinusError):
-    """A function the bytecode compiler could not lower: the VM tier
-    refuses the program rather than run part of it on another tier."""
+    """A function the bytecode compiler could not lower: the program is
+    refused rather than run in part."""
 
     def __init__(self, filename: str, function: str, reason: str):
         self.filename = filename
         self.function = function
         self.reason = reason
         super().__init__(
-            f"{filename}: function {function!r} cannot be lowered to bytecode: "
-            f"{reason} (run it with the 'slow' tier)"
+            f"{filename}: function {function!r} cannot be lowered to bytecode: {reason}"
         )
 
 

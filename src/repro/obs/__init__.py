@@ -16,7 +16,7 @@ The cross-run plane on top (PR 9):
   view with cross-shard causal edges and a timing-invariant canonical
   projection proved byte-identical to single-kernel telemetry;
 - :mod:`.prof` attributes flushed interpreter cycles to an
-  (actor, function, tier) call tree via ``hook.profile_sink``, with
+  (actor, call path) tree via ``hook.profile_sink``, with
   collapsed-stack/flamegraph export and a replay-side deriver;
 - :mod:`.openmetrics` exposes metric snapshots as scrape-ready
   OpenMetrics text (with an in-tree promtool-style validator);

@@ -99,8 +99,8 @@ class AggregateTelemetry:
         """The timing-invariant canonical projection (see module doc).
 
         Byte-identical between a sharded run and the single-kernel run
-        of the same program, at any shard count, on any interpreter
-        tier — the merge-determinism contract.
+        of the same program, at any shard count — the merge-determinism
+        contract.
         """
         lines = ["canonical telemetry v1"]
         m = self.metrics

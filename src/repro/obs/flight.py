@@ -221,9 +221,6 @@ class FlightRecorder:
             "tokens": self._token_state(),
             "config": {
                 "time": metrics.last_time if metrics is not None else 0,
-                "interp_tier": getattr(
-                    self.session.dbg.runtime.config, "interp_tier", "auto"
-                ),
             },
         }
 

@@ -1,17 +1,16 @@
-"""Attributed profiler: flushed cycles charged to (actor, call path, tier).
+"""Attributed profiler: flushed cycles charged to (actor, call path).
 
 The interpreter already batches statement costs and flushes them to the
 kernel as ``Delay`` requests; while ``hook.profile_sink`` is set each
 flush is *attributed* — the flush site calls ``hook.profile_sink(interp,
 p)`` and the profiler charges ``p`` cycles to the interpreter's live
-call stack (both tiers maintain real :class:`Frame` objects) under the
-tier that executed it ("vm" or "tree").  The sink is the whole switch:
+call stack of :class:`Frame` objects.  The sink is the whole switch:
 it is not a hook-mask bit, so arming it hooks no statement, and disarmed
 it costs one ``None`` test per cost flush (one per ~``batch_cycles``
 statements).  The profiler is the only owner of flush-site attribution;
 telemetry's busy time is derived independently from span timestamps.
-On the bytecode tier the VM's instrumented prelude additionally
-attributes per-opcode ISA cycle costs (``info opcodes``), read through
+The VM's instrumented prelude additionally attributes per-opcode ISA
+cycle costs (``info opcodes``), read through
 :mod:`repro.cminus.vm.telemetry`.
 
 Because flush points are structural (batch threshold / pre-I/O / exit)
@@ -29,12 +28,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import DataflowDebugError, ReplayDivergenceError
 
-#: charge key: (actor qualname, tier, call path outermost-first)
-ProfileKey = Tuple[str, str, Tuple[str, ...]]
+#: charge key: (actor qualname, call path outermost-first)
+ProfileKey = Tuple[str, Tuple[str, ...]]
 
 
 class Profile:
-    """Pure profile data: cycles charged per (actor, tier, call path).
+    """Pure profile data: cycles charged per (actor, call path).
 
     Cycles are *self* cycles of the innermost frame at flush time, kept
     with their full path context — a collapsed-stack multiset, directly
@@ -46,8 +45,8 @@ class Profile:
         self.total = 0
         self.flushes = 0
 
-    def add(self, actor: str, tier: str, path: Tuple[str, ...], cycles: int) -> None:
-        key = (actor, tier, path)
+    def add(self, actor: str, path: Tuple[str, ...], cycles: int) -> None:
+        key = (actor, path)
         self.nodes[key] = self.nodes.get(key, 0) + cycles
         self.total += cycles
         self.flushes += 1
@@ -55,18 +54,18 @@ class Profile:
     # ------------------------------------------------------------- queries
 
     def collapsed(self) -> List[str]:
-        """Collapsed-stack lines (``actor;tier;f1;f2 CYCLES``), sorted —
+        """Collapsed-stack lines (``actor;f1;f2 CYCLES``), sorted —
         the flamegraph.pl interchange format and the deterministic
         equality artefact the derive tests compare byte-for-byte."""
         return [
-            ";".join((actor, tier) + path) + f" {cycles}"
-            for (actor, tier, path), cycles in sorted(self.nodes.items())
+            ";".join((actor,) + path) + f" {cycles}"
+            for (actor, path), cycles in sorted(self.nodes.items())
         ]
 
     def self_cycles(self) -> Dict[Tuple[str, str], int]:
         """``(actor, function) -> self cycles`` (innermost-frame charge)."""
         out: Dict[Tuple[str, str], int] = {}
-        for (actor, _tier, path), cycles in self.nodes.items():
+        for (actor, path), cycles in self.nodes.items():
             key = (actor, path[-1])
             out[key] = out.get(key, 0) + cycles
         return out
@@ -75,16 +74,10 @@ class Profile:
         """``(actor, function) -> cycles`` counting a node once per
         function present anywhere on its path (recursion-safe)."""
         out: Dict[Tuple[str, str], int] = {}
-        for (actor, _tier, path), cycles in self.nodes.items():
+        for (actor, path), cycles in self.nodes.items():
             for func in set(path):
                 key = (actor, func)
                 out[key] = out.get(key, 0) + cycles
-        return out
-
-    def tier_cycles(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for (_actor, tier, _path), cycles in self.nodes.items():
-            out[tier] = out.get(tier, 0) + cycles
         return out
 
     def top(self, n: int = 10) -> List[Tuple[int, int, str, str]]:
@@ -100,14 +93,9 @@ class Profile:
 
     def render(self, top_n: int = 10) -> List[str]:
         """Deterministic text report."""
-        tiers = self.tier_cycles()
-        tier_text = (
-            " ".join(f"{t}={tiers[t]}" for t in sorted(tiers)) if tiers else "(none)"
-        )
         lines = [
             f"profile: {self.total} cycle(s) attributed over "
             f"{self.flushes} flush(es), {len(self.nodes)} node(s)",
-            f"  by tier: {tier_text}",
         ]
         rows = self.top(top_n)
         if rows:
@@ -133,13 +121,15 @@ class Profiler:
         self.enabled = False
         self.profile: Optional[Profile] = None
         self._names: Dict[int, str] = {}  # id(interp) -> actor qualname
-        self._last: Dict[int, Tuple[Tuple[str, ...], str]] = {}
+        #: id(interp) -> the call path its last flush was charged to
+        self._last: Dict[int, Tuple[str, ...]] = {}
 
     # ------------------------------------------------------------- arming
 
     def enable(self) -> None:
-        """Set ``hook.profile_sink`` (idempotent).  Tier selection is
-        untouched — bytecode activations stay resident."""
+        """Set ``hook.profile_sink`` (idempotent).  It arms no hook: the
+        interpreters only route their dispatch loops through the
+        per-opcode prelude."""
         if self.enabled:
             return
         if self.profile is None:
@@ -175,15 +165,13 @@ class Profiler:
             self._names[key_id] = name
         frames = interp.frames
         if frames:
-            top = frames[-1]
             path = tuple(f.func.name for f in frames)
-            tier = "vm" if getattr(top, "vm", None) is not None else "tree"
-            self._last[key_id] = (path, tier)
+            self._last[key_id] = path
         else:
             # the final flush of run_function happens after the entry
             # frame popped; charge it where the cycles were incurred
-            path, tier = self._last.get(key_id, (("<entry>",), "tree"))
-        self.profile.add(name, tier, path, cycles)
+            path = self._last.get(key_id, ("<entry>",))
+        self.profile.add(name, path, cycles)
 
     # ------------------------------------------------------------ queries
 
@@ -262,7 +250,7 @@ def flame_svg(profile: Profile, width: int = 1200, row_height: int = 16) -> str:
     flamegraph: one row per stack depth, frame width proportional to
     inclusive cycles, ``actor`` as the first frame above the root."""
     root = _FlameNode("all")
-    for (actor, _tier, path), cycles in sorted(profile.nodes.items()):
+    for (actor, path), cycles in sorted(profile.nodes.items()):
         root.value += cycles
         node = root.child(actor)
         node.value += cycles
@@ -325,7 +313,6 @@ class DerivedProfile(NamedTuple):
 def derive_profile(
     journal,
     build: Callable[[], "object"],
-    tier: Optional[str] = None,
     max_stops: int = 100_000,
 ) -> DerivedProfile:
     """Reproduce a run's profile from its journal by re-execution.
@@ -346,13 +333,6 @@ def derive_profile(
     from ..sim.replay import ReplayJournal
 
     session = build()
-    if tier is not None:
-        runtime = session.dbg.runtime
-        runtime.config.interp_tier = tier
-        for actor in runtime.all_actors():
-            interp = getattr(actor, "interp", None)
-            if interp is not None:
-                interp.tier = tier
     recorder = RunRecorder(
         session, ReplayJournal(), reference=journal, alterations=journal.alterations
     )

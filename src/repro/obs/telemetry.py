@@ -13,7 +13,7 @@ live per-event feeding would have given it, and the spans and metrics
 are byte-identical to it.
 
 Arming raises no bit in the debugger's hook mask and never touches an
-interpreter, so every execution tier runs exactly as it does with
+interpreter, so the Filter-C VM runs exactly as it does with
 telemetry off.  Busy time comes from span timestamps; the attributed
 profiler (:mod:`repro.obs.prof`) is the independent count of flushed
 cycles it is checked against.

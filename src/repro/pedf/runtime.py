@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cminus.debuginfo import DebugInfo
-from ..cminus.interp import VALID_TIERS, CostModel, DebugHook, Interpreter
+from ..cminus.interp import CostModel, DebugHook, Interpreter
 from ..cminus.typesys import CType
 from ..cminus.values import Raw
 from ..cminus.vm.compiler import vm_unit
@@ -45,13 +45,6 @@ class RuntimeConfig:
     control_capacity: int = 8
     #: overrides every controller's own max_steps when set (safety bound)
     max_steps: Optional[int] = None
-    #: Filter-C execution tier: "auto" runs the register-machine bytecode
-    #: tier, debugger hooks included ("vm" is an alias of "auto"); "slow"
-    #: forces the tree-walking interpreter everywhere.  On any tier but
-    #: "slow", a program with a function the bytecode compiler cannot
-    #: lower is refused when its interpreters are built
-    #: (:class:`~repro.errors.CMinusLoweringError`)
-    interp_tier: str = "auto"
 
 
 class PedfRuntime:
@@ -69,11 +62,6 @@ class PedfRuntime:
         self.platform = platform
         self.decl = program
         self.config = config or RuntimeConfig()
-        if self.config.interp_tier not in VALID_TIERS:
-            raise PedfError(
-                f"unknown interpreter tier {self.config.interp_tier!r} "
-                f"(choose from {', '.join(VALID_TIERS)})"
-            )
         self.bus = FrameworkEventBus()
         self.api = FrameworkAPI(self.bus, scheduler)
         self.console: List[str] = []
@@ -128,9 +116,8 @@ class PedfRuntime:
         ``(name, canonical text)`` — so two runs that agree at the same
         dispatch boundary produce *equal* captures regardless of payload
         object identity.  ``include_frames`` additionally captures each
-        busy actor's interpreter frames; that part is tier-variant (see
-        :meth:`~repro.cminus.interp.Interpreter.capture_frames`) and must
-        stay out of anything compared across interpreter tiers.
+        busy actor's interpreter frames
+        (:meth:`~repro.cminus.interp.Interpreter.capture_frames`).
         """
         from ..sim.sharding.merge import stable_value_text
 
@@ -227,9 +214,7 @@ class PedfRuntime:
                 cost=CostModel(default_stmt=actor.resource.cycles_per_stmt),
                 name=actor.qualname,
             )
-            actor.interp.tier = self.config.interp_tier
-            if actor.interp.tier != "slow":
-                vm_unit(actor.decl.cprogram).require_complete()
+            vm_unit(actor.decl.cprogram).require_complete()
 
     def _resolve_bindings(self) -> None:
         # pass 1: record module-external aliases

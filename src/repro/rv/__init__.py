@@ -17,7 +17,7 @@ applied to correctness instead of cost).
 
 Monitors are pure consumers of the session's event tap: arming them
 raises no bit in the debugger's hook mask and touches no interpreter,
-so the Filter-C VM tier runs exactly as it does with monitors off.
+so the Filter-C VM runs exactly as it does with monitors off.
 """
 
 from .props import (

@@ -19,29 +19,9 @@ from ..errors import ReproError
 KNOWN_PROGRAMS = ("amodule", "rle", "h264")
 
 
-def apply_tier(session, tier: str) -> None:
-    """Force every live interpreter onto ``tier`` ("auto" is the default:
-    the register-machine bytecode tier, which serves every debugger hook;
-    "vm" is an alias of it; "slow" is the tree-walking tier, useful as a
-    differential oracle)."""
-    from ..cminus.interp import VALID_TIERS
-
-    if tier not in VALID_TIERS:
-        raise ReproError(
-            f"unknown interpreter tier {tier!r} (choose from {', '.join(VALID_TIERS)})"
-        )
-    runtime = session.dbg.runtime
-    runtime.config.interp_tier = tier
-    for actor in runtime.all_actors():
-        interp = getattr(actor, "interp", None)
-        if interp is not None:
-            interp.tier = tier
-
-
 def build_program_cli(
     name: str,
     bug: Optional[str] = None,
-    tier: str = "auto",
     values: Optional[List[int]] = None,
 ) -> Tuple[object, object]:
     """Build a fresh demo machine with an attached dataflow CLI.
@@ -60,7 +40,6 @@ def build_program_cli(
             sched, platform, runtime, source, sink = build_demo()
             dbg = Debugger(sched, runtime)
             session = DataflowSession(dbg, stop_on_init=True)
-            apply_tier(session, tier)
             return session, sink
 
     elif name == "rle":
@@ -72,7 +51,6 @@ def build_program_cli(
             sched, runtime, sink = build_rle_pipeline(feed)
             dbg = Debugger(sched, runtime)
             session = DataflowSession(dbg, stop_on_init=True)
-            apply_tier(session, tier)
             return session, sink
 
     elif name == "h264":
@@ -94,7 +72,6 @@ def build_program_cli(
                 sched, platform, runtime, source, sink, mbs = build_decoder(n_mbs=8)
             dbg = Debugger(sched, runtime)
             session = DataflowSession(dbg, stop_on_init=True)
-            apply_tier(session, tier)
             return session, sink
 
     else:
@@ -115,7 +92,6 @@ def build_program_cli(
 def build_sharded_cli(
     name: str = "rle",
     n_shards: int = 2,
-    tier: str = "auto",
     values: Optional[List[int]] = None,
     record: bool = True,
 ):
@@ -143,7 +119,6 @@ def build_sharded_cli(
         def build(ctx):
             sched, runtime, sink = build_rle_pipeline(feed, shard=ctx)
             session = DataflowSession(Debugger(sched, runtime))
-            apply_tier(session, tier)
             return session
 
     elif name == "amodule":
@@ -163,7 +138,6 @@ def build_sharded_cli(
         def build(ctx):
             sched, _plat, runtime, _src, _sink = build_demo(feed, shard=ctx)
             session = DataflowSession(Debugger(sched, runtime))
-            apply_tier(session, tier)
             return session
 
     else:

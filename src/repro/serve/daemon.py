@@ -399,7 +399,6 @@ class DebugDaemon:
             not isinstance(values, list) or not all(isinstance(v, int) for v in values)
         ):
             raise _InvalidParams("values must be a list of integers")
-        tier = _param(params, "tier", str, "auto")
         sharded = _param(params, "sharded", bool, False)
         shards = _param(params, "shards", int, 2)
         name = _param(params, "name", str)
@@ -409,7 +408,6 @@ class DebugDaemon:
             handle = self.registry.create(
                 program,
                 bug=bug,
-                tier=tier,
                 values=values,
                 sharded=sharded,
                 shards=shards,

@@ -161,7 +161,6 @@ class DapBridge:
             lambda: self.daemon.registry.create(
                 program,
                 bug=args.get("bug"),
-                tier=args.get("tier", "auto"),
                 values=args.get("values"),
                 quota=quota,
                 name=args.get("name"),

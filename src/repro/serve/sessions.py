@@ -393,7 +393,6 @@ class SessionRegistry:
         self,
         program: str,
         bug: Optional[str] = None,
-        tier: str = "auto",
         values: Optional[List[int]] = None,
         sharded: bool = False,
         shards: int = 2,
@@ -410,10 +409,9 @@ class SessionRegistry:
         # framework elaboration and must not serialise sibling creates
         sharded_run = None
         if sharded:
-            cli, sharded_run = build_sharded_cli(program, n_shards=shards, tier=tier,
-                                                 values=values)
+            cli, sharded_run = build_sharded_cli(program, n_shards=shards, values=values)
         else:
-            cli, _sink = build_program_cli(program, bug=bug, tier=tier, values=values)
+            cli, _sink = build_program_cli(program, bug=bug, values=values)
         handle = SessionHandle(
             session_id,
             program,

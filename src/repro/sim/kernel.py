@@ -28,7 +28,7 @@ debuggers introduce).
 Batched delays
 --------------
 
-Both Filter-C execution tiers *batch* per-statement costs: instead of one
+The Filter-C VM *batches* per-statement costs: instead of one
 ``Delay(stmt_cost)`` per statement, an interpreter accumulates cost and
 yields a single aggregated ``Delay`` at structural flush points (batch
 threshold, blocking io/intrinsics, function exit).  Flush points depend
@@ -36,7 +36,7 @@ only on program structure — never on whether a debugger, breakpoint, or
 stop interleaved — so the kernel-request stream, and therefore
 ``dispatch_count``, is *stop-invariant*: the replay journal can address a
 moment as "dispatch N" and reach the very same machine state whether or
-not the original run paused there, and whichever tier executed it.
+not the original run paused there.
 """
 
 from __future__ import annotations

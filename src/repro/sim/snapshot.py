@@ -11,11 +11,10 @@ of everything that defines a dataflow machine at a dispatch boundary:
   state / work counters / data store, every module's predicate values
   (:meth:`~repro.pedf.runtime.PedfRuntime.capture_state`);
 - optionally the **interpreter frames** of each busy actor
-  (:meth:`~repro.cminus.interp.Interpreter.capture_frames`).  Frames are
-  *tier-variant* — the tiers move a frame's line at different points of
-  a statement boundary — so they are excluded from journal-recorded snapshots (journals must be
-  byte-identical across tiers) and only used to fingerprint a specific
-  live machine, e.g. a parked resident snapshot.
+  (:meth:`~repro.cminus.interp.Interpreter.capture_frames`).  Frames
+  summarise an execution position, which no snapshot can restore, so
+  they stay out of journal-recorded snapshots and only fingerprint a
+  specific live machine, e.g. a parked resident snapshot.
 
 Two machines with equal ``MachineState`` are observationally identical
 to the debugger: re-executing either from this boundary produces the
@@ -61,7 +60,7 @@ class MachineState:
     #: (module name, ((predicate name, value), ...)) per module
     predicates: Tuple[Tuple[str, Tuple[Tuple[str, bool], ...]], ...]
     #: (qualname, ((function name, current line), ...)) per busy actor —
-    #: tier-variant, empty unless captured with ``include_frames``
+    #: empty unless captured with ``include_frames``
     frames: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...] = field(default=())
 
     @property
@@ -85,7 +84,7 @@ def capture_machine_state(
     scheduler: Any, runtime: Any, include_frames: bool = False
 ) -> MachineState:
     """Capture one machine's deep state (see the module docstring for
-    what ``include_frames`` implies about tier invariance)."""
+    what ``include_frames`` adds)."""
     kern = scheduler.capture_state()
     rt = runtime.capture_state(include_frames=include_frames)
     return MachineState(

@@ -1,14 +1,14 @@
-"""Differential tests: bytecode (VM) tier vs resumable interpreter.
+"""Differential tests: the bytecode VM against the reference evaluator.
 
-The default tier (the register VM, repro.cminus.vm) must be
-observationally indistinguishable from the slow tier: same results, same
-printed output,
-same execution counters, and — crucially for record/replay — the very
-same kernel-request stream in timed mode (batched ``Delay`` flushes are
-structural, not tier- or debugger-dependent).
+The register VM (repro.cminus.vm) runs every Filter-C program; the tree
+walker in ``oracle.py`` is a direct, hook-free reading of the language
+that shares no execution code with it.  Both must agree on the return
+value, the printed output, the runtime error, the statement count and
+the call count.  The VM's timed kernel-request streams are pinned by the
+goldens of ``tests/test_execution_goldens.py``, captured when a second
+execution tier still ran beside it.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cminus import (
@@ -24,48 +24,31 @@ from repro.cminus.typesys import U32
 from repro.errors import CMinusRuntimeError
 from repro.sim import Delay, Scheduler
 
+from .oracle import evaluate
 
-def build(source, tier, timed=False, context=None, cost=None, env=None):
+
+def build(source, timed=False, context=None, cost=None, env=None):
     prog = parse_program(source, "<tiers>")
     info = analyze(prog, context, source)
-    interp = Interpreter(
-        prog, info, env=env or NullEnvironment(), timed=timed, cost=cost
-    )
-    interp.tier = tier
-    return interp
+    return Interpreter(prog, info, env=env or NullEnvironment(), timed=timed, cost=cost)
 
 
-def run_tier(source, tier, fn="main", args=(), **kwargs):
-    interp = build(source, tier, **kwargs)
-    value = run_sync(interp.run_function(fn, list(args)))
-    return value, interp
-
-
-#: both execution tiers, differentially compared against the tree oracle
-TIERS = ("auto", "slow")
-
-
-def assert_tiers_agree(source, fn="main", args=(), context=None):
-    """Both tiers produce the same value/printed output/counters — or
-    raise the very same runtime error."""
-    results = {}
-    for tier in TIERS:
-        env = NullEnvironment()
-        try:
-            value, interp = run_tier(
-                source, tier, fn=fn, args=args, context=context, env=env
-            )
-            results[tier] = (
-                "ok",
-                value,
-                tuple(env.printed),
-                interp.state.statements_executed,
-                interp.state.calls_made,
-            )
-        except CMinusRuntimeError as exc:
-            results[tier] = ("error", str(exc))
-    assert results["auto"] == results["slow"], results
-    return results["auto"]
+def assert_matches_oracle(source, fn="main", args=()):
+    """The VM produces what the reference evaluator does: the same
+    value/printed output/counters — or the very same runtime error."""
+    env = NullEnvironment()
+    try:
+        interp = build(source, env=env)
+        value = run_sync(interp.run_function(fn, list(args)))
+        vm = ("ok", value, tuple(env.printed), interp.state.statements_executed,
+              interp.state.calls_made)
+    except CMinusRuntimeError as exc:
+        vm = ("error", str(exc))
+    prog = parse_program(source, "<tiers>")
+    analyze(prog, None, source)
+    reference = evaluate(prog, fn, args)
+    assert vm == reference, (vm, reference)
+    return vm
 
 
 COMPREHENSIVE = """
@@ -107,22 +90,32 @@ S32 main() {
 """
 
 
-def test_comprehensive_program_identical_across_tiers():
-    kind, value, printed, stmts, calls = assert_tiers_agree(COMPREHENSIVE)
+def test_comprehensive_program_matches_the_oracle():
+    kind, value, printed, stmts, calls = assert_matches_oracle(COMPREHENSIVE)
     assert kind == "ok"
     assert stmts > 100 and calls > 50
-    assert printed  # print() went through the environment on both tiers
+    assert printed  # print() went through the environment
 
 
-def test_vm_tier_actually_engaged():
-    value_slow, interp_slow = run_tier(COMPREHENSIVE, "slow")
-    assert interp_slow._vm_unit is None, "slow tier must not compile bytecode"
-    # "auto" is the VM; "vm" stays accepted as its alias
-    for tier in ("auto", "vm"):
-        value, interp = run_tier(COMPREHENSIVE, tier)
-        assert interp._vm_unit is not None, f"{tier}: vm tier never engaged"
-        assert interp._vm_unit.supports("main")
-        assert value == value_slow
+GLOBALS = """
+S32 base = -7;
+S32 span = abs(base) * 3 + max(base, 2);
+U8 wrapped = base;
+S32 bump() { base = base + span; return base; }
+S32 main() { print("init", base, span, wrapped); bump(); return bump() + wrapped; }
+"""
+
+
+def test_global_initialisers_match_the_oracle():
+    """One initialiser calls (builtin) functions and reads an earlier
+    global, one coerces on the store; none is a statement or a call."""
+    kind, value, printed, stmts, calls = assert_matches_oracle(GLOBALS)
+    assert printed == ("init -7 23 249",)
+    assert (stmts, calls) == (7, 3)
+    interp = build(GLOBALS)
+    assert interp.globals == {}  # initialised on the first run, not at build
+    run_sync(interp.run_function("main"))
+    assert interp.globals["base"].data == -7 + 23 + 23
 
 
 def test_runtime_error_parity_division_by_zero():
@@ -134,7 +127,7 @@ def test_runtime_error_parity_division_by_zero():
         return acc;
     }
     """
-    kind, message = assert_tiers_agree(src)
+    kind, message = assert_matches_oracle(src)
     assert kind == "error"
     assert "division by zero" in message
 
@@ -149,12 +142,12 @@ def test_runtime_error_parity_array_bounds():
         return acc;
     }
     """
-    kind, message = assert_tiers_agree(src)
+    kind, message = assert_matches_oracle(src)
     assert kind == "error"
     assert "out of bounds" in message
 
 
-# ------------------------------------------------- kernel stream parity
+# ------------------------------------------------------- kernel streams
 
 
 def drain_requests(interp, fn="main"):
@@ -171,31 +164,17 @@ def drain_requests(interp, fn="main"):
         return reqs, stop.value
 
 
-def test_timed_kernel_request_streams_identical():
-    v_reqs, v_ret = drain_requests(build(COMPREHENSIVE, "auto", timed=True))
-    s_reqs, s_ret = drain_requests(build(COMPREHENSIVE, "slow", timed=True))
-    assert v_ret == s_ret
-    assert v_reqs == s_reqs
-    assert v_reqs, "timed run yielded no kernel requests"
-    assert all(kind == "Delay" for kind, _ in v_reqs)
-
-
 def test_timed_total_cycles_preserved_by_batching():
     """Batched Delays aggregate cost but must not change its total."""
-    per_stmt = CostModel(batch_cycles=1)
-    v_reqs, _ = drain_requests(build(COMPREHENSIVE, "auto", timed=True))
-    u_reqs, _ = drain_requests(
-        build(COMPREHENSIVE, "slow", timed=True, cost=per_stmt)
-    )
+    v_reqs, _ = drain_requests(build(COMPREHENSIVE, timed=True))
+    u_reqs, _ = drain_requests(build(COMPREHENSIVE, timed=True, cost=CostModel(batch_cycles=1)))
+    assert v_reqs and all(kind == "Delay" for kind, _ in v_reqs)
     assert len(v_reqs) < len(u_reqs), "batching did not reduce requests"
     assert sum(c for _, c in v_reqs) == sum(c for _, c in u_reqs)
 
 
-# ------------------------------------- satellite: slow-tier coalescing
-
-
-def sched_run(source, tier, cost=None):
-    interp = build(source, tier, timed=True, cost=cost)
+def sched_run(source, cost=None):
+    interp = build(source, timed=True, cost=cost)
     sched = Scheduler()
     out = {}
 
@@ -207,26 +186,17 @@ def sched_run(source, tier, cost=None):
     return out["value"], sched
 
 
-def test_slow_tier_coalesces_delays_keeping_sim_time():
-    """Satellite: the slow tier batches consecutive Delay(stmt_cost)
-    yields too — same final sim time as per-statement yielding, same
-    dispatch count as the VM tier."""
-    v_batched, sched_batched = sched_run(COMPREHENSIVE, "slow")
-    v_perstmt, sched_perstmt = sched_run(
-        COMPREHENSIVE, "slow", cost=CostModel(batch_cycles=1)
-    )
-    v_vm, sched_vm = sched_run(COMPREHENSIVE, "auto")
-
-    assert v_batched == v_perstmt == v_vm
-    # sim-time totals identical no matter the batching or the tier
-    assert sched_batched.now == sched_perstmt.now == sched_vm.now
-    # batching really reduced kernel round-trips in the slow tier
+def test_delay_batching_keeps_sim_time():
+    """Consecutive Delay(stmt_cost) yields coalesce: the same final sim
+    time as per-statement yielding, in fewer kernel round-trips."""
+    v_batched, sched_batched = sched_run(COMPREHENSIVE)
+    v_perstmt, sched_perstmt = sched_run(COMPREHENSIVE, cost=CostModel(batch_cycles=1))
+    assert v_batched == v_perstmt
+    assert sched_batched.now == sched_perstmt.now
     assert sched_batched.dispatch_count < sched_perstmt.dispatch_count
-    # dispatch counting is tier-invariant (the replay journal relies on it)
-    assert sched_batched.dispatch_count == sched_vm.dispatch_count
 
 
-# --------------------------------------------------- io / blocking parity
+# -------------------------------------------------------- io / blocking
 
 
 class ScriptedIo(NullEnvironment):
@@ -265,15 +235,13 @@ def io_context():
     return ctx
 
 
-def test_blocking_io_identical_across_tiers():
-    streams = {}
-    for tier in TIERS:
-        env = ScriptedIo([7, 9])
-        interp = build(IO_SRC, tier, timed=True, context=io_context(), env=env)
-        reqs, _ = drain_requests(interp, fn="work")
-        streams[tier] = (reqs, env.written, interp.state.statements_executed)
-    assert streams["auto"] == streams["slow"]
-    assert streams["auto"][1][0][1] == 7 * 9 * 4 + 0 + 1 + 2 + 3
+def test_blocking_io_resumes_into_bytecode():
+    env = ScriptedIo([7, 9])
+    interp = build(IO_SRC, timed=True, context=io_context(), env=env)
+    reqs, _ = drain_requests(interp, fn="work")
+    assert env.written == [("out", 7 * 9 * 4 + 0 + 1 + 2 + 3)]
+    # the two reads and the write each block on the kernel
+    assert sum(1 for kind, cycles in reqs if (kind, cycles) == ("Delay", 2)) == 2
 
 
 # ----------------------------------------------- hypothesis: random programs
@@ -347,10 +315,5 @@ def fc_program(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(fc_program())
-def test_property_random_programs_tier_equivalent(source):
-    outcome = assert_tiers_agree(source)
-    if outcome[0] == "ok":
-        # timed mode: the kernel request streams must also be identical
-        v_reqs, v_ret = drain_requests(build(source, "auto", timed=True))
-        s_reqs, s_ret = drain_requests(build(source, "slow", timed=True))
-        assert (v_reqs, v_ret) == (s_reqs, s_ret)
+def test_property_random_programs_match_the_oracle(source):
+    assert_matches_oracle(source)

@@ -1,13 +1,10 @@
 """The register-machine bytecode tier: compiler, assembler, emulator.
 
-Complements the two-way differential suite in test_compile_tiers.py
-with ISA-level checks: assembler/disassembler round-trips, the ``brk``
+Complements the differential suite in test_compile_tiers.py with
+ISA-level checks: assembler/disassembler round-trips, the ``brk``
 break instruction, per-opcode cycle telemetry and the register-state
 debugging surface.
 """
-
-import functools
-import operator
 
 import pytest
 
@@ -23,6 +20,8 @@ from repro.cminus.vm import assemble, call_vm, disassemble, isa, vm_unit
 from repro.cminus.vm.asm import VmAsmError
 from repro.cminus.vm.compiler import VmCompileError
 from repro.sim.process import Suspend
+
+from .oracle import evaluate
 
 CHECKSUM = """
 S32 helper(S32 a, S32 b) {
@@ -40,12 +39,10 @@ S32 checksum(S32 n) {
 """
 
 
-def build(source, tier="vm", fn=None):
+def build(source):
     prog = parse_program(source, "<vm>")
     info = analyze(prog, None, source)
-    interp = Interpreter(prog, info, env=NullEnvironment())
-    interp.tier = tier
-    return prog, interp
+    return prog, Interpreter(prog, info, env=NullEnvironment())
 
 
 def run(interp, fn, args=()):
@@ -61,8 +58,7 @@ def test_vm_unit_compiles_and_matches_tree():
     assert vu.supports("checksum") and vu.supports("helper")
     assert not vu.failed
     got = run(interp, "checksum", (17,))
-    _, slow = build(CHECKSUM, tier="slow")
-    assert got == run(slow, "checksum", (17,))
+    assert ("ok", got) == evaluate(prog, "checksum", [17])[:2]
 
 
 def test_vm_unit_memoized_per_program():
@@ -93,9 +89,9 @@ def helper_unlowerable(monkeypatch):
 
 def test_unsupported_function_fails_gracefully(helper_unlowerable):
     """An unlowerable function is recorded in ``failed`` (the unit still
-    builds) and the VM tier refuses the program with a structured error
-    naming the file, the function and the reason, instead of quietly
-    running part of it on the tree walker.  The slow tier still runs it."""
+    builds) and the interpreter refuses the program with a structured
+    error naming the file, the function and the reason, instead of
+    running part of it."""
     from repro.errors import CMinusLoweringError
 
     prog, interp = build(CHECKSUM)
@@ -107,8 +103,6 @@ def test_unsupported_function_fails_gracefully(helper_unlowerable):
     assert (err.value.filename, err.value.function) == ("<vm>", "helper")
     assert err.value.reason == "VmCompileError: unsupported statement Frob"
     assert "'helper'" in str(err.value) and "<vm>" in str(err.value)
-    slow = build(CHECKSUM, "slow")[1]
-    assert run(slow, "checksum", (9,)) == functools.reduce(operator.xor, (3 * i + 9 for i in range(9)))
 
 
 def test_unlowerable_program_is_refused_when_interpreters_are_built(helper_unlowerable):
@@ -118,19 +112,14 @@ def test_unlowerable_program_is_refused_when_interpreters_are_built(helper_unlow
     from repro.pedf.runtime import PedfRuntime, RuntimeConfig
     from repro.sim import Scheduler
 
-    def runtime(tier):
-        program = build_amodule_program()
-        f1 = program.modules["AModule"].filters["filter_1"]
-        f1.source = f1.source.replace("void work() {", "U32 helper() { return 0; }\nvoid work() {")
-        sched = Scheduler()
-        platform = P2012Platform(sched, PlatformConfig(n_clusters=2, pes_per_cluster=4))
-        return PedfRuntime(sched, platform, program, RuntimeConfig(interp_tier=tier))
-
-    for tier in ("auto", "vm"):
-        with pytest.raises(CMinusLoweringError) as err:
-            runtime(tier)
-        assert (err.value.filename, err.value.function) == ("the_source.c", "Filter1Filter_helper")
-    assert runtime("slow").config.interp_tier == "slow"
+    program = build_amodule_program()
+    f1 = program.modules["AModule"].filters["filter_1"]
+    f1.source = f1.source.replace("void work() {", "U32 helper() { return 0; }\nvoid work() {")
+    sched = Scheduler()
+    platform = P2012Platform(sched, PlatformConfig(n_clusters=2, pes_per_cluster=4))
+    with pytest.raises(CMinusLoweringError) as err:
+        PedfRuntime(sched, platform, program, RuntimeConfig())
+    assert (err.value.filename, err.value.function) == ("the_source.c", "Filter1Filter_helper")
 
 
 def _shipped_programs():
@@ -164,9 +153,8 @@ def _shipped_programs():
 
 
 def test_every_shipped_program_lowers_completely():
-    """A lowering gap must fail here, not quietly demote a function to
-    the tree walker: ``VmUnit.failed`` is empty for every shipped
-    program."""
+    """A lowering gap must fail here, not when a user first runs the
+    program: ``VmUnit.failed`` is empty for every shipped program."""
     programs = _shipped_programs()
     assert len(programs) == 19
     failed = {name: vm_unit(p).failed for name, p in programs.items()}
@@ -324,7 +312,6 @@ def test_opcode_cycles_do_not_change_timed_stream():
         prog = parse_program(CHECKSUM, "<vm>")
         info = analyze(prog, None, CHECKSUM)
         interp = Interpreter(prog, info, env=NullEnvironment(), timed=True)
-        interp.tier = "vm"
         if hook is not None:
             interp.hook = hook
             interp.refresh_hook_caps()

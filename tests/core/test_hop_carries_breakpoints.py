@@ -1,6 +1,7 @@
-"""User breakpoints, catchpoints and ``$N`` values follow a time-travel
-hop: they come off the machine a hop leaves before anything is driven
-and go onto the machine it lands on, numbers and state intact."""
+"""User breakpoints, catchpoints, ``$N`` values and the taken init stop
+follow a time-travel hop: they come off the machine a hop leaves before
+anything is driven and go onto the machine it lands on, numbers and
+state intact."""
 
 from repro.dbg import StopKind
 from repro.pedf import SYM_PUSH
@@ -25,13 +26,13 @@ def stopped_at_pack7(cli):
     return out
 
 
-def continue_past_init(cli):
-    """``continue``, once more if it reports the graph reconstruction a
-    hop into the init phase replays."""
-    out = cli.execute("continue")
-    if out[0].startswith("[Dataflow graph"):
-        out = cli.execute("continue")
-    return out
+def test_a_hop_into_init_does_not_replay_the_init_stop():
+    """The graph-reconstruction stop was taken before the hop; landing at
+    event 5 (inside the init phase) does not report it again."""
+    cli = rle_cli()
+    stopped_at_pack7(cli)
+    assert cli.execute("replay to event 5")[0].startswith("Replay stop: [Replayed to event #5,")
+    assert cli.execute("continue")[0] == "Breakpoint 1, [codec.pack] at pack.c:7"
 
 
 def test_breakpoints_and_history_follow_a_hop():
@@ -43,7 +44,7 @@ def test_breakpoints_and_history_follow_a_hop():
     assert cli.dbg is not before  # a rebuilt machine
     assert cli.execute("info breakpoints") == ["Num\tType\tEnb\tWhat", "1\tsource\ty\tpack.c:7"]
     assert cli.execute("print $1") == ["$2 = 0"]
-    assert continue_past_init(cli)[0] == "Breakpoint 1, [codec.pack] at pack.c:7"
+    assert cli.execute("continue")[0] == "Breakpoint 1, [codec.pack] at pack.c:7"
     # the next number continues the old machine's numbering
     assert cli.execute("break pack.c:9")[0].startswith("Breakpoint 2 at pack.c:")
     # the abandoned machine was parked without them
@@ -81,7 +82,7 @@ def test_temporary_breakpoint_is_not_used_up_by_hops():
     cli.execute("replay to event 5")  # rebuild, driven past pack.c:7
     cli.execute("replay to event 60")  # forward drive of the current machine
     assert cli.dbg.breakpoints.get(2) is tb and tb.hit_count == 0 and not tb.deleted
-    out = continue_past_init(cli)
+    out = cli.execute("continue")
     assert out[0] == "Breakpoint 2, [codec.pack] at pack.c:7"
     assert tb.deleted
     assert cli.execute("info breakpoints") == ["No breakpoints or watchpoints."]
@@ -99,7 +100,7 @@ def test_catchpoint_follows_a_hop_and_adds_no_stops_to_it():
     assert replayed is not session
     assert replayed.replay.recorder.journal.stops == []  # the drive never stopped
     assert replayed.dbg.breakpoints.get(cp.id) is cp
-    assert continue_past_init(cli)[0].startswith("[Stopped at WORK method")
+    assert cli.execute("continue")[0].startswith("[Stopped at WORK method")
 
 
 def test_api_breakpoint_resubscribes_and_frames_die_with_their_machine():
@@ -120,7 +121,7 @@ def test_api_breakpoint_resubscribes_and_frames_die_with_their_machine():
     assert api.subscription is not None and api.subscription is not old_sub
     assert old_sub not in dbg.runtime.bus._listeners.get(old_sub.key, ())
     cli.execute("delete 1")
-    assert continue_past_init(cli)[0].startswith("[Program exited")
+    assert cli.execute("continue")[0].startswith("[Program exited")
     assert seen and all(e.actor == "codec.pack" for e in seen)
 
 

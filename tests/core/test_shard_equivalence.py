@@ -30,14 +30,6 @@ VALUES = (1, 1, 2, 3, 3, 3, 3, 9, 9, 4)
 AM_VALUES = (1, 2, 3, 4)
 
 
-def _set_tier(runtime, tier):
-    runtime.config.interp_tier = tier
-    for actor in runtime.all_actors():
-        interp = getattr(actor, "interp", None)
-        if interp is not None:
-            interp.tier = tier
-
-
 def _run_to_exit(dbg):
     ev = dbg.run()
     while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
@@ -45,9 +37,8 @@ def _run_to_exit(dbg):
     return ev
 
 
-def _single_rle_fingerprint(tier):
+def _single_rle_fingerprint():
     sched, runtime, sink = build_rle_pipeline(VALUES)
-    _set_tier(runtime, tier)
     session = DataflowSession(Debugger(sched, runtime))
     session.replay.record_on(interval=16)
     assert _run_to_exit(session.dbg).kind == StopKind.EXITED
@@ -55,29 +46,27 @@ def _single_rle_fingerprint(tier):
     return fingerprint_streams(session.replay.master.link_value_streams())
 
 
-def _sharded_rle(n_shards, tier):
+def _sharded_rle(n_shards):
     plan = partition_program(
         build_rle_program(VALUES), n_shards, hosts=[HostSpec(*h) for h in RLE_HOSTS]
     )
 
     def build(ctx):
         sched, runtime, sink = build_rle_pipeline(VALUES, shard=ctx)
-        _set_tier(runtime, tier)
         return DataflowSession(Debugger(sched, runtime))
 
     return ShardedRun(plan, build, record=True)
 
 
-def _single_amodule_fingerprint(tier):
+def _single_amodule_fingerprint():
     sched, _plat, runtime, _src, sink = build_demo(AM_VALUES)
-    _set_tier(runtime, tier)
     session = DataflowSession(Debugger(sched, runtime))
     session.replay.record_on(interval=16)
     assert _run_to_exit(session.dbg).kind == StopKind.EXITED
     return fingerprint_streams(session.replay.master.link_value_streams())
 
 
-def _sharded_amodule(n_shards, tier):
+def _sharded_amodule(n_shards):
     from repro.apps.amodule.app import build_amodule_program
 
     plan = partition_program(
@@ -88,34 +77,31 @@ def _sharded_amodule(n_shards, tier):
 
     def build(ctx):
         sched, _plat, runtime, _src, _sink = build_demo(AM_VALUES, shard=ctx)
-        _set_tier(runtime, tier)
         return DataflowSession(Debugger(sched, runtime))
 
     return ShardedRun(plan, build, record=True)
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
 @pytest.mark.parametrize("n_shards", [2, 4])
-def test_rle_fingerprint_matches_single_kernel(tier, n_shards):
-    single = _single_rle_fingerprint(tier)
-    run = _sharded_rle(n_shards, tier)
+def test_rle_fingerprint_matches_single_kernel(n_shards):
+    single = _single_rle_fingerprint()
+    run = _sharded_rle(n_shards)
     stop = run.run()
     assert stop.kind == "exited", stop
     assert run.fingerprint() == single
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
 @pytest.mark.parametrize("n_shards", [2, 4])
-def test_amodule_fingerprint_matches_single_kernel(tier, n_shards):
-    single = _single_amodule_fingerprint(tier)
-    run = _sharded_amodule(n_shards, tier)
+def test_amodule_fingerprint_matches_single_kernel(n_shards):
+    single = _single_amodule_fingerprint()
+    run = _sharded_amodule(n_shards)
     stop = run.run()
     assert stop.kind == "exited", stop
     assert run.fingerprint() == single
 
 
 def test_sharded_sink_receives_identity_roundtrip():
-    run = _sharded_rle(2, "auto")
+    run = _sharded_rle(2)
     assert run.run().kind == "exited"
     # the sink lives in some shard's runtime; find it by actor name
     received = None
@@ -128,12 +114,12 @@ def test_sharded_sink_receives_identity_roundtrip():
 
 def test_breakpoint_in_one_shard_pauses_all_at_barrier():
     # reference: an undisturbed sharded run's per-shard dispatch counts
-    ref = _sharded_rle(2, "auto")
+    ref = _sharded_rle(2)
     assert ref.run().kind == "exited"
     ref_dispatches = [s.dispatch_count for s in ref.shards]
     ref_fp = ref.fingerprint()
 
-    run = _sharded_rle(2, "auto")
+    run = _sharded_rle(2)
     codec_shard = run.plan.shard_of("codec")
     dbg = run.sessions[codec_shard].dbg
     dbg.break_source("pack.c:5", temporary=True)
@@ -165,7 +151,7 @@ def test_breakpoint_in_one_shard_pauses_all_at_barrier():
 
 
 def test_info_shards_lines_after_run():
-    run = _sharded_rle(2, "auto")
+    run = _sharded_rle(2)
     assert run.run().kind == "exited"
     lines = run.info_lines()
     text = "\n".join(lines)

@@ -4,8 +4,8 @@ a hop, never its outcome.
 ``replay to`` restoring a parked resident machine and re-executing only
 the tail has to be observationally indistinguishable from the old
 full re-execution: same journal fingerprint, same ``rv.derive``
-verdicts, same derived telemetry — byte for byte, on both interpreter
-tiers, and per shard in a sharded run (barrier snapshots).  The cost
+verdicts, same derived telemetry — byte for byte, and per shard in a
+sharded run (barrier snapshots).  The cost
 side is gated through ``last_restore``: deterministic event counts, not
 wall clocks.
 """
@@ -35,14 +35,6 @@ RLE_PROPS = [
 ]
 
 
-def _set_tier(runtime, tier):
-    runtime.config.interp_tier = tier
-    for actor in runtime.all_actors():
-        interp = getattr(actor, "interp", None)
-        if interp is not None:
-            interp.tier = tier
-
-
 def run_to_exit(dbg):
     ev = dbg.run() if not dbg.runtime.loaded else dbg.cont()
     while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
@@ -50,10 +42,9 @@ def run_to_exit(dbg):
     return ev
 
 
-def rle_session(tier="auto", values=VALUES):
+def rle_session(values=VALUES):
     def fresh():
         sched, runtime, sink = build_rle_pipeline(values)
-        _set_tier(runtime, tier)
         return DataflowSession(Debugger(sched, runtime))
 
     session = fresh()
@@ -80,9 +71,8 @@ def journal_artifacts(journal, model):
 # ------------------------------------------- hop == full re-execution
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
-def test_restore_hop_matches_full_reexecution(tier):
-    session = rle_session(tier)
+def test_restore_hop_matches_full_reexecution():
+    session = rle_session()
     mgr = session.replay
     mgr.record_on(interval=16)
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
@@ -214,19 +204,6 @@ def test_divergent_deep_snapshot_is_reported_not_raised_as_a_crash():
     with pytest.raises(ReplayDivergenceError, match=f"diverged at dispatch {dispatch}: recorded "
                        r"snapshot @dispatch .* replayed snapshot @dispatch"):
         mgr.replay_to("end")
-
-
-def test_journal_snapshots_are_tier_invariant():
-    """Deep snapshots carry no interpreter frames, so the recorded states
-    must be byte-identical between the slow and VM tiers."""
-    snaps = {}
-    for tier in ("auto", "slow"):
-        session = rle_session(tier)
-        session.replay.record_on(interval=16)
-        run_to_exit(session.dbg)
-        snaps[tier] = session.replay.master.state_snapshots
-    assert snaps["auto"]
-    assert snaps["auto"] == snaps["slow"]
 
 
 # ------------------------------------------------------- segment rotation

@@ -166,9 +166,9 @@ def test_enable_rearms_a_disabled_breakpoint():
 
 
 def test_up_selects_the_caller_and_fails_past_the_outermost_frame():
-    from .test_tier_debug_equivalence import _calls_cli
+    from tests.test_execution_goldens import calls_cli
 
-    cli = _calls_cli("auto")
+    cli = calls_cli()
     cli.execute("break scale")
     cli.execute("run")
     out = cli.execute("continue")

@@ -1,4 +1,4 @@
-"""What a frame's return ends, on both tiers.
+"""What a frame's return ends.
 
 - ``step``/``next`` on the last statement of a WORK body stops the same
   actor when the activation returns to the framework, before any other
@@ -29,12 +29,8 @@ from .util import (
 F1 = "AModule.filter_1"
 
 
-def tier_session(tier, values=(1, 2, 3)):
+def session(values=(1, 2, 3)):
     dbg, runtime, source, sink = make_session(values)
-    runtime.config.interp_tier = tier
-    for actor in runtime.all_actors():
-        if getattr(actor, "interp", None) is not None:
-            actor.interp.tier = tier
     return dbg, runtime
 
 
@@ -59,12 +55,9 @@ def return_hooks(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
 @pytest.mark.parametrize("command", ["next_", "step"])
-def test_step_off_the_last_statement_stops_at_the_activation_return(
-    monkeypatch, tier, command
-):
-    dbg, runtime = tier_session(tier)
+def test_step_off_the_last_statement_stops_at_the_activation_return(monkeypatch, command):
+    dbg, runtime = session()
     dbg.break_source(f"the_source.c:{LINE_PUSH}", actor=F1)
     ev = dbg.run()
     assert (ev.kind, ev.line) == (StopKind.BREAKPOINT, LINE_PUSH)
@@ -91,12 +84,11 @@ def test_step_off_the_last_statement_stops_at_the_activation_return(
     assert hooks == [F1]
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
 @pytest.mark.parametrize("command", ["next_", "step"])
-def test_step_from_the_activation_return_runs_to_the_next_activation(tier, command):
+def test_step_from_the_activation_return_runs_to_the_next_activation(command):
     """Between activations no line is known, so the next ``step``/``next``
     runs to the actor's first line of its next activation."""
-    dbg, runtime = tier_session(tier)
+    dbg, runtime = session()
     dbg.break_source(f"the_source.c:{LINE_PUSH}", temporary=True, actor=F1)
     dbg.run()
     returned = getattr(dbg, command)()
@@ -109,9 +101,8 @@ def test_step_from_the_activation_return_runs_to_the_next_activation(tier, comma
     assert (ev.kind, ev.line) == (StopKind.STEP, LINE_READ_INPUT)
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
-def test_step_inside_the_body_is_unchanged(tier):
-    dbg, runtime = tier_session(tier)
+def test_step_inside_the_body_is_unchanged():
+    dbg, runtime = session()
     dbg.break_source(f"the_source.c:{LINE_COMPUTE}", actor=F1)
     dbg.run()
     ev = dbg.next_()
@@ -119,9 +110,8 @@ def test_step_inside_the_body_is_unchanged(tier):
     assert ev.describe() == [f"Step [{F1}] at the_source.c:{LINE_PUSH}"]
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
-def test_watchpoint_on_a_local_dies_with_its_frame(monkeypatch, tier):
-    dbg, runtime = tier_session(tier)
+def test_watchpoint_on_a_local_dies_with_its_frame(monkeypatch):
+    dbg, runtime = session()
     bp = dbg.break_source(f"the_source.c:{LINE_COMPUTE}", actor=F1)
     dbg.run()
     local = dbg.watch("v")
@@ -151,11 +141,10 @@ def test_watchpoint_on_a_local_dies_with_its_frame(monkeypatch, tier):
     assert hooks == [F1]
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
-def test_finish_wins_over_a_dying_watchpoint(tier):
+def test_finish_wins_over_a_dying_watchpoint():
     """``finish`` of the frame a watched local lives in reports the
     return; the watchpoint goes with the frame all the same."""
-    dbg, runtime = tier_session(tier)
+    dbg, runtime = session()
     bp = dbg.break_source(f"the_source.c:{LINE_COMPUTE}", actor=F1)
     dbg.run()
     local = dbg.watch("v")
@@ -166,11 +155,10 @@ def test_finish_wins_over_a_dying_watchpoint(tier):
     assert dbg.cont().kind == StopKind.EXITED
 
 
-@pytest.mark.parametrize("tier", ["auto", "slow"])
-def test_a_watchpoint_disabled_while_its_frame_returns_is_deleted_when_reenabled(tier):
+def test_a_watchpoint_disabled_while_its_frame_returns_is_deleted_when_reenabled():
     """GDB: the scope is checked again when the watchpoint is next
     evaluated; its frame is gone, so it is deleted with a stop."""
-    dbg, runtime = tier_session(tier)
+    dbg, runtime = session()
     bp = dbg.break_source(f"the_source.c:{LINE_COMPUTE}", actor=F1)
     dbg.run()
     local = dbg.watch("v")

@@ -3,8 +3,8 @@
 Mirrors test_deopt.py at the instruction level: ISA breakpoints,
 register watchpoints and ``stepi`` ride CAP_ISA, and statement-level
 arming mid-function — inside a ``while``, a ``for`` or a ``do``/``while``
-body too — stops the same VM activation on the slow tier's line with the
-slow tier's locals, without one tree-walked statement.
+body too — stops the same VM activation on the right line with the
+right locals.
 """
 
 import pytest
@@ -18,20 +18,10 @@ from .util import (
     LINE_READ_CMD,
     LINE_READ_INPUT,
     WORK_F1,
-    count_tree_checkpoints,
     hooked,
     make_cli,
     make_session,
 )
-
-
-def make_vm_session(values=(1, 2, 3, 4)):
-    dbg, runtime, source, sink = make_session(values)
-    runtime.config.interp_tier = "vm"
-    for a in runtime.all_actors():
-        if getattr(a, "interp", None) is not None:
-            a.interp.tier = "vm"
-    return dbg, runtime, source, sink
 
 
 def live_interps(runtime):
@@ -46,7 +36,7 @@ def live_interps(runtime):
 
 
 def test_isa_breakpoint_stops_at_exact_pc():
-    dbg, runtime, _, sink = make_vm_session()
+    dbg, runtime, _, sink = make_session()
     bp = dbg.break_isa(f"{WORK_F1}+4")
     ev = dbg.run()
     assert ev.kind == StopKind.ISA_BP
@@ -65,7 +55,7 @@ def test_isa_breakpoint_stops_at_exact_pc():
 
 
 def test_isa_breakpoints_never_deoptimize():
-    dbg, runtime, _, _ = make_vm_session()
+    dbg, runtime, _, _ = make_session()
     interps = live_interps(runtime)
     dbg.break_isa(f"{WORK_F1}+4")
     assert hooked(runtime) == set(), "CAP_ISA arms no statement/call/return hook"
@@ -77,7 +67,7 @@ def test_bad_isa_locations_rejected():
 
     from repro.errors import DebuggerError
 
-    dbg, _, _, _ = make_vm_session()
+    dbg, _, _, _ = make_session()
     with pytest.raises(DebuggerError, match="FUNC\\+PC"):
         dbg.break_isa("no_plus_sign")
     with pytest.raises(DebuggerError, match="no function symbol"):
@@ -88,7 +78,7 @@ def test_bad_isa_locations_rejected():
 
 
 def test_stepi_advances_one_instruction_on_vm_frames():
-    dbg, _, _, _ = make_vm_session()
+    dbg, _, _, _ = make_session()
     bp = dbg.break_isa(f"{WORK_F1}+4")
     assert dbg.run().kind == StopKind.ISA_BP
     interp = dbg.selected_actor.interp
@@ -104,7 +94,7 @@ def test_stepi_advances_one_instruction_on_vm_frames():
 
 
 def test_register_watchpoint_reports_old_and_new():
-    dbg, _, _, _ = make_vm_session()
+    dbg, _, _, _ = make_session()
     wp = dbg.watch_register(WORK_F1, 3)
     ev = dbg.run()
     assert ev.kind == StopKind.REGISTER_WATCH
@@ -115,19 +105,18 @@ def test_register_watchpoint_reports_old_and_new():
 # ------------------------------------------------------ source-level hooks
 
 
-def test_statement_breakpoint_mid_vm_work_hits_without_descent(monkeypatch):
+def test_statement_breakpoint_mid_vm_work_hits_without_descent():
     """Arm a source breakpoint while a *bytecode* WORK body is suspended
     mid-function: the same VM activation stops on the right line, and
     ``print`` / ``info locals`` read its registers."""
-    checkpoints = count_tree_checkpoints(monkeypatch)
-    dbg, runtime, _, sink = make_vm_session((5, 6))
+    dbg, runtime, _, sink = make_session((5, 6))
 
     api_bp = dbg.break_api(SYM_POP, phase="entry", actor="AModule.filter_1")
     ev = dbg.run()
     assert ev.kind == StopKind.API_BP
     interp = dbg.selected_actor.interp
     act = dbg.vm_activation()
-    assert act is not None, "vm tier never engaged"
+    assert act is not None
 
     dbg.delete(api_bp.id)
     dbg.break_source(f"the_source.c:{LINE_PUSH}")
@@ -143,11 +132,10 @@ def test_statement_breakpoint_mid_vm_work_hits_without_descent(monkeypatch):
     while not dbg.finished:
         dbg.cont()
     assert sorted(sink.values) == [4 * 5 + 3, 4 * 6 + 3]
-    assert checkpoints[0] == 0
 
 
 def test_vm_reoptimizes_after_disarm():
-    dbg, runtime, _, sink = make_vm_session((3, 4))
+    dbg, runtime, _, sink = make_session((3, 4))
     bp = dbg.break_source(f"the_source.c:{LINE_READ_INPUT}")
     assert dbg.run().kind == StopKind.BREAKPOINT
     interp = dbg.selected_actor.interp
@@ -161,27 +149,25 @@ def test_vm_reoptimizes_after_disarm():
 
 def test_isa_stop_inspects_locals_from_registers():
     """Regression: at an ISA stop the VM frame answers ``info locals`` and
-    ``print`` through the scope shape governing its pc, as the slow tier
-    does at the same source line."""
-    def inspect(tier, location):
+    ``print`` through the scope shape governing its pc, as a source stop
+    at the same line does."""
+    def inspect(location):
         cli, dbg, runtime, _ = make_cli()
-        for interp in live_interps(runtime):
-            interp.tier = tier
         cli.execute(location)
         cli.execute("run")
         return dbg, cli.execute("info locals") + cli.execute("print cmd")
 
-    dbg, vm_out = inspect("auto", f"breaki {WORK_F1}+4")
+    dbg, isa_out = inspect(f"breaki {WORK_F1}+4")
     assert dbg.last_stop.kind == StopKind.ISA_BP
     assert dbg.vm_activation().line() == LINE_READ_INPUT
-    assert vm_out == ["cmd = 1", "$1 = 1"]
-    slow, slow_out = inspect("slow", f"break the_source.c:{LINE_READ_INPUT}")
-    assert slow.last_stop.kind == StopKind.BREAKPOINT
-    assert slow_out == vm_out
+    assert isa_out == ["cmd = 1", "$1 = 1"]
+    src, src_out = inspect(f"break the_source.c:{LINE_READ_INPUT}")
+    assert src.last_stop.kind == StopKind.BREAKPOINT
+    assert src_out == isa_out
 
 
 def test_isa_stop_before_the_first_boundary_shows_only_parameters():
-    dbg, _, _, _ = make_vm_session()
+    dbg, _, _, _ = make_session()
     dbg.break_isa(f"{WORK_F1}+0")
     assert dbg.run().kind == StopKind.ISA_BP
     assert dbg.vm_activation().line() == LINE_READ_CMD
@@ -242,7 +228,7 @@ LINE_LOOP_ACC = 8
 LINE_LOOP_K = 9
 
 
-def make_loop_session(kind, tier, values=(5, 6)):
+def make_loop_session(kind, values=(5, 6)):
     from repro.apps.amodule.app import build_amodule_program
     from repro.dbg import Debugger
     from repro.p2012.soc import P2012Platform, PlatformConfig
@@ -255,10 +241,7 @@ def make_loop_session(kind, tier, values=(5, 6)):
     f1.source_name = "loop_source.c"
     sched = Scheduler()
     platform = P2012Platform(sched, PlatformConfig(n_clusters=2, pes_per_cluster=4))
-    runtime = PedfRuntime(sched, platform, program, RuntimeConfig(interp_tier=tier))
-    for a in runtime.all_actors():
-        if getattr(a, "interp", None) is not None:
-            a.interp.tier = tier
+    runtime = PedfRuntime(sched, platform, program, RuntimeConfig())
     runtime.add_source("stim", "AModule", "module_in", list(values))
     sink = runtime.add_sink("capture", "AModule", "module_out", expect=len(values))
     return Debugger(sched, runtime), sink
@@ -268,24 +251,31 @@ def _locals(frame):
     return {name: slot.data for name, slot in frame.variables().items()}
 
 
+#: the second arrival at the loop body's first line: (line, locals, sim
+#: time), as the tree-walking reference tier reported it
+LOOP_SECOND_ARRIVAL = {
+    "dowhile": (8, {"cmd": 1, "v": 5, "acc": 5, "k": 1}, 78),
+    "for": (8, {"cmd": 1, "v": 5, "acc": 5, "k": 1, "j": 1}, 78),
+    "while": (8, {"cmd": 1, "v": 5, "acc": 5, "k": 1}, 78),
+}
+
+
 @pytest.mark.parametrize("kind", sorted(LOOP_SOURCES))
-def test_breakpoint_armed_inside_a_vm_loop_body_matches_the_slow_tier(monkeypatch, kind):
+def test_breakpoint_armed_in_a_loop_body_stops_the_next_iteration(kind):
     """Stop the VM inside a loop body with an ISA breakpoint, arm a source
     breakpoint on the body's first line and continue: the same VM
-    activation stops there on the next iteration with the slow tier's
-    line, locals and sim time, and the tree walker runs nothing."""
+    activation stops there on the next iteration, on the line, with the
+    locals and at the sim time a plain source breakpoint reaches."""
     from repro.cminus.vm import vm_unit
 
-    # slow-tier reference: the second arrival at the body's first line
-    slow, slow_sink = make_loop_session(kind, "slow")
-    slow_bp = slow.break_source(f"loop_source.c:{LINE_LOOP_ACC}")
-    assert slow.run().kind == StopKind.BREAKPOINT
-    assert slow.cont().kind == StopKind.BREAKPOINT
-    want = (slow.current_frame().line, _locals(slow.current_frame()), slow.scheduler.now)
-    assert want[1]["k"] == 1 and want[1]["acc"] == 5
+    plain, plain_sink = make_loop_session(kind)
+    plain_bp = plain.break_source(f"loop_source.c:{LINE_LOOP_ACC}")
+    assert plain.run().kind == StopKind.BREAKPOINT
+    assert plain.cont().kind == StopKind.BREAKPOINT
+    want = (plain.current_frame().line, _locals(plain.current_frame()), plain.scheduler.now)
+    assert want == LOOP_SECOND_ARRIVAL[kind]
 
-    checkpoints = count_tree_checkpoints(monkeypatch)
-    dbg, sink = make_loop_session(kind, "auto")
+    dbg, sink = make_loop_session(kind)
     f1 = next(a for a in dbg.runtime.all_actors() if a.qualname == "AModule.filter_1")
     vmf = vm_unit(f1.interp.program).funcs[WORK_F1]
     # the first instruction after the ``k = k + 1`` boundary
@@ -303,23 +293,20 @@ def test_breakpoint_armed_inside_a_vm_loop_body_matches_the_slow_tier(monkeypatc
     assert frame.vm is act
     assert (frame.line, _locals(frame), dbg.scheduler.now) == want
 
-    for d, bp in ((dbg, src_bp), (slow, slow_bp)):
+    for d, bp in ((dbg, src_bp), (plain, plain_bp)):
         d.delete(bp.id)
         while not d.finished:
             d.cont()
-        if d is dbg:
-            assert checkpoints[0] == 0
-    assert sink.values == slow_sink.values == [2 * 3 * 5 + 1, 2 * 3 * 6 + 1]
+    assert sink.values == plain_sink.values == [2 * 3 * 5 + 1, 2 * 3 * 6 + 1]
 
 
 # ------------------------------------------------------------- CLI surface
 
 
 def test_breaki_fires_on_the_default_tier():
-    """No tier override: the default tier is the VM, so the whole ISA
+    """No option needed: every actor runs the VM, so the whole ISA
     surface (breaki, info registers, disas, stepi) works out of the box."""
     cli, dbg, runtime, _ = make_cli()
-    assert all(i.tier == "auto" for i in live_interps(runtime))
     out = cli.execute_script(
         [f"breaki {WORK_F1}+4", "run", "info registers", "disas", "stepi"]
     )
@@ -332,7 +319,7 @@ def test_breaki_fires_on_the_default_tier():
 
 
 def test_cli_disas_info_registers_and_breaki():
-    dbg, _, _, _ = make_vm_session()
+    dbg, _, _, _ = make_session()
     cli = CommandCli(dbg)
     assert cli.execute(f"breaki {WORK_F1}+4") == [
         f"ISA breakpoint 1 at {WORK_F1}+4"
@@ -353,7 +340,7 @@ def test_cli_disas_info_registers_and_breaki():
 
 
 def test_cli_rwatch_and_errors():
-    dbg, _, _, _ = make_vm_session()
+    dbg, _, _, _ = make_session()
     cli = CommandCli(dbg)
     out = cli.execute(f"rwatch {WORK_F1} r3")
     assert out == [f"Register watchpoint 1: r3 in {WORK_F1}"]

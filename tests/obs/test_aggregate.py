@@ -3,8 +3,7 @@
 The canonical projection of the stitched sharded view — per-actor work
 counters, per-link token counts and value-stream digests, per-track
 ordinal-labelled span sequences — must be byte-identical to the same
-projection of the single-kernel journal, at any shard count, on any
-interpreter tier.  On top of that sit the cross-shard causal edges
+projection of the single-kernel journal, at any shard count.  On top of that sit the cross-shard causal edges
 (push ordinal N on the producer shard == pop ordinal N on the consumer
 shard) and the merged multi-process Chrome trace export.
 """
@@ -30,14 +29,6 @@ VALUES = (1, 1, 2, 3, 3, 3, 3, 9, 9, 4)
 AM_VALUES = (1, 2, 3, 4)
 
 
-def _set_tier(runtime, tier):
-    runtime.config.interp_tier = tier
-    for actor in runtime.all_actors():
-        interp = getattr(actor, "interp", None)
-        if interp is not None:
-            interp.tier = tier
-
-
 def _run_to_exit(dbg):
     ev = dbg.run()
     while ev.kind not in (StopKind.EXITED, StopKind.DEADLOCK, StopKind.ERROR):
@@ -45,23 +36,21 @@ def _run_to_exit(dbg):
     return ev
 
 
-def _single_rle(tier):
+def _single_rle():
     sched, runtime, _sink = build_rle_pipeline(VALUES)
-    _set_tier(runtime, tier)
     session = DataflowSession(Debugger(sched, runtime))
     session.replay.record_on(interval=16)
     assert _run_to_exit(session.dbg).kind == StopKind.EXITED
     return session
 
 
-def _sharded_rle(n_shards, tier):
+def _sharded_rle(n_shards):
     plan = partition_program(
         build_rle_program(VALUES), n_shards, hosts=[HostSpec(*h) for h in RLE_HOSTS]
     )
 
     def build(ctx):
         sched, runtime, _sink = build_rle_pipeline(VALUES, shard=ctx)
-        _set_tier(runtime, tier)
         return DataflowSession(Debugger(sched, runtime))
 
     run = ShardedRun(plan, build, record=True)
@@ -69,16 +58,15 @@ def _sharded_rle(n_shards, tier):
     return run
 
 
-def _single_amodule(tier):
+def _single_amodule():
     sched, _plat, runtime, _src, _sink = build_demo(AM_VALUES)
-    _set_tier(runtime, tier)
     session = DataflowSession(Debugger(sched, runtime))
     session.replay.record_on(interval=16)
     assert _run_to_exit(session.dbg).kind == StopKind.EXITED
     return session
 
 
-def _sharded_amodule(n_shards, tier):
+def _sharded_amodule(n_shards):
     plan = partition_program(
         build_amodule_program(attribute=1, max_steps=len(AM_VALUES)),
         n_shards,
@@ -87,7 +75,6 @@ def _sharded_amodule(n_shards, tier):
 
     def build(ctx):
         sched, _plat, runtime, _src, _sink = build_demo(AM_VALUES, shard=ctx)
-        _set_tier(runtime, tier)
         return DataflowSession(Debugger(sched, runtime))
 
     run = ShardedRun(plan, build, record=True)
@@ -98,37 +85,26 @@ def _sharded_amodule(n_shards, tier):
 # ------------------------------------------------ canonical byte-identity
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm"])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_rle_canonical_matches_single_kernel(tier, n_shards):
-    single = aggregate_journal(_single_rle(tier).replay.master)
-    sharded = aggregate_sharded(_sharded_rle(n_shards, tier))
+def test_rle_canonical_matches_single_kernel(n_shards):
+    single = aggregate_journal(_single_rle().replay.master)
+    sharded = aggregate_sharded(_sharded_rle(n_shards))
     assert not sharded.warnings
     assert sharded.canonical_lines() == single.canonical_lines()
     assert sharded.canonical_fingerprint() == single.canonical_fingerprint()
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm"])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
-def test_amodule_canonical_matches_single_kernel(tier, n_shards):
-    single = aggregate_journal(_single_amodule(tier).replay.master)
-    sharded = aggregate_sharded(_sharded_amodule(n_shards, tier))
+def test_amodule_canonical_matches_single_kernel(n_shards):
+    single = aggregate_journal(_single_amodule().replay.master)
+    sharded = aggregate_sharded(_sharded_amodule(n_shards))
     assert not sharded.warnings
     assert sharded.canonical_lines() == single.canonical_lines()
     assert sharded.canonical_fingerprint() == single.canonical_fingerprint()
-
-
-def test_canonical_projection_is_tier_invariant():
-    """The projection only contains order-determined quantities, so the
-    bytecode and tree tiers must agree line for line too."""
-    assert (
-        aggregate_journal(_single_rle("auto").replay.master).canonical_lines()
-        == aggregate_journal(_single_rle("slow").replay.master).canonical_lines()
-    )
 
 
 def test_aggregate_journal_of_a_complete_journal_has_no_warnings():
-    journal = _single_rle("auto").replay.master
+    journal = _single_rle().replay.master
     agg = aggregate_journal(journal)
     assert agg.warnings == []
     assert agg.streams == journal.link_value_streams()
@@ -195,7 +171,7 @@ def test_synthetic_1000_actor_canonical_matches_single_kernel():
 
 
 def test_cross_shard_edges_cover_every_forwarded_token():
-    run = _sharded_rle(2, "auto")
+    run = _sharded_rle(2)
     agg = aggregate_sharded(run)
     assert agg.edges, "a 2-shard RLE run must cut at least one link"
     per_link = {}
@@ -236,7 +212,7 @@ def test_aggregate_requires_recorded_run():
 
 @pytest.mark.parametrize("n_shards", [2, 4])
 def test_merged_chrome_trace_passes_validator(n_shards):
-    agg = aggregate_sharded(_sharded_rle(n_shards, "auto"))
+    agg = aggregate_sharded(_sharded_rle(n_shards))
     text = agg.chrome_trace()
     assert validate_chrome_trace(text) == []
     events = json.loads(text)["traceEvents"]
@@ -257,16 +233,16 @@ def test_merged_chrome_trace_passes_validator(n_shards):
 def test_merged_chrome_trace_is_stable_across_runs():
     """pid/tid assignment is a pure function of the plan and program:
     two identical sharded runs export byte-identical traces."""
-    first = aggregate_sharded(_sharded_rle(2, "auto")).chrome_trace()
-    second = aggregate_sharded(_sharded_rle(2, "auto")).chrome_trace()
+    first = aggregate_sharded(_sharded_rle(2)).chrome_trace()
+    second = aggregate_sharded(_sharded_rle(2)).chrome_trace()
     assert first == second
     # repeated export of the same aggregate is trivially stable too
-    agg = aggregate_sharded(_sharded_rle(2, "auto"))
+    agg = aggregate_sharded(_sharded_rle(2))
     assert agg.chrome_trace() == agg.chrome_trace()
 
 
 def test_sharded_run_export_trace_writes_file(tmp_path):
-    run = _sharded_rle(2, "auto")
+    run = _sharded_rle(2)
     target = tmp_path / "nested" / "trace.json"
     nbytes = run.export_trace(str(target))
     assert target.exists() and nbytes == len(target.read_bytes())

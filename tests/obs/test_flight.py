@@ -99,7 +99,7 @@ def test_manual_dump_via_cli(tmp_path):
     assert out == [f"flight bundle written to {target}"]
     bundle = json.loads(target.read_text())
     assert bundle["flight"]["reason"] == "manual"
-    assert bundle["config"]["interp_tier"] == "auto"
+    assert bundle["config"] == {"time": bundle["config"]["time"]}
     assert bundle["spans"] and bundle["metrics"]
     # a second dump to the same explicit path needs force
     out = cli.execute(f"flight dump {target}")

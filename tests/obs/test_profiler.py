@@ -1,8 +1,6 @@
-"""Attributed cycle profiler: live attribution, tier labels, hook-free
+"""Attributed cycle profiler: live attribution, the exit flush, hook-free
 arming, replay-side derivation equality, and the export formats.
 """
-
-import pytest
 
 from repro.apps.amodule import build_demo
 from repro.apps.rle import build_rle_pipeline
@@ -12,14 +10,9 @@ from repro.obs import derive_profile, flame_svg
 from repro.obs.prof import Profile
 
 
-def rle_session(values=(5, 5, 5, 2, 7, 7), tier="auto"):
+def rle_session(values=(5, 5, 5, 2, 7, 7)):
     sched, runtime, _sink = build_rle_pipeline(list(values))
-    session = DataflowSession(Debugger(sched, runtime))
-    runtime.config.interp_tier = tier
-    for actor in runtime.all_actors():
-        if getattr(actor, "interp", None) is not None:
-            actor.interp.tier = tier
-    return session
+    return DataflowSession(Debugger(sched, runtime))
 
 
 def run_to_exit(dbg):
@@ -61,12 +54,11 @@ def test_profiler_off_by_default_and_armed_on_enable():
 # --------------------------------------------------- attribution exactness
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
-def test_profile_total_equals_span_busy(tier):
+def test_profile_total_equals_span_busy():
     """Two independent mechanisms agree per actor: the profiler's
     flush-site charges and telemetry's busy time, which the span builder
     derives from event timestamps without ever seeing an interpreter."""
-    session = rle_session(tier=tier)
+    session = rle_session()
     session.telemetry.enable()
     session.prof.enable()
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
@@ -75,7 +67,7 @@ def test_profile_total_equals_span_busy(tier):
     # every flushed cycle is charged to exactly one call-tree node
     assert sum(profile.nodes.values()) == profile.total
     charged = {}
-    for (actor, _tier, _path), cycles in profile.nodes.items():
+    for (actor, _path), cycles in profile.nodes.items():
         charged[actor] = charged.get(actor, 0) + cycles
     busy = {
         name: m.busy for name, m in session.telemetry.metrics.actors.items() if m.busy
@@ -83,27 +75,36 @@ def test_profile_total_equals_span_busy(tier):
     assert charged == busy
 
 
-@pytest.mark.parametrize(
-    "tier,label", [("auto", "vm"), ("vm", "vm"), ("slow", "tree")]
-)
-def test_tier_attribution_labels(tier, label):
-    session = rle_session(tier=tier)
+def test_exit_flush_goes_to_the_path_charged_last():
+    """``run_function`` flushes its remaining cycles after the entry
+    frame popped: they go to the path the actor's previous flush was
+    charged to, never to a frameless placeholder."""
+    session = rle_session()
     session.prof.enable()
+    charged = []
+    charge = session.prof._charge
+
+    def spy(interp, cycles):
+        charge(interp, cycles)
+        if not interp.frames:
+            charged.append(session.prof._last[id(interp)])
+
+    session.dbg.hook.profile_sink = spy
+    session.dbg._recompute_capabilities()
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
-    tiers = session.prof.profile.tier_cycles()
-    assert label in tiers
-    # the dominant tier is the forced one
-    assert tiers[label] == max(tiers.values())
+    assert charged, "no flush after an entry frame popped"
+    assert ("<entry>",) not in charged
+    assert ("<entry>",) not in {path for _actor, path in session.prof.profile.nodes}
 
 
 def test_profile_attributes_to_known_actors_and_functions():
     session = rle_session()
     session.prof.enable()
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
-    actors = {actor for (actor, _tier, _path) in session.prof.profile.nodes}
+    actors = {actor for (actor, _path) in session.prof.profile.nodes}
     assert "codec.pack" in actors and "codec.expand" in actors
     funcs = {
-        path[-1] for (_actor, _tier, path) in session.prof.profile.nodes if path
+        path[-1] for (_actor, path) in session.prof.profile.nodes if path
     }
     assert "PackFilter_work_function" in funcs
 
@@ -111,15 +112,14 @@ def test_profile_attributes_to_known_actors_and_functions():
 # ---------------------------------------------------- replay-side deriving
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm"])
-def test_derived_profile_equals_live_profile(tier):
-    session = rle_session(tier=tier)
+def test_derived_profile_equals_live_profile():
+    session = rle_session()
     session.replay.record_on()
     session.prof.enable()
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
     live = session.prof.profile
 
-    derived = derive_profile(session.replay.master, rle_session, tier=tier)
+    derived = derive_profile(session.replay.master, rle_session)
     assert derived.profile.collapsed() == live.collapsed()
     assert derived.profile.total == live.total
 
@@ -167,9 +167,9 @@ def test_derive_profile_reapplies_recorded_alterations():
 
 def _toy_profile():
     p = Profile()
-    p.add("a.x", "tree", ("main", "work"), 10)
-    p.add("a.x", "tree", ("main",), 5)
-    p.add("a.y", "vm", ("main", "work", "leaf"), 7)
+    p.add("a.x", ("main", "work"), 10)
+    p.add("a.x", ("main",), 5)
+    p.add("a.y", ("main", "work", "leaf"), 7)
     return p
 
 
@@ -186,7 +186,7 @@ def test_self_and_inclusive_cycles():
 
 def test_recursive_paths_do_not_double_count_inclusive():
     p = Profile()
-    p.add("a.r", "tree", ("f", "f", "f"), 9)
+    p.add("a.r", ("f", "f", "f"), 9)
     assert p.inclusive_cycles()[("a.r", "f")] == 9
 
 
@@ -204,7 +204,7 @@ def test_collapsed_is_sorted_and_parseable():
         stack, _, cycles = line.rpartition(" ")
         assert int(cycles) > 0
         parts = stack.split(";")
-        assert len(parts) >= 2  # actor;tier[;frames...]
+        assert len(parts) >= 2  # actor;frames...
 
 
 # ------------------------------------------------------------- exports

@@ -4,23 +4,17 @@ Busy-time exactness against the profiler's flush-site charges lives in
 ``test_profiler.py``; telemetry itself never touches an interpreter.
 """
 
-import pytest
-
 from repro.apps.rle import build_rle_pipeline
 from repro.core import DataflowSession
 from repro.dbg import CommandCli, Debugger, StopKind
 from repro.obs import INIT_TRACK
 
 
-def rle_session(values=(5, 5, 5, 2, 7, 7), tier="auto"):
+def rle_session(values=(5, 5, 5, 2, 7, 7)):
     sched, runtime, sink = build_rle_pipeline(list(values))
     dbg = Debugger(sched, runtime)
     cli = CommandCli(dbg)
     session = DataflowSession(dbg, cli=cli)
-    runtime.config.interp_tier = tier
-    for actor in runtime.all_actors():
-        if getattr(actor, "interp", None) is not None:
-            actor.interp.tier = tier
     return session, cli, sink
 
 
@@ -76,9 +70,8 @@ def test_telemetry_adds_exactly_one_wildcard_subscription():
 # ---------------------------------------------------- counters vs. ground truth
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
-def test_live_metrics_match_runtime_totals(tier):
-    session, _, sink = rle_session(tier=tier)
+def test_live_metrics_match_runtime_totals():
+    session, _, sink = rle_session()
     session.telemetry.enable()
     assert run_to_exit(session.dbg).kind == StopKind.EXITED
     metrics = session.telemetry.metrics
@@ -104,22 +97,6 @@ def test_live_metrics_match_runtime_totals(tier):
         assert lm.high_water >= 1, name
         assert lm.push_latency.count == lm.pushes
         assert lm.pop_latency.count == lm.pops
-
-
-def test_both_tiers_collect_identical_telemetry():
-    """All execution tiers issue byte-identical kernel-request
-    streams, so their telemetry must be byte-identical too."""
-    by_tier = {}
-    for tier in ("auto", "vm", "slow"):
-        session, _, _ = rle_session(tier=tier)
-        session.telemetry.enable()
-        run_to_exit(session.dbg)
-        by_tier[tier] = (
-            session.telemetry.metrics.render(),
-            session.telemetry.export_json("rle"),
-        )
-    assert by_tier["auto"] == by_tier["slow"]
-    assert by_tier["vm"] == by_tier["slow"]
 
 
 def test_span_hierarchy_shapes():
@@ -217,11 +194,6 @@ def test_info_opcodes_on_the_default_tier():
         assert cycles % isa.COST[isa.BY_NAME[name]] == 0, name
     # rows are ordered by cycles, heaviest first
     assert list(rows.values()) == sorted(rows.values(), reverse=True)
-
-    slow, slow_cli, _ = rle_session(tier="slow")
-    slow_cli.execute("prof on")
-    assert run_to_exit(slow.dbg).kind == StopKind.EXITED
-    assert slow_cli.execute("info opcodes")[0].startswith("no opcode cycles counted")
 
 
 def test_drop_warning_surfaces_on_bounded_sink():

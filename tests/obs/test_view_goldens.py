@@ -70,16 +70,16 @@ SCENARIOS = {
 }
 
 GOLDEN = {
-    "limit_cap": ["84f30a726e1a69cf", "f1d779edbebc3356"],
-    "limit_ring": ["a2741e816ca6175b", "22b6e693cf43afd2"],
-    "mid_run_trace_on": ["21a8ecba68073e44", "765a319fe8f768db"],
-    "off_on_gap": ["57bab8ea4ca70fe5", "6de7525ad9b104d4", "ee885f91f42a705b"],
-    "record_off_mid_run": ["2892d0a1281c7e32", "78a5eb255899e2d9", "aaa150fdea27fec3"],
-    "recorded": ["9a337a1c40effea8", "ff726d81318aa03c", "ad9eb7f9042c9c53"],
-    "segments": ["a93f893661fb749e", "db2a32d4b3b6efb1", "cea57ffc7426b26f"],
-    "trace_clear": ["4b7310bdbb0ea5a2", "75196a0cb1886cc2", "b518f003c1f40e0a"],
-    "unrecorded": ["5a868997c407e4b1", "538ad9c9e9dbcb5a", "f615cfbd50b2c77b", "7056d00ed8a59e49"],
-    "unrecorded_ring": ["2d9f13284211254c", "abb5072952521e43"],
+    "limit_cap": ["e3e80b54b300f1f0", "272ab33a664b5b42"],
+    "limit_ring": ["e56fb24fff0bd8b8", "b1d7bc81dca63af3"],
+    "mid_run_trace_on": ["505ee3aa8f6fad05", "4c04ad3d08fe3795"],
+    "off_on_gap": ["877588a24ff153ed", "e7b7be5d5e8feec5", "94c1a35a3da5b603"],
+    "record_off_mid_run": ["9a626ef419be38bb", "42d7f322a90cc4fb", "cb4e75debdd50bed"],
+    "recorded": ["d8c23c637c0cc3c5", "852ecb4c80d942fd", "29e41fe2ae52e772"],
+    "segments": ["7597c8f9c953e706", "becf5fddade3ce5e", "d1158fb0ff687d4a"],
+    "trace_clear": ["a29e82ab4150ee0a", "f0e80053cb4b078f", "cf97eda2b3115a2f"],
+    "unrecorded": ["f0ffae240f5286bd", "ba2940dc0aa102d8", "d4f963af902751d1", "fef9fa2effd23dd0"],
+    "unrecorded_ring": ["601eef4e18dee4f5", "1bc204272e86d8a0"],
 }
 
 #: ``trace status`` plus the spans and metrics of a live run stopped at

@@ -4,8 +4,7 @@ Monitors consume only journal-derivable event fields, and live checks
 index verdicts by the recorder's journal position, so re-running the
 same properties over the recorded journal (``rv.derive``) must
 reproduce the live verdict stream exactly — same Verdict objects, same
-rendered bytes — on both interpreter tiers, for healthy runs, seeded
-bugs and deadlocks alike.
+rendered bytes — for healthy runs, seeded bugs and deadlocks alike.
 """
 
 import pytest
@@ -18,23 +17,13 @@ from repro.dbg import Debugger, StopKind
 from repro.rv import GraphView, derive_verdicts, parse_property
 
 
-def _set_tier(runtime, tier):
-    runtime.config.interp_tier = tier
-    for actor in runtime.all_actors():
-        interp = getattr(actor, "interp", None)
-        if interp is not None:
-            interp.tier = tier
-
-
-def rle_session(tier="auto"):
+def rle_session():
     sched, runtime, sink = build_rle_pipeline([5, 5, 5, 2, 7, 7])
-    _set_tier(runtime, tier)
     return DataflowSession(Debugger(sched, runtime), stop_on_init=True)
 
 
-def amodule_session(tier="auto"):
+def amodule_session():
     sched, platform, runtime, source, sink = build_demo()
-    _set_tier(runtime, tier)
     return DataflowSession(Debugger(sched, runtime), stop_on_init=True)
 
 
@@ -66,10 +55,9 @@ def rendered(verdicts):
     return "\n".join(line for v in verdicts for line in v.render())
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
 @pytest.mark.parametrize("app", ["rle", "amodule"])
-def test_live_and_derived_verdicts_byte_identical(app, tier):
-    session = BUILDERS[app](tier)
+def test_live_and_derived_verdicts_byte_identical(app):
+    session = BUILDERS[app]()
     session.replay.record_on()
     session.dbg.run()  # stop after framework init: graph reconstructed
     for text, action in APP_CHECKS[app]:
@@ -99,12 +87,10 @@ def test_derivation_alone_judges_a_plain_recorded_run():
     assert 0 < verdicts[0].index <= session.replay.master.total_events
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
-def test_h264_rate_mismatch_verdict_identity_and_relocalization(tier):
+def test_h264_rate_mismatch_verdict_identity_and_relocalization():
     """The seeded h264 rate bug: the live ``mark`` verdict, the derived
     verdict, and the ``replay to event N`` landing must all agree."""
     sched, platform, runtime, source, sink, mbs = build_rate_mismatch(n_mbs=24)
-    _set_tier(runtime, tier)
     session = DataflowSession(Debugger(sched, runtime), stop_on_init=True)
     session.replay.record_on()
     session.dbg.run()
@@ -126,7 +112,6 @@ def test_h264_rate_mismatch_verdict_identity_and_relocalization(tier):
 
     def fresh():
         s2, p2, r2, *_ = build_rate_mismatch(n_mbs=24)
-        _set_tier(r2, tier)
         return DataflowSession(Debugger(s2, r2))
 
     mgr.builder = fresh
@@ -135,12 +120,10 @@ def test_h264_rate_mismatch_verdict_identity_and_relocalization(tier):
     assert mgr.recorder.divergence is None
 
 
-@pytest.mark.parametrize("tier", ["auto", "vm", "slow"])
-def test_dropped_token_deadlock_verdict_identity(tier):
+def test_dropped_token_deadlock_verdict_identity():
     """Deadlock stop analysis reconstructs identical wait-for verdicts
     live (stop callback) and from the journal's stop records."""
     sched, platform, runtime, source, sink, mbs = build_dropped_token(n_mbs=6)
-    _set_tier(runtime, tier)
     session = DataflowSession(Debugger(sched, runtime), stop_on_init=True)
     session.replay.record_on()
     session.dbg.run()

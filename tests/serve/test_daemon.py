@@ -146,7 +146,7 @@ def test_error_codes(client):
         ("create", {"program": "rle", "shards": True}, "shards"),
         ("create", {"program": "rle", "name": 5}, "name"),
         ("create", {"program": "h264", "bug": ["rate-mismatch"]}, "bug"),
-        ("create", {"program": "rle", "tier": 1}, "tier"),
+        ("create", {"program": "rle", "values": "1,2"}, "values"),
         ("create", {"program": "rle", "quota": 100}, "quota"),
         ("variables", {"frame": "x"}, "frame"),
         ("variables", {"actor": 3}, "actor"),
