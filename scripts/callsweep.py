@@ -52,7 +52,7 @@ PACKAGE = os.path.join(SRC, "repro")
 SMOKE = os.path.join(ROOT, "scripts", "smoke")
 
 #: the unreached count this sweep was committed at; more fails the run
-MAX_UNREACHED = 209
+MAX_UNREACHED = 208
 
 #: why a function no user path enters still stays: reason -> the
 #: functions it covers, each named ``path::qualname`` (the path relative
@@ -207,7 +207,6 @@ REASONS: Dict[str, Tuple[str, ...]] = {
         "obs/metrics.py::Histogram.percentile",
         "obs/metrics.py::Histogram.summary",
         "obs/metrics.py::MetricsRegistry.render",
-        "obs/prof.py::Profile.render",
         "obs/prof.py::derive_profile",
         "obs/spans.py::SpanSink.spans",
         "obs/spans.py::SpanSink.__iter__",

@@ -33,7 +33,6 @@ from ..dbg.stop import StopEvent, StopKind
 from ..errors import DataflowDebugError
 from ..pedf.api import (
     SYM_ACTOR_START,
-    SYM_ACTOR_SYNC,
     SYM_BIND,
     SYM_POP,
     SYM_PUSH,

@@ -34,8 +34,8 @@ from .session import BEHAVIORS, DataflowSession
 
 def install_dataflow_commands(cli: CommandCli, session: DataflowSession) -> None:
     handler = _Commands(cli, session)
-    # remembered so a replay adoption can rebind the handler to the rebuilt
-    # session (see repro.core.replay.ReplayManager._adopt)
+    # remembered so a time-travel hop can hand the handler to the landed
+    # session (see DataflowSession.hand_over)
     cli.dataflow_handler = handler
     # structured dispatch front-end: the interactive loop, scripted tests
     # and the serve daemon all execute through this one service
@@ -148,7 +148,6 @@ class _Commands:
     def __init__(self, cli: CommandCli, session: DataflowSession):
         self.cli = cli
         self.session = session
-        self.dbg = session.dbg
 
     # ------------------------------------------------------------ completion
 
@@ -315,7 +314,7 @@ class _Commands:
 
     def cmd_step_both(self, arg: str) -> List[str]:
         out = self.session.step_both(arg.strip() or None)
-        ev = self.dbg.cont()
+        ev = self.session.dbg.cont()
         out.append("...")
         out.extend(self.cli.render_stop(ev))
         return out
@@ -434,8 +433,7 @@ class _Commands:
         if verb != "to":
             raise CommandError("usage: replay to seq N|time T|event K|end | replay snapshots N|off")
         ev = self.session.replay.replay_to(rest)
-        # replay_to may have adopted a rebuilt session: self.session/self.dbg
-        # were rebound through cli.dataflow_handler during adoption
+        # the hop may have handed self.session over to another machine
         return self.cli.render_stop(ev)
 
     def cmd_reverse_continue(self, arg: str) -> List[str]:

@@ -28,10 +28,11 @@ and the riding :class:`RunRecorder` still compares every event
 fingerprint, checkpoint digest and deep snapshot on the tail against the
 reference journal — the determinism self-check — while re-applying
 journaled alterations at their recorded positions (so a deadlock the
-user untied by inserting a token unties itself again).  On arrival the
-debugging session *adopts* the machine: the CLI rebinds to its debugger
-and the manager transplants itself into its session, keeping the master
-journal so the user can hop forward and backward repeatedly.
+user untied by inserting a token unties itself again).  On arrival on
+another machine the debugging session is handed over to it
+(:meth:`~repro.core.session.DataflowSession.hand_over`, the one list of
+what a hop carries), and the manager keeps the master journal so the
+user can hop forward and backward repeatedly.
 
 A new alteration made in a replayed past **forks the timeline**: the
 master journal switches to the current (replayed) journal, recording
@@ -556,9 +557,9 @@ class ReplayManager:
         """One restore rule for every hop: start from the highest machine
         at or below ``target`` — a parked resident, the current replayed
         machine, or a fresh build (position 0) — and re-execute the tail.
-        The user's breakpoints and ``$N`` history move to where it lands,
-        and so do the history views (telemetry and the event tail), which
-        re-read the landed machine's journal up to its position."""
+        A hop onto another machine hands the debugging session over to
+        it (:meth:`DataflowSession.hand_over` lists what that carries); a
+        hop that keeps the current machine leaves the session as it is."""
         master = self._require_master()
         if self.builder is None:
             raise ReplayError(
@@ -566,15 +567,6 @@ class ReplayManager:
                 "session.replay.register_builder(fn) with a factory that "
                 "rebuilds this program"
             )
-        carried = self.session.dbg.lift_user_state()
-        views = self.session.tap.lift_views()
-        try:
-            return self._hop(master, target)
-        finally:
-            self.session.dbg.land_user_state(carried)
-            self.session.tap.land_views(views)
-
-    def _hop(self, master: ReplayJournal, target: int) -> StopEvent:
         while True:
             current = self._current_position(target)
             resident = max(
@@ -648,7 +640,11 @@ class ReplayManager:
         it the debugging session's machine."""
         if target > source:
             recorder.target_index = target
-            ev = self._drive(session, recorder)
+            held = session.dbg.lift_user_state()  # so the drive stops at none of them
+            try:
+                ev = self._drive(session, recorder)
+            finally:
+                session.dbg.land_user_state(held)
         else:
             # exact hit: stop without driving (driving would overshoot —
             # the recorder can only stop on the *next* event), reporting
@@ -707,26 +703,18 @@ class ReplayManager:
         raise ReplayError("replay exceeded the stop budget without reaching the target")
 
     def _adopt(self, new_session: "DataflowSession", recorder: RunRecorder) -> None:
-        """Switch the debugging session over to the replayed machine,
+        """Hand the debugging session over to the replayed machine,
         parking the abandoned one as a resident snapshot (the original
         live machine — whose journal *is* the master — just detaches)."""
         old = self.session
+        old.hand_over(new_session)
         old_rec = old.tap.recorder
         if old_rec is not None and old_rec is not recorder:
             if old_rec.journal is self.master:
                 old_rec.detach()
             else:
                 self._park(old, old_rec, self._landing)
-        cli = getattr(old, "cli", None)
-        if cli is not None:
-            cli.rebind_debugger(new_session.dbg)
-            handler = getattr(cli, "dataflow_handler", None)
-            if handler is not None:
-                handler.session = new_session
-                handler.dbg = new_session.dbg
-            new_session.cli = cli
         self.session = new_session
-        new_session.replay = self
         self.recorder = recorder
         recorder.fork_hook = self._on_fork
 

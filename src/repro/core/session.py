@@ -19,11 +19,10 @@ Overhead control (§V) is :meth:`set_data_capture`; graph refresh policy
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 from ..cminus.typesys import CType, type_by_name
 from ..dbg.debugger import Debugger
-from ..dbg.eval import format_typed
 from ..errors import DataflowDebugError
 from .alteration import Alteration
 from .capture import DataMode, EventCapture
@@ -37,7 +36,7 @@ from .catchpoints import (
     WorkCatch,
 )
 from .dot import render_dot
-from .model import DataflowModel, DbgActor, DbgConnection
+from .model import DataflowModel, DbgActor
 from .record import TokenRecorder
 from .replay import ReplayManager
 from .tap import EventTail, EventTap
@@ -122,6 +121,29 @@ class DataflowSession:
         handler = getattr(self.cli, "dataflow_handler", None)
         if handler is not None and handler.session is self:
             handler.session = None
+
+    def hand_over(self, new: "DataflowSession") -> None:
+        """Move the debugging session to ``new``, the machine a time-travel
+        hop lands on: the one list of what a hop carries.  Each part
+        re-hooks on ``new`` and re-derives its state from ``new``'s journal;
+        this machine keeps none of it and takes the builder's settings."""
+        cli = self.cli
+        if cli is not None:
+            cli.dbg, cli.dataflow_handler.session = new.dbg, new
+        new.cli, new.replay = cli, self.replay
+        # breakpoints, catchpoints, $N and the taken init stop
+        new.dbg.land_user_state(self.dbg.lift_user_state())
+        new.telemetry.land(self.telemetry)
+        new.event_tail.land(self.event_tail)
+        new.checks.land(self.checks)
+        new.prof.land(self.prof)
+        self.flight.auto_dump, new.flight.auto_dump = new.flight.auto_dump, self.flight.auto_dump
+        self.graph_update, new.graph_update = new.graph_update, self.graph_update
+        self.state_recorded, new.state_recorded = new.state_recorded, self.state_recorded
+        mode = self.capture.data_mode
+        if mode != new.capture.data_mode:
+            self.set_data_capture(new.capture.data_mode)
+            new.set_data_capture(mode)
 
     def _on_stop(self, ev) -> None:
         if self.graph_update == "on-stop" and self.model.initialized:

@@ -25,8 +25,10 @@ may stop the run.  Telemetry and the event tail are
 cursor, and consumes the records past its cursor when it is read — from
 the recorder's journal while recording, else from the buffer, which
 drains into every view before it would drop a record a view has not
-read.  So collection is paid at read time, and a view follows a
-time-travel hop by re-reading the landed machine's journal.
+read.  So collection is paid at read time.  The ranges are a
+:class:`Coverage`, which the RV checks keep too: a time-travel hop moves
+them to the landed machine, and a view then re-reads that machine's
+journal (see ``DataflowSession.hand_over``).
 
 The bus subscription exists only while the recorder, a consumer or a
 view is armed, so with everything off the §V elision in
@@ -120,21 +122,6 @@ class EventTap:
         base = self._buffer_base
         return self._buffer[first - base - 1 : last - base]
 
-    def lift_views(self) -> List[Any]:
-        """What a replay hop carries of each view (see :meth:`HistoryView.lift`)."""
-        if self.recorder is None:
-            # the buffer cannot be read again once the views leave it
-            self.drain()
-        lifted = [view.lift() for view in self.views]
-        self._reconcile()
-        return lifted
-
-    def land_views(self, lifted: List[Any]) -> None:
-        """Put :meth:`lift_views`' result on this tap's views."""
-        for view, state in zip(self.views, lifted):
-            view.land(state)
-        self._reconcile()
-
     # --------------------------------------------------------------- event
 
     def _on_event(self, event: FrameworkEvent) -> Optional[Suspend]:
@@ -169,26 +156,18 @@ class EventTap:
         return suspend
 
 
-class HistoryView:
-    """A read-side view over a tap's event history.
+class Coverage:
+    """The position ranges of a tap's history that something covers.
 
-    The view covers position ranges — ``open`` starts one after the
-    current position, ``close`` ends it there — and keeps a cursor, the
-    last position it consumed.  :meth:`advance` hands the subclass's
-    ``consume(records)`` the covered records between the cursor
-    and a position; every reader advances first, so what a reader sees
-    is what live per-event feeding would have built, and nothing is
-    built that no one reads.  ``_lift()``/``_land(own, restore)`` carry
-    the subclass's own state across a replay hop.
+    ``ranges`` holds ``[first, last]`` ranges, oldest first: ``open``
+    starts one after the current position, ``close`` ends it there, and
+    the last range is open (``last`` None) while armed.  A time-travel
+    hop moves them to the landed machine with :meth:`land`.
     """
 
     def __init__(self, tap: EventTap) -> None:
         self.tap = tap
-        #: covered ``[first, last]`` position ranges, oldest first; the
-        #: last one is open (``last`` None) while the view is armed
         self.ranges: List[List[Optional[int]]] = []
-        self.cursor = 0
-        tap.views += (self,)
 
     @property
     def armed(self) -> bool:
@@ -201,9 +180,48 @@ class HistoryView:
 
     def close(self) -> None:
         if self.armed:
-            self.advance()
             self.ranges[-1][1] = self.tap.position
             self.tap._reconcile()
+
+    def covers(self, position: int) -> bool:
+        return any(first <= position and (last is None or position <= last)
+                   for first, last in self.ranges)
+
+    def land(self, source: "Coverage") -> None:
+        """Cover what ``source``, on the machine a hop leaves, covered up
+        to this tap's position (the landing), and from there on if
+        ``source`` is armed; ``source`` is left covering nothing."""
+        landed = self.tap.position
+        self.ranges = [[first, last if last is None else min(last, landed)]
+                       for first, last in source.ranges if first <= landed]
+        if source.armed and not self.armed:
+            self.ranges.append([landed + 1, None])
+        source.ranges = []
+        source.tap._reconcile()
+        self.tap._reconcile()
+
+
+class HistoryView(Coverage):
+    """A read-side view over a tap's event history.
+
+    Besides its covered ranges the view keeps a cursor, the last
+    position it consumed.  :meth:`advance` hands the subclass's
+    ``consume(records)`` the covered records between the cursor and a
+    position; every reader advances first, so what a reader sees is what
+    live per-event feeding would have built, and nothing is built that
+    no one reads.  Landed on another machine, a view re-reads that
+    machine's history from the start.
+    """
+
+    def __init__(self, tap: EventTap) -> None:
+        super().__init__(tap)
+        self.cursor = 0
+        tap.views += (self,)
+
+    def close(self) -> None:
+        if self.armed:
+            self.advance()
+            super().close()
 
     def advance(self, to: Optional[int] = None) -> None:
         """Consume the covered records after the cursor, through ``to``
@@ -219,36 +237,9 @@ class HistoryView:
                 self.consume(self.tap.records(first, last))
         self.cursor = to
 
-    # ------------------------------------------------------------ time travel
-
-    def lift(self) -> Any:
-        """Detach this view's state for a replay hop, leaving the view
-        empty and unarmed (a machine the hop leaves does no view work)."""
-        state = (self.tap, self.ranges, self.cursor, self._lift())
-        self.ranges, self.cursor = [], 0
-        return state
-
-    def land(self, state: Any) -> None:
-        """Take a lifted state.  Back on the machine it was lifted from
-        (a hop that drove the current machine, or failed) the view is
-        restored as it was.  On another machine it re-reads that
-        machine's history: the ranges are kept up to the landing
-        position, an armed view stays armed from there on, and the
-        consumer starts over from the landed journal."""
-        tap, ranges, cursor, own = state
-        if tap is self.tap:
-            self.ranges, self.cursor = ranges, cursor
-            self._land(own, restore=True)
-            return
-        landed = self.tap.position
-        self.ranges = [[first, last] for first, last in ranges if first <= landed]
-        for span in self.ranges:
-            if span[1] is not None:
-                span[1] = min(span[1], landed)
-        if ranges and ranges[-1][1] is None and not self.armed:
-            self.ranges.append([landed + 1, None])
-        self.cursor = 0
-        self._land(own, restore=False)
+    def land(self, source: "HistoryView") -> None:
+        super().land(source)
+        self.cursor = source.cursor = 0
 
 
 class EventTail(HistoryView):
@@ -285,9 +276,7 @@ class EventTail(HistoryView):
     def consume(self, records: Iterable[EventRecord]) -> None:
         self.kept.extend(records)
 
-    def _lift(self) -> Any:
-        kept, self.kept = self.kept, None
-        return kept
-
-    def _land(self, kept: Any, restore: bool) -> None:
-        self.kept = kept if restore or kept is None else deque(maxlen=kept.maxlen)
+    def land(self, source: "EventTail") -> None:
+        super().land(source)
+        kept, source.kept = source.kept, None
+        self.kept = None if kept is None else deque(maxlen=kept.maxlen)

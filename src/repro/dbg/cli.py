@@ -13,7 +13,7 @@ CLI is equally usable interactively and from scripted debugging sessions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import CommandError, DebuggerError, ReproError
@@ -56,12 +56,6 @@ class CommandCli:
         if command.name in self.commands:
             raise DebuggerError(f"command {command.name!r} already registered")
         self.commands[command.name] = command
-
-    def rebind_debugger(self, debugger: Debugger) -> None:
-        """Point every command at a different debugger instance — used when
-        a replay adopts a rebuilt machine: the CLI (command table, display
-        expressions, history of the *session*) survives the swap."""
-        self.dbg = debugger
 
     def resolve(self, name: str) -> Command:
         """Resolve a command name, alias or unambiguous prefix."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..cminus import ast as cast
 from ..cminus.interp import DebugHook, Frame, Interpreter
 from ..cminus.values import format_value
 from ..errors import DebuggerError

@@ -120,6 +120,8 @@ class Profiler:
         self.session = session
         self.enabled = False
         self.profile: Optional[Profile] = None
+        #: the event position the profile started after
+        self.start = 0
         self._names: Dict[int, str] = {}  # id(interp) -> actor qualname
         #: id(interp) -> the call path its last flush was charged to
         self._last: Dict[int, Tuple[str, ...]] = {}
@@ -134,6 +136,7 @@ class Profiler:
             return
         if self.profile is None:
             self.profile = Profile()
+            self.start = self.session.tap.position
         dbg = self.session.dbg
         dbg.hook.profile_sink = self._charge
         dbg._recompute_capabilities()  # re-caches the sink in every interpreter
@@ -152,6 +155,15 @@ class Profiler:
         self.profile = None
         self._names.clear()
         self._last.clear()
+
+    def land(self, source: "Profiler") -> None:
+        """Stay armed across a time-travel hop, leaving ``source`` off and
+        empty.  The journal holds no cycles, so the profile restarts at
+        the landing."""
+        if source.enabled:
+            self.enable()
+        source.disable()
+        source.clear()
 
     # -------------------------------------------------------------- sink
 
@@ -200,6 +212,8 @@ class Profiler:
             lines.append("  (nothing collected; use `prof on`)")
             return lines
         lines.extend(self._require().render())
+        if self.session.tap.recorder is not None:  # the journal holds no cycles
+            lines.append(f"  counts cover the events after #{self.start} (a hop restarts them)")
         total = self.opcode_totals()
         if total:
             body = " ".join(f"{op}={total[op]}" for op in sorted(total))

@@ -21,10 +21,10 @@ cycles it is checked against.
 The session has one span builder, owned here.  It adds each span it
 closes to the telemetry sink and to the flight recorder's bounded ring,
 and as it passes each stop the flight recorder logged it lets the
-recorder snapshot the counters for that stop's delta.  A replay hop
-carries the covered ranges, the armed state and the sink bound to the
-machine it lands on, which re-reads its own journal (it shares the
-recording's prefix).
+recorder snapshot the counters for that stop's delta.  A time-travel
+hop hands the covered ranges, the armed state and the sink bound over to
+the machine it lands on (:meth:`Telemetry.land`), whose view re-reads
+that machine's journal, which shares the recording's prefix.
 
 The same spans/metrics are reproducible from a whole ReplayJournal via
 :func:`repro.obs.derive.derive_telemetry`.
@@ -32,7 +32,7 @@ The same spans/metrics are reproducible from a whole ReplayJournal via
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.tap import HistoryView
 from ..errors import CommandError, DataflowDebugError
@@ -131,19 +131,14 @@ class Telemetry(HistoryView):
         for ev in records:
             feed(ev)
 
-    def _lift(self) -> Any:
-        state = (self.builder, self._sink, self._metrics)
-        self.builder = self._sink = self._metrics = None
-        return state
-
-    def _land(self, own: Any, restore: bool) -> None:
-        _builder, sink, _metrics = own
-        if restore:
-            self.builder, self._sink, self._metrics = own
-        elif sink is not None:
-            # re-read from the landed journal into a fresh builder
+    def land(self, source: "Telemetry") -> None:
+        """Re-read the landed machine's journal into a fresh builder with
+        ``source``'s bound, which is left collecting nothing."""
+        super().land(source)
+        if source._sink is not None:
             self.session.flight.restart()
-            self._build(sink.limit, sink.ring)
+            self._build(source._sink.limit, source._sink.ring)
+        source.builder = source._sink = source._metrics = None
 
     # ------------------------------------------------------------ queries
 

@@ -10,12 +10,11 @@ paper's debugger dynamically reconstructs the dataflow graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cminus.debuginfo import DebugInfo
 from ..cminus.interp import CostModel, DebugHook, Interpreter
-from ..cminus.typesys import CType
 from ..cminus.values import Raw
 from ..cminus.vm.compiler import vm_unit
 from ..errors import PedfError
@@ -33,7 +32,7 @@ from .api import (
     FrameworkEventBus,
 )
 from .compile import compile_program
-from .decls import EndpointRef, IfaceDecl, ModuleDecl, ProgramDecl
+from .decls import EndpointRef, ModuleDecl, ProgramDecl
 from .envs import ActorEnv, ControllerEnv
 from .links import IfaceInst, LinkInst
 from .stdactors import SinkActor, SourceActor

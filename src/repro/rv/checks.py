@@ -18,38 +18,53 @@ and performs the check's on-violation action:
 
 Deadlock-free checks evaluate on the platform's DEADLOCK stop (via the
 debugger's stop callbacks) instead of suspending again.
+
+Each check keeps the position ranges it covered while enabled (a
+:class:`~repro.core.tap.Coverage`).  A time-travel hop hands the checks
+to the landed machine (:meth:`Checks.land`) with their ids, actions and
+enabled state; their monitor state, verdicts and marks are re-derived
+from that machine's journal through
+:func:`~repro.sim.replay.replay_into`, the path ``check derive`` runs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..core.tap import Coverage
 from ..dbg.stop import StopEvent, StopKind
 from ..errors import RvError
+from ..sim.replay import replay_into
 from .compile import GraphView, compile_property
-from .monitors import DeadlockMonitor, Monitor, Verdict
+from .monitors import Monitor, Verdict
 from .props import Property, parse_property
 
 ACTIONS = ("stop", "log", "mark")
 
 
-class Check:
-    """One armed property: the property, its monitor, its action."""
+class Check(Coverage):
+    """One property: its monitor, its action, and the positions it judges
+    (it is enabled while it covers the run)."""
 
-    def __init__(self, check_id: int, prop: Property, monitor: Monitor, action: str):
+    def __init__(self, tap, check_id: int, prop: Property, monitor: Optional[Monitor], action: str):
+        super().__init__(tap)
         self.id = check_id
         self.prop = prop
         self.text = prop.text()
+        #: None while a landed check waits for the graph
         self.monitor = monitor
         self.action = action
-        self.enabled = True
 
     @property
     def tripped(self) -> bool:
-        return self.monitor.tripped
+        return self.monitor is not None and self.monitor.tripped
+
+    def feed(self, ev, index: int) -> Optional[Verdict]:
+        """A ``replay_into`` consumer: the monitor, fed what this check covered."""
+        return self.monitor.feed(ev, index) if self.covers(index) else None
 
     def status(self) -> str:
-        state = "tripped" if self.tripped else ("enabled" if self.enabled else "disabled")
+        state = "tripped" if self.tripped else ("enabled" if self.armed else "disabled")
         return f"check {self.id}: {self.text}  [on-violation: {self.action}; {state}]"
 
 
@@ -59,10 +74,10 @@ class Checks:
     def __init__(self, session) -> None:
         self.session = session
         self.checks: Dict[int, Check] = {}
+        #: removed checks, kept for the verdicts they raised while defined
+        self.removed: List[Check] = []
         self._next_id = 1
         self.verdicts: List[Verdict] = []
-        #: (journal event position, verdict) pairs from ``mark`` checks
-        self.marks: List[Tuple[int, Verdict]] = []
         self.armed = False
         #: the enabled checks in id order (``checks`` is insertion-ordered
         #: and ids only grow), rebuilt by ``_rearm``
@@ -71,7 +86,15 @@ class Checks:
         #: properties queued before the graph exists (``--check`` flag);
         #: compiled at the first stop after the init phase completes
         self.pending: List[Tuple[str, str]] = []
+        #: landed checks wait for the graph (see :meth:`_derive`)
+        self._waiting = False
         session.dbg.stop_callbacks.append(self._on_stop)
+
+    @property
+    def marks(self) -> List[Tuple[int, Verdict]]:
+        """(journal event position, verdict) pairs of the ``mark`` checks."""
+        marking = {c.id for c in (*self.checks.values(), *self.removed) if c.action == "mark"}
+        return [(v.index, v) for v in self.verdicts if v.check_id in marking]
 
     # ------------------------------------------------------------ registry
 
@@ -87,7 +110,8 @@ class Checks:
         check_id = self._next_id
         monitor = compile_property(prop, self.graph(), check_id)
         self._next_id += 1
-        check = Check(check_id, prop, monitor, action)
+        check = Check(self.session.tap, check_id, prop, monitor, action)
+        check.open()
         self.checks[check_id] = check
         self._rearm()
         return check
@@ -111,12 +135,17 @@ class Checks:
     def remove(self, check_id: int) -> Check:
         check = self._get(check_id)
         del self.checks[check_id]
+        check.close()
+        self.removed.append(check)
         self._rearm()
         return check
 
     def set_enabled(self, check_id: int, enabled: bool) -> Check:
         check = self._get(check_id)
-        check.enabled = enabled
+        if enabled:
+            check.open()
+        else:
+            check.close()
         self._rearm()
         return check
 
@@ -124,11 +153,10 @@ class Checks:
 
     def _rearm(self) -> None:
         """Reconcile the tap slot with the registry."""
-        self._enabled = tuple(c for c in self.checks.values() if c.enabled)
-        want = bool(self._enabled)
-        if want != self.armed:
-            self.session.tap.arm(self.feed, want)
-            self.armed = want
+        enabled = [c for c in self.checks.values() if c.armed]
+        self._enabled = tuple(c for c in enabled if c.monitor is not None)
+        self.armed = bool(enabled)
+        self.session.tap.arm(self.feed, self.armed)
 
     # ------------------------------------------------------------- judging
 
@@ -157,8 +185,6 @@ class Checks:
 
     def _handle_violation(self, check: Check, verdict: Verdict):
         self.verdicts.append(verdict)
-        if check.action == "mark":
-            self.marks.append((verdict.index, verdict))
         if check.action != "stop":
             return None
         ev = StopEvent(
@@ -171,6 +197,8 @@ class Checks:
         return self.session.dbg.external_suspend(ev)
 
     def _on_stop(self, ev: StopEvent) -> None:
+        if self._waiting:
+            self._derive()
         # arm --check properties queued from before the graph existed
         if self.pending and self.session.model.initialized:
             pending, self.pending = self.pending, []
@@ -180,15 +208,44 @@ class Checks:
             return
         index = self._position()
         for check in self._enabled:
-            if check.tripped:
-                continue
-            if not isinstance(check.monitor, DeadlockMonitor):
-                continue
             verdict = check.monitor.at_stop("deadlock", ev.time, index)
             if verdict is not None:
                 self.verdicts.append(verdict)
-                if check.action == "mark":
-                    self.marks.append((verdict.index, verdict))
+
+    # ----------------------------------------------------------- time travel
+
+    def land(self, source: "Checks") -> None:
+        """Take the checks of ``source``, on the machine a hop leaves, with
+        their ids, actions, enabled state and covered ranges."""
+        def landed(old: Check) -> Check:
+            check = Check(self.session.tap, old.id, old.prop, None, old.action)
+            check.land(old)
+            return check
+
+        self.checks = {check_id: landed(old) for check_id, old in source.checks.items()}
+        self.removed = [landed(old) for old in source.removed]
+        self._next_id, self.pending = source._next_id, source.pending
+        source.checks, source.removed, source.pending = {}, [], []
+        source.verdicts, source._waiting = [], False
+        source._rearm()
+        if self.checks or self.removed:
+            self._derive()
+
+    def _derive(self) -> None:
+        """Rebuild the monitors, verdicts and marks from this machine's
+        journal, each check fed the records it covered, raising no stop (a
+        deadlock ends a run, so no landing has one behind it to judge).
+        Before the graph exists, wait for the first stop after init, as
+        ``--check`` does."""
+        self._waiting = not self.session.model.initialized
+        if not self._waiting:
+            ordered = sorted([*self.checks.values(), *self.removed], key=lambda c: c.id)
+            graph = self.graph()
+            for check in ordered:
+                check.monitor = compile_property(check.prop, graph, check.id)
+            recorder = self.session.tap.recorder
+            self.verdicts = [] if recorder is None else replay_into(recorder.journal, *ordered)
+        self._rearm()
 
     # ------------------------------------------------------------ replaying
 

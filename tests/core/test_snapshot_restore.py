@@ -14,7 +14,6 @@ import dataclasses
 
 import pytest
 
-from repro.apps.amodule import build_demo
 from repro.apps.rle import build_rle_pipeline
 from repro.apps.rle.app import RLE_HOSTS, build_rle_program
 from repro.core import DataflowSession, install_dataflow_commands
